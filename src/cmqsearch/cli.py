@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 ambiguous range query, 3 below coverage,
 4 solver-config failure, 5 verification failure.
+
+numpy and the simulator are imported only by ``sweep`` and ``verify``, so the
+other commands start without them.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from cmqsearch import analytic, planner, simulator
+from cmqsearch import analytic, planner
 from cmqsearch.analytic import PhaseAngle, TargetFraction
 from cmqsearch.errors import CmqsearchError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
@@ -127,13 +128,22 @@ def write_table(table: PlanTable, path: str) -> None:
 
 
 def load_or_build_table(cfg: RunConfig) -> PlanTable:
-    """Use the cached table when it matches the run config, else rebuild it."""
+    """Use the cached table when it matches the run config, else rebuild it.
+
+    A cache that cannot be read as a table (truncated, missing keys, another
+    schema version) is a miss: one warning on stderr, then rebuild.
+    """
     path = Path(cfg.cache)
     if path.exists():
-        table = doc_to_table(json.loads(path.read_text()))
-        if (table.p_cri == cfg.p_cri and table.lambda0 == cfg.lambda0
-                and table.cfg == cfg.solver_config()):
-            return table
+        try:
+            table = doc_to_table(json.loads(path.read_text()))
+        except (CmqsearchError, ValueError, LookupError, TypeError, AttributeError) as exc:
+            print(f"warning: rebuilding unreadable plan cache {path} "
+                  f"({type(exc).__name__}: {exc})", file=sys.stderr)
+        else:
+            if (table.p_cri == cfg.p_cri and table.lambda0 == cfg.lambda0
+                    and table.cfg == cfg.solver_config()):
+                return table
     table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.solver_config())
     write_table(table, cfg.cache)
     return table
@@ -178,6 +188,8 @@ def cmd_plan(cfg: RunConfig, query: KigrQuery, out=None) -> int:
 
 def _log_grid(lambda0: float, n: int) -> list[float]:
     # Log-spaced over [lambda0, 1): small-lambda bands are geometrically thin.
+    import numpy as np
+
     hi = math.nextafter(1.0, 0.0)
     return [float(x) for x in np.geomspace(lambda0, hi, n, endpoint=False)]
 
@@ -245,6 +257,8 @@ def cmd_compare(cfg: RunConfig, lam_val: float, fixed_phi: float, out=None) -> i
 # ----------------------------------------------------------------- verification
 
 def _suite_oracle(cfg: RunConfig) -> None:
+    from cmqsearch import simulator
+
     phis = [math.pi, 2.432, 1.465, 0.7]
     for n in (2, 4, 6, 8, 10):
         big = 1 << n
@@ -289,6 +303,10 @@ def _suite_monotonicity(cfg: RunConfig) -> None:
 
 
 def _suite_long_certainty(cfg: RunConfig) -> None:
+    import numpy as np
+
+    from cmqsearch import simulator
+
     rng = np.random.default_rng(cfg.seed)
     for _ in range(20):
         n = int(rng.integers(2, 11))

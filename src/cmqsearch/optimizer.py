@@ -4,17 +4,19 @@ The optimal-phase condition is a coupled system: all segment-boundary success
 probabilities and the tail value must share one common level.  We solve it by
 level-set marching -- given a candidate level q, segments are constructed
 left-to-right with two nested 1-D bisections (phase at the left boundary,
-next boundary after the peak) -- wrapped in an outer bisection on q, using
-that feasibility with a fixed number of phases is monotone decreasing in q.
+next boundary after the peak).  The greedy march at q = P_cri uses the least
+number of phases n_k that reaches P_cri, so one march gives the phase count.
+The common level Q_k(n_k) comes from an outer bisection on q, using that
+feasibility with at most n_k phases is monotone decreasing in q; each probe
+marches at most n_k phases.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
 
-from cmqsearch import analytic
 from cmqsearch.analytic import IterationBand, PhaseAngle, iteration_band, min_point_k1, phi_min
 from cmqsearch.errors import BracketError, ConfigError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
@@ -218,10 +220,12 @@ def largest_min_success(k: int, n_k: int, cfg: SolverConfig
     """
     if not 1 <= n_k <= cfg.max_nk:
         raise ConfigError(f"n_k={n_k} outside [1, max_nk={cfg.max_nk}]")
+    # The march is greedy, so capping it at n_k phases only cuts short the
+    # probes that would need more; covered means covered with <= n_k phases.
+    capped = replace(cfg, max_nk=n_k)
 
     def feasible(q: float) -> bool:
-        phases, _, ok = march_level(k, q, cfg)
-        return ok and len(phases) <= n_k
+        return march_level(k, q, capped)[2]
 
     lo = 0.5
     while not feasible(lo):
@@ -241,23 +245,26 @@ def largest_min_success(k: int, n_k: int, cfg: SolverConfig
             lo = mid
         else:
             hi = mid
-    phases, boundaries, ok = march_level(k, lo, cfg)
-    assert ok and len(phases) <= n_k
+    phases, boundaries, ok = march_level(k, lo, capped)
+    assert ok
     # The march may cover the band with fewer phases than allowed only when
     # the level is far below Q_k(n_k); at the supremum it uses all of them.
     return lo, phases, boundaries
 
 
 def optimal_phase_count(k: int, p_cri: float, cfg: SolverConfig) -> int:
-    """Least phase count whose largest minimum level reaches p_cri (increment loop)."""
+    """Least phase count whose largest minimum level reaches p_cri.
+
+    From each left boundary the march takes the deepest phase that still
+    starts at p_cri, whose curve stays at or above p_cri furthest to the
+    right, so the march at p_cri covers the band with the fewest phases that
+    can.  An uncovered band after max_nk phases is a ConfigError.
+    """
     if not 0.0 < p_cri < 1.0:
         raise DomainError(f"p_cri must be in (0, 1), got {p_cri}")
-    n = 1
-    while n <= cfg.max_nk:
-        q, _, _ = largest_min_success(k, n, cfg)
-        if q >= p_cri:
-            return n
-        n += 1
+    phases, _, ok = march_level(k, p_cri, cfg)
+    if ok:
+        return len(phases)
     raise ConfigError(f"p_cri={p_cri} not reachable on band {k} within max_nk={cfg.max_nk}")
 
 
@@ -286,11 +293,30 @@ def _level_residual(k: int, phases: list[float], boundaries: list[float]) -> flo
 
 
 def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> None:
-    band = iteration_band(plan.k)
+    """Sampled check of P >= p_cri - level_tol on a uniform grid over the band.
+
+    Same points and segment membership as ``probability_at``: the grid is
+    sorted, so each segment takes the next run of points below its upper end.
+    """
+    k = plan.k
+    band = iteration_band(k)
     n = cfg.grid_points
     step = (band.hi - band.lo) / n
-    worst = min(plan.probability_at(band.lo + i * step) for i in range(n))
+    grid = [band.lo + i * step for i in range(n)]
+    segments = plan.segments
+    if not (segments[0].lo <= grid[0] and grid[-1] < segments[-1].hi):
+        raise DomainError(f"plan for band {k} does not cover [{grid[0]}, {grid[-1]}]")
+    worst = 1.0
+    start = 0
+    for seg in segments:
+        end = bisect_left(grid, seg.hi, start)
+        phi = seg.phi.phi
+        for lam in grid[start:end]:
+            p = p_success(k, phi, lam)
+            if p < worst:
+                worst = p
+        start = end
     if worst < plan.p_cri - cfg.level_tol:
         raise VerificationError(
-            f"plan for band {plan.k} dips to {worst} < p_cri - level_tol"
+            f"plan for band {k} dips to {worst} < p_cri - level_tol"
         )

@@ -1,11 +1,17 @@
 """Command-line surface: determinism, caching, exit codes, output formats."""
 
+import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cmqsearch import cli
 from cmqsearch.cli import doc_to_table, main, serialize_table
+from cmqsearch.errors import DomainError
+from cmqsearch.planner import build_table
 
 
 def run(args, capfd):
@@ -27,6 +33,19 @@ def test_table_rebuild_is_byte_identical(cache, capfd, tmp_path):
     assert main(["table", "--cache", cache]) == 0
     assert (tmp_path / "plans.json").read_bytes() == first
     capfd.readouterr()
+
+
+# sha256 and size of the serialized table, pinned so that a solver change that
+# moves any cached bit shows up here (and calls for a new SCHEMA_VERSION).
+@pytest.mark.parametrize("p_cri,lambda0,size,digest", [
+    (0.90, 1e-2, 3234, "4128f5eb09089d6787bc73f8da914afd2ff02d7f930b8810645dbbc114ef9fd4"),
+    (0.99, 1e-3, 10177, "ba26e4a66f2aac33932c7f7d5be995cce71e09a4aed645de6f16eed41ebcfd94"),
+])
+def test_cache_bytes_pinned(p_cri, lambda0, size, digest):
+    data = serialize_table(build_table(p_cri, lambda0)).encode()
+    assert cli.SCHEMA_VERSION == 1
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_document_round_trip(table90):
@@ -84,6 +103,49 @@ def test_exit_code_verification_negative_control(cache, capfd):
     assert "equal_level: FAIL" in out
 
 
+# ------------------------------------------------------------- unreadable cache
+
+def _plan_rebuilds_bad_cache(cache, capfd, text):
+    Path(cache).write_text(text)
+    code, out, err = run(["plan", "--lambda", "0.01", "--cache", cache], capfd)
+    assert code == 0
+    assert json.loads(out)["k"] == 8
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and cache in warnings[0]
+    assert "Traceback" not in err
+    # the cache was rewritten with a readable table
+    assert doc_to_table(json.loads(Path(cache).read_text())).p_cri == 0.90
+    return warnings[0]
+
+
+def test_truncated_cache_is_rebuilt(cache, capfd):
+    main(["table", "--cache", cache])
+    capfd.readouterr()
+    text = Path(cache).read_text()
+    warning = _plan_rebuilds_bad_cache(cache, capfd, text[: len(text) // 2])
+    assert "JSONDecodeError" in warning
+
+
+def test_cache_missing_phases_is_rebuilt(cache, capfd):
+    main(["table", "--cache", cache])
+    capfd.readouterr()
+    doc = json.loads(Path(cache).read_text())
+    del doc["plans"][0]["phases"]
+    warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
+    assert "KeyError" in warning
+
+
+def test_cache_other_version_is_rebuilt(cache, capfd):
+    main(["table", "--cache", cache])
+    capfd.readouterr()
+    doc = json.loads(Path(cache).read_text())
+    doc["version"] = 0
+    with pytest.raises(DomainError):
+        doc_to_table(doc)  # direct callers still get the typed error
+    warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
+    assert "version 0" in warning
+
+
 # ---------------------------------------------------------------------- formats
 
 def test_table_csv_header(cache, capfd):
@@ -124,6 +186,16 @@ def test_compare_record(cache, capfd):
 
 
 # ------------------------------------------------------------------ environment
+
+def test_cli_import_leaves_numpy_out():
+    # run from the package's parent directory so the tree under test is imported
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, cmqsearch.cli; "
+            "print(sorted(m for m in ('numpy', 'cmqsearch.simulator') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
 
 def test_cache_env_override(tmp_path, capfd, monkeypatch):
     target = tmp_path / "env-cache.json"

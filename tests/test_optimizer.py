@@ -1,14 +1,16 @@
 """Equal-level solver: intersections, level marching, Q_k, phase counts, plans."""
 
+import dataclasses
 import math
 
 import pytest
 
 from cmqsearch.analytic import PhaseAngle, first_max_point, iteration_band, phi_min
-from cmqsearch.errors import ConfigError, DomainError
+from cmqsearch.errors import ConfigError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import (
     SolverConfig,
+    _check_guarantee,
     build_plan,
     intersection_point,
     largest_min_success,
@@ -158,6 +160,21 @@ def test_optimal_phase_count_examples(solver_cfg):
     assert optimal_phase_count(3, 0.95, solver_cfg) >= 2
 
 
+def _increment_loop_phase_count(k, p_cri, cfg):
+    """Reference: the least n whose largest minimum level reaches p_cri."""
+    for n in range(1, cfg.max_nk + 1):
+        if largest_min_success(k, n, cfg)[0] >= p_cri:
+            return n
+    raise ConfigError(f"p_cri={p_cri} not reachable on band {k}")
+
+
+@pytest.mark.parametrize("p_cri", [0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_optimal_phase_count_matches_increment_loop(p_cri, solver_cfg):
+    for k in range(1, 26):
+        want = _increment_loop_phase_count(k, p_cri, solver_cfg)
+        assert optimal_phase_count(k, p_cri, solver_cfg) == want, (k, p_cri)
+
+
 def test_optimal_phase_count_unreachable():
     cfg = SolverConfig(max_nk=1)
     with pytest.raises(ConfigError):
@@ -198,3 +215,27 @@ def test_plan_probability_at(table90):
     assert plan.probability_at(0.999) >= 0.90
     with pytest.raises(DomainError):
         plan.probability_at(0.1)
+
+
+# ------------------------------------------------------------- guarantee check
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_guarantee_rejects_dip(m, solver_cfg):
+    plan = build_plan(1, 0.90, solver_cfg)
+    assert plan.n_k == 2
+    _check_guarantee(plan, solver_cfg)
+    segments = list(plan.segments)
+    segments[m] = dataclasses.replace(segments[m], phi=PhaseAngle(segments[m].phi.phi - 0.3))
+    bad = dataclasses.replace(plan, segments=tuple(segments))
+    with pytest.raises(VerificationError, match="dips"):
+        _check_guarantee(bad, solver_cfg)
+
+
+def test_guarantee_rejects_short_cover(solver_cfg):
+    plan = build_plan(3, 0.90, solver_cfg)
+    band = iteration_band(3)
+    last = plan.segments[-1]
+    short = dataclasses.replace(last, hi=band.hi - 0.01 * (band.hi - band.lo))
+    bad = dataclasses.replace(plan, segments=plan.segments[:-1] + (short,))
+    with pytest.raises(DomainError):
+        _check_guarantee(bad, solver_cfg)
