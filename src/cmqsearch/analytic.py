@@ -1,9 +1,8 @@
 """Closed-form success-probability layer for matched-phase amplitude amplification.
 
 Everything here is a pure function of (k, phi, lambda).  The hot scalar
-kernels live in :mod:`cmqsearch.kernels` (compiled when available); this
-module adds the domain types, the extremum/range formulas, and the iteration
-count rules.
+kernels live in :mod:`cmqsearch.kernels`; this module adds the domain types,
+the extremum/range formulas, and the iteration count rules.
 """
 
 from __future__ import annotations
@@ -14,7 +13,9 @@ from dataclasses import dataclass, field
 from cmqsearch import kernels
 from cmqsearch.errors import DomainError
 
-DEFAULT_K_MAX = 10**6
+# Largest iteration count iterations_for accepts: it rejects lambda below
+# about 6e-13, where band widths fall far below the solver's tolerances.
+K_MAX = 10**6
 
 
 @dataclass(frozen=True)
@@ -42,17 +43,6 @@ class PhaseAngle:
 
 
 @dataclass(frozen=True)
-class RotationAngle:
-    """Per-iteration rotation delta = arccos(1 - lam*(1 - cos(phi)))."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < math.pi:
-            raise DomainError(f"delta must be in (0, pi), got {self.delta}")
-
-
-@dataclass(frozen=True)
 class SuccessCurve:
     """The probability curve P(lam) for a fixed iteration count and phase."""
 
@@ -63,10 +53,6 @@ class SuccessCurve:
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k}")
 
-    def coefficients(self, lam: TargetFraction) -> tuple[float, float]:
-        """Cosine-series coefficients (A, B) of P at this lam."""
-        return kernels.p_coefficients(self.k, self.phi.phi, lam.lam)
-
 
 @dataclass(frozen=True)
 class IterationBand:
@@ -75,18 +61,6 @@ class IterationBand:
     k: int
     lo: float
     hi: float
-
-
-@dataclass(frozen=True)
-class GroverAmplitudePair:
-    """Amplitudes on the marked / unmarked superpositions."""
-
-    a: complex
-    b: complex
-
-
-def rotation_angle(lam: TargetFraction, phi: PhaseAngle) -> RotationAngle:
-    return RotationAngle(kernels.delta_angle(phi.phi, lam.lam))
 
 
 def success_probability(curve: SuccessCurve, lam: TargetFraction) -> float:
@@ -153,11 +127,11 @@ def _ci(x: float) -> int:
     return int(k)
 
 
-def iterations_for(lam: TargetFraction, k_max: int = DEFAULT_K_MAX) -> int:
+def iterations_for(lam: TargetFraction) -> int:
     """Iteration count of the multiphase algorithm: the k with lam in band k."""
     k = _ci(math.pi / (4.0 * lam.theta))
-    if k > k_max:
-        raise DomainError(f"k={k} exceeds cap k_max={k_max}")
+    if k > K_MAX:
+        raise DomainError(f"k={k} exceeds cap K_MAX={K_MAX}")
     return k
 
 

@@ -10,6 +10,7 @@ other commands start without them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -86,6 +87,11 @@ def table_to_doc(table: PlanTable) -> dict:
 
 
 def doc_to_table(doc: dict) -> PlanTable:
+    """Inverse of ``table_to_doc``.
+
+    Raises DomainError unless the plans are bands 1..k(lambda0), each with
+    n_k >= 1 phases and n_k + 1 strictly increasing boundaries.
+    """
     if doc.get("version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported plan-table version {doc.get('version')}")
     tol = doc["tolerances"]
@@ -95,20 +101,29 @@ def doc_to_table(doc: dict) -> PlanTable:
                        grid_points=int(tol["grid_points"]),
                        max_nk=int(tol["max_nk"]))
     p_cri = float(doc["p_cri"])
+    lambda0 = float(doc["lambda0"])
+    k_max = analytic.iterations_for(TargetFraction(lambda0))
+    if [rec["k"] for rec in doc["plans"]] != list(range(1, k_max + 1)):
+        raise DomainError(f"plans do not hold bands 1..{k_max} for lambda0={lambda0}")
     plans = []
     for rec in doc["plans"]:
         bounds = [float(x) for x in rec["boundaries"]]
         phases = [float(x) for x in rec["phases"]]
+        n_k = int(rec["n_k"])
+        if not 1 <= n_k == len(phases) == len(bounds) - 1:
+            raise DomainError(f"band {rec['k']}: n_k={n_k} with {len(phases)} phases "
+                              f"and {len(bounds)} boundaries")
+        if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
+            raise DomainError(f"band {rec['k']}: boundaries do not strictly increase")
         segments = tuple(
             PhaseSegment(m=i + 1, lo=bounds[i], hi=bounds[i + 1],
                          phi=PhaseAngle(phases[i]))
             for i in range(len(phases))
         )
-        plans.append(PhasePlan(k=int(rec["k"]), p_cri=p_cri, n_k=int(rec["n_k"]),
+        plans.append(PhasePlan(k=int(rec["k"]), p_cri=p_cri, n_k=n_k,
                                segments=segments, q_k_pi=float(rec["q_k_pi"]),
                                level_residual=float(rec["level_residual"])))
-    return PlanTable(p_cri=p_cri, lambda0=float(doc["lambda0"]),
-                     plans=tuple(plans), cfg=cfg)
+    return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=tuple(plans), cfg=cfg)
 
 
 def serialize_table(table: PlanTable) -> str:
@@ -116,13 +131,21 @@ def serialize_table(table: PlanTable) -> str:
 
 
 def write_table(table: PlanTable, path: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+    """Atomic write: temp file in the target directory, then rename.
+
+    On failure the temp file is removed, so no partial table is left behind.
+    """
     target = Path(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(serialize_table(table))
-        os.replace(tmp, target)
+        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(serialize_table(table))
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise CmqsearchError(f"cannot write plan table to {path}: {exc}") from exc
 
@@ -130,14 +153,15 @@ def write_table(table: PlanTable, path: str) -> None:
 def load_or_build_table(cfg: RunConfig) -> PlanTable:
     """Use the cached table when it matches the run config, else rebuild it.
 
-    A cache that cannot be read as a table (truncated, missing keys, another
-    schema version) is a miss: one warning on stderr, then rebuild.
+    A cache that cannot be read as a table (an OS error on read, truncated,
+    missing keys, another schema version, a damaged plan list) is a miss: one warning on stderr, then rebuild.
     """
     path = Path(cfg.cache)
     if path.exists():
         try:
             table = doc_to_table(json.loads(path.read_text()))
-        except (CmqsearchError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        except (OSError, CmqsearchError, ValueError, LookupError, TypeError,
+                AttributeError) as exc:
             print(f"warning: rebuilding unreadable plan cache {path} "
                   f"({type(exc).__name__}: {exc})", file=sys.stderr)
         else:

@@ -1,22 +1,58 @@
-"""Kernel backend selection: compiled extension if available, pure Python otherwise.
+"""Success-probability kernels.
 
-Set CMQSEARCH_PURE=1 to force the pure-Python kernels (used by the benchmark
-and backend-agreement tests).
+All functions take raw floats.  ``phi`` may be anywhere in (0, 2*pi) here --
+the (0, pi] normalization is a domain-type concern of the analytic layer, and
+keeping the kernel unrestricted lets the phase-symmetry P(phi) = P(2*pi - phi)
+be checked directly.
 """
 
-import os
+import math
 
-if os.environ.get("CMQSEARCH_PURE"):
-    from cmqsearch import _kernels_py as _impl
-else:
-    try:
-        from cmqsearch import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from cmqsearch import _kernels_py as _impl
 
-BACKEND = _impl.BACKEND
-delta_angle = _impl.delta_angle
-p_success = _impl.p_success
-p_coefficients = _impl.p_coefficients
-p_derivative = _impl.p_derivative
-p_success_many = _impl.p_success_many
+def delta_angle(phi: float, lam: float) -> float:
+    """Per-iteration rotation angle delta with cos(delta) = 1 - lam*(1 - cos(phi)).
+
+    Evaluated as 2*asin(sqrt(u/2)) with u = lam*(1 - cos(phi)), which stays
+    accurate as u -> 0 where arccos(1 - u) loses all precision.
+    """
+    u = lam * (1.0 - math.cos(phi))
+    return 2.0 * math.asin(math.sqrt(0.5 * u))
+
+
+def p_success(k: int, phi: float, lam: float) -> float:
+    """Success probability after k matched-phase iterations, clamped to [0, 1].
+
+    Uses the cancellation-free coefficient forms
+        A = (lam - 1) / (2 - u),   B = (1 + lam*cos(phi)) / (2 - u),
+    with u = lam*(1 - cos(phi)); these are algebraically identical to the
+    sin^2(theta)/sin^2(delta) forms but stay finite for u -> 0.
+    """
+    c = math.cos(phi)
+    u = lam * (1.0 - c)
+    if u <= 0.0:
+        # phi -> 0 limit: the iteration is -identity, probability stays lam.
+        return lam
+    d = 2.0 * math.asin(math.sqrt(0.5 * u))
+    a = (lam - 1.0) / (2.0 - u)
+    b = (1.0 + lam * c) / (2.0 - u)
+    p = a * math.cos((2 * k + 1) * d) + b
+    if p < 0.0:
+        return 0.0
+    if p > 1.0:
+        return 1.0
+    return p
+
+
+def p_derivative(k: int, phi: float, lam: float) -> float:
+    """dP/dlam of the success probability (unclamped)."""
+    c = math.cos(phi)
+    u = lam * (1.0 - c)
+    if u <= 0.0:
+        return 1.0  # P == lam in the phi -> 0 limit
+    cd = 1.0 - u
+    d = 2.0 * math.asin(math.sqrt(0.5 * u))
+    sd = math.sin(d)
+    n = 2 * k + 1
+    inner = (1.0 + c) * (1.0 + math.cos(n * d)) \
+        - n * (c - cd) * (1.0 + cd) * (math.sin(n * d) / sd)
+    return inner / ((1.0 + cd) * (1.0 + cd))

@@ -144,43 +144,6 @@ def _tail_point(k: int, phi: float, band: IterationBand) -> float:
     return band.hi
 
 
-def intersection_point(k: int, phi_hi: PhaseAngle, phi_lo: PhaseAngle,
-                       cfg: SolverConfig) -> float:
-    """Crossing of the phi_hi and phi_lo curves between their peaks.
-
-    On that bracket the phi_hi curve is decreasing and the phi_lo curve
-    increasing, so the difference changes sign exactly once.
-    """
-    if not phi_min(k).phi < phi_lo.phi < phi_hi.phi <= math.pi:
-        raise DomainError(
-            f"need phi_min({k}) < phi_lo < phi_hi <= pi, "
-            f"got {phi_lo.phi}, {phi_hi.phi}"
-        )
-    lo = _peak(k, phi_hi.phi)
-    hi = _peak(k, phi_lo.phi)
-    if hi - lo <= cfg.lambda_tol:  # near-equal phases: peaks (and crossing) coincide
-        return 0.5 * (lo + hi)
-
-    def diff(lam: float) -> float:
-        return p_success(k, phi_hi.phi, lam) - p_success(k, phi_lo.phi, lam)
-
-    if not (diff(lo) > 0.0 > diff(hi)):
-        raise BracketError(
-            f"curve difference does not change sign on ({lo}, {hi}) for band {k}"
-        )
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= cfg.lambda_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if diff(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def march_level(k: int, q: float, cfg: SolverConfig
                 ) -> tuple[list[float], list[float], bool]:
     """Greedy left-to-right segment construction at common level q.

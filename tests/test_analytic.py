@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmqsearch import analytic
+from cmqsearch import kernels
 from cmqsearch.analytic import (
     PhaseAngle,
     SuccessCurve,
@@ -18,7 +18,6 @@ from cmqsearch.analytic import (
     local_maxima,
     min_point_k1,
     phi_min,
-    rotation_angle,
     success_derivative,
     success_probability,
 )
@@ -53,17 +52,17 @@ def test_theta_cached():
 # -------------------------------------------------------------- rotation angle
 
 def test_rotation_angle_examples():
-    assert rotation_angle(TargetFraction(0.25), PhaseAngle(PI)).delta == pytest.approx(PI / 3, abs=1e-14)
-    assert rotation_angle(TargetFraction(0.75), PhaseAngle(PI)).delta == pytest.approx(2 * PI / 3, abs=1e-14)
+    assert kernels.delta_angle(PI, 0.25) == pytest.approx(PI / 3, abs=1e-14)
+    assert kernels.delta_angle(PI, 0.75) == pytest.approx(2 * PI / 3, abs=1e-14)
     # continuity: delta -> 0+ as lambda -> 0+
-    assert 0.0 < rotation_angle(TargetFraction(1e-12), PhaseAngle(PI)).delta < 1e-5
+    assert 0.0 < kernels.delta_angle(PI, 1e-12) < 1e-5
 
 
 @settings(max_examples=200)
 @given(lam=st.floats(min_value=1e-9, max_value=1 - 1e-9),
        phi=st.floats(min_value=1e-6, max_value=PI))
 def test_rotation_angle_defining_identity(lam, phi):
-    d = rotation_angle(TargetFraction(lam), PhaseAngle(phi)).delta
+    d = kernels.delta_angle(phi, lam)
     assert math.cos(d) == pytest.approx(1.0 - lam * (1.0 - math.cos(phi)), abs=1e-12)
 
 
@@ -82,11 +81,16 @@ def test_success_probability_frozen_value():
 
 
 def test_coefficients_reconstruct_probability():
-    lam, phi, k = TargetFraction(0.15), PhaseAngle(2.0), 3
-    a, b = curve(k, phi.phi).coefficients(lam)
-    d = rotation_angle(lam, phi).delta
-    p = a * math.cos((2 * k + 1) * d) + b
-    assert p == pytest.approx(success_probability(curve(k, phi.phi), lam), abs=1e-12)
+    # P = A*cos((2k+1)*delta) + B with A, B in the sin^2(theta)/sin^2(delta)
+    # form, which the kernel rewrites without the division by sin^2(delta).
+    for k, phi, lam in ((3, 2.0, 0.15), (1, PI, 0.25), (8, 2.432, 0.01)):
+        s2t, c2t = lam, 1.0 - lam  # sin^2(theta), cos^2(theta)
+        d = math.acos(1.0 - lam * (1.0 - math.cos(phi)))
+        s2d = math.sin(d) ** 2
+        a = -s2t * c2t * (1.0 - math.cos(phi)) / s2d
+        b = s2t * (1.0 - math.cos(phi)) * (1.0 + s2t * math.cos(phi)) / s2d
+        p = a * math.cos((2 * k + 1) * d) + b
+        assert kernels.p_success(k, phi, lam) == pytest.approx(p, abs=1e-12), (k, phi, lam)
 
 
 # ------------------------------------------------------------------- derivative
@@ -219,7 +223,7 @@ def test_iterations_for_examples():
 
 def test_iterations_for_cap():
     with pytest.raises(DomainError):
-        iterations_for(TargetFraction(1e-15), k_max=1000)
+        iterations_for(TargetFraction(1e-15))
 
 
 def test_grover_iterations_examples():

@@ -146,6 +146,52 @@ def test_cache_other_version_is_rebuilt(cache, capfd):
     assert "version 0" in warning
 
 
+def _damage_plans(doc, damage):
+    if damage == "no_plans":
+        doc["plans"] = []
+    elif damage == "first_3_plans":
+        del doc["plans"][3:]
+    elif damage == "no_phases":
+        doc["plans"][-1]["phases"] = []
+    else:  # "reversed_boundaries"
+        doc["plans"][-1]["boundaries"].reverse()
+
+
+@pytest.mark.parametrize("damage", ["no_plans", "first_3_plans", "no_phases",
+                                    "reversed_boundaries"])
+def test_cache_damaged_plans_are_rebuilt(cache, capfd, damage):
+    main(["table", "--cache", cache])
+    capfd.readouterr()
+    doc = json.loads(Path(cache).read_text())
+    _damage_plans(doc, damage)
+    with pytest.raises(DomainError):
+        doc_to_table(doc)
+    warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
+    assert "DomainError" in warning
+
+
+def test_unreadable_cache_path_is_an_error_line(tmp_path):
+    # a directory as the cache: reading it fails (a miss), then so does the write
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "cmqsearch.cli", "plan", "--lambda", "0.01",
+                           "--cache", str(cache_dir)],
+                          cwd=src, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, capfd):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    code, _, err = run(["table", "--cache", str(cache_dir)], capfd)
+    assert code == 1
+    assert "cannot write plan table" in err
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 # ---------------------------------------------------------------------- formats
 
 def test_table_csv_header(cache, capfd):

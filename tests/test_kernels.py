@@ -1,117 +1,16 @@
-"""Backend agreement: compiled kernels vs the pure-Python reference.
+"""Properties of the success-probability kernel."""
 
-The compiled tests build the extension from a copy of the package in a
-temporary directory, so they check what building the package yields, and
-nothing is built into the source tree under test.
-"""
-
-import importlib.util
 import math
-import os
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmqsearch import _kernels_py
 from cmqsearch import kernels
-
-ROOT = Path(__file__).resolve().parent.parent
 
 lam_st = st.floats(min_value=1e-9, max_value=1.0 - 1e-9)
 phi_st = st.floats(min_value=1e-6, max_value=math.pi)
 k_st = st.integers(min_value=0, max_value=50)
-
-
-def _missing_build_tool():
-    """What this machine lacks to compile the extension, or "" if nothing."""
-    cc = sysconfig.get_config_var("CC")
-    if not cc or shutil.which(shlex.split(cc)[0]) is None:
-        return "no C compiler found"
-    if not os.path.exists(os.path.join(sysconfig.get_paths()["include"], "Python.h")):
-        return "Python.h not found"
-    return ""
-
-
-_MISSING = _missing_build_tool()
-needs_build_tools = pytest.mark.skipif(bool(_MISSING), reason=_MISSING)
-
-
-@pytest.fixture(scope="module")
-def ext_build(tmp_path_factory):
-    """Run ``setup.py build_ext --inplace`` on a copy of the package.
-
-    Returns the copy's ``src`` directory and the build's output.
-    """
-    tmp = tmp_path_factory.mktemp("ext")
-    for name in ("setup.py", "pyproject.toml"):
-        shutil.copy(ROOT / name, tmp / name)
-    shutil.copytree(ROOT / "src", tmp / "src",
-                    ignore=shutil.ignore_patterns("*.so", "__pycache__"))
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace",
-         "--build-temp", str(tmp / "build")],
-        cwd=tmp, capture_output=True, text=True)
-    return tmp / "src", proc.stdout + proc.stderr
-
-
-def _built_so(ext_build):
-    src, log = ext_build
-    found = sorted((src / "cmqsearch").glob("_kernels*.so"))
-    assert len(found) == 1, f"build produced no cmqsearch/_kernels*.so:\n{log}"
-    return found[0]
-
-
-@pytest.fixture(scope="module")
-def compiled(ext_build):
-    """The compiled kernel module, loaded from the freshly built file."""
-    spec = importlib.util.spec_from_file_location("cmqsearch._kernels", _built_so(ext_build))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@needs_build_tools
-def test_extension_built(ext_build):
-    so = _built_so(ext_build)
-    env = {k: v for k, v in os.environ.items() if k != "CMQSEARCH_PURE"}
-    env["PYTHONPATH"] = str(ext_build[0])
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import cmqsearch; from cmqsearch import kernels; "
-         "print(cmqsearch.BACKEND); print(kernels._impl.__file__)"],
-        cwd=so.parent, env=env, capture_output=True, text=True, check=True)
-    backend, loaded = proc.stdout.split("\n")[:2]
-    assert backend == "cython"
-    assert Path(loaded) == so
-
-
-@needs_build_tools
-@settings(max_examples=500)
-@given(k=k_st, phi=phi_st, lam=lam_st)
-def test_backends_agree(compiled, k, phi, lam):
-    assert abs(compiled.p_success(k, phi, lam) - _kernels_py.p_success(k, phi, lam)) < 1e-14
-    assert abs(compiled.delta_angle(phi, lam) - _kernels_py.delta_angle(phi, lam)) < 1e-14
-    d_c = compiled.p_derivative(k, phi, lam)
-    d_p = _kernels_py.p_derivative(k, phi, lam)
-    assert abs(d_c - d_p) <= 1e-12 * max(1.0, abs(d_p))
-
-
-@needs_build_tools
-def test_many_matches_scalar(compiled):
-    import numpy as np
-
-    lams = np.linspace(0.01, 0.99, 1000)
-    out = np.empty_like(lams)
-    compiled.p_success_many(3, 2.0, lams, out)
-    for i in (0, 137, 500, 999):
-        assert out[i] == compiled.p_success(3, 2.0, lams[i])
 
 
 @settings(max_examples=300)

@@ -1,18 +1,16 @@
-"""Equal-level solver: intersections, level marching, Q_k, phase counts, plans."""
+"""Equal-level solver: level marching, Q_k, phase counts, plans."""
 
 import dataclasses
 import math
 
 import pytest
 
-from cmqsearch.analytic import PhaseAngle, first_max_point, iteration_band, phi_min
+from cmqsearch.analytic import PhaseAngle, iteration_band, phi_min
 from cmqsearch.errors import ConfigError, DomainError, VerificationError
-from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import (
     SolverConfig,
     _check_guarantee,
     build_plan,
-    intersection_point,
     largest_min_success,
     march_level,
     optimal_phase_count,
@@ -32,39 +30,6 @@ def test_config_rejects_bad_values():
         SolverConfig(max_nk=0)
     with pytest.raises(ConfigError):
         SolverConfig(grid_points=1)
-
-
-# ---------------------------------------------------------------- intersections
-
-def test_intersection_k1_table_row(solver_cfg):
-    a = intersection_point(1, PhaseAngle(2.134), PhaseAngle(1.465), solver_cfg)
-    assert a == pytest.approx(0.41181094898468046, abs=1e-9)  # frozen
-    common = p_success(1, 2.134, a)
-    assert common == pytest.approx(p_success(1, 1.465, a), abs=1e-10)
-    assert common == pytest.approx(0.9593, abs=1e-3)
-
-
-def test_intersection_k2_table_row(solver_cfg):
-    a = intersection_point(2, PhaseAngle(2.163), PhaseAngle(1.536), solver_cfg)
-    assert a == pytest.approx(0.152827391451347, abs=1e-9)  # frozen
-    assert p_success(2, 2.163, a) == pytest.approx(0.9654, abs=1e-3)
-
-
-def test_intersection_degenerate_phases(solver_cfg):
-    a = intersection_point(1, PhaseAngle(PI), PhaseAngle(PI - 1e-9), solver_cfg)
-    assert a == pytest.approx(0.25, abs=1e-8)
-
-
-def test_intersection_rejects_misordered_phases(solver_cfg):
-    with pytest.raises(DomainError):
-        intersection_point(1, PhaseAngle(1.465), PhaseAngle(2.134), solver_cfg)
-    with pytest.raises(DomainError):
-        intersection_point(2, PhaseAngle(2.0), PhaseAngle(1.0), solver_cfg)  # below phi_min(2)
-
-
-def test_intersection_lies_between_peaks(solver_cfg):
-    a = intersection_point(3, PhaseAngle(2.8), PhaseAngle(1.9), solver_cfg)
-    assert first_max_point(3, PhaseAngle(2.8)) < a < first_max_point(3, PhaseAngle(1.9))
 
 
 # --------------------------------------------------------------------- marching
