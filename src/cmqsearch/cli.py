@@ -23,10 +23,11 @@ from cmqsearch import analytic, planner
 from cmqsearch.analytic import PhaseAngle, TargetFraction
 from cmqsearch.errors import CmqsearchError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
-from cmqsearch.optimizer import PhasePlan, PhaseSegment, SolverConfig, largest_min_success
+from cmqsearch.optimizer import (PhasePlan, PhaseSegment, SolverConfig, _check_guarantee,
+                                 largest_min_success)
 from cmqsearch.planner import KigrQuery, PlanTable
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_CACHE = "cmqsearch-plans.json"
 
 
@@ -37,7 +38,6 @@ class RunConfig:
     lambda_tol: float = 1e-12
     phase_tol: float = 1e-12
     level_tol: float = 1e-9
-    grid_points: int = 10_000
     max_nk: int = 64
     fmt: str = "json"
     cache: str = DEFAULT_CACHE
@@ -51,8 +51,7 @@ class RunConfig:
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(lambda_tol=self.lambda_tol, phase_tol=self.phase_tol,
-                            level_tol=self.level_tol, grid_points=self.grid_points,
-                            max_nk=self.max_nk)
+                            level_tol=self.level_tol, max_nk=self.max_nk)
 
 
 # ---------------------------------------------------------------- plan-table IO
@@ -68,7 +67,6 @@ def table_to_doc(table: PlanTable) -> dict:
             "lambda_tol": repr(table.cfg.lambda_tol),
             "phase_tol": repr(table.cfg.phase_tol),
             "level_tol": repr(table.cfg.level_tol),
-            "grid_points": table.cfg.grid_points,
             "max_nk": table.cfg.max_nk,
         },
         "plans": [
@@ -90,7 +88,10 @@ def doc_to_table(doc: dict) -> PlanTable:
     """Inverse of ``table_to_doc``.
 
     Raises DomainError unless the plans are bands 1..k(lambda0), each with
-    n_k >= 1 phases and n_k + 1 strictly increasing boundaries.
+    n_k >= 1 phases and n_k + 1 strictly increasing boundaries from band k's
+    lower edge to its upper edge, a level q_k_pi >= p_cri, and a guarantee
+    that ``_check_guarantee`` certifies with a minimum of at least
+    q_k_pi - level_tol.
     """
     if doc.get("version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported plan-table version {doc.get('version')}")
@@ -98,7 +99,6 @@ def doc_to_table(doc: dict) -> PlanTable:
     cfg = SolverConfig(lambda_tol=float(tol["lambda_tol"]),
                        phase_tol=float(tol["phase_tol"]),
                        level_tol=float(tol["level_tol"]),
-                       grid_points=int(tol["grid_points"]),
                        max_nk=int(tol["max_nk"]))
     p_cri = float(doc["p_cri"])
     lambda0 = float(doc["lambda0"])
@@ -106,23 +106,37 @@ def doc_to_table(doc: dict) -> PlanTable:
     if [rec["k"] for rec in doc["plans"]] != list(range(1, k_max + 1)):
         raise DomainError(f"plans do not hold bands 1..{k_max} for lambda0={lambda0}")
     plans = []
-    for rec in doc["plans"]:
+    for k, rec in enumerate(doc["plans"], start=1):
         bounds = [float(x) for x in rec["boundaries"]]
         phases = [float(x) for x in rec["phases"]]
         n_k = int(rec["n_k"])
         if not 1 <= n_k == len(phases) == len(bounds) - 1:
-            raise DomainError(f"band {rec['k']}: n_k={n_k} with {len(phases)} phases "
+            raise DomainError(f"band {k}: n_k={n_k} with {len(phases)} phases "
                               f"and {len(bounds)} boundaries")
         if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
-            raise DomainError(f"band {rec['k']}: boundaries do not strictly increase")
+            raise DomainError(f"band {k}: boundaries do not strictly increase")
+        band = analytic.iteration_band(k)
+        if (bounds[0], bounds[-1]) != (band.lo, band.hi):
+            raise DomainError(f"band {k}: boundaries span [{bounds[0]}, {bounds[-1]}], "
+                              f"not [{band.lo}, {band.hi}]")
         segments = tuple(
             PhaseSegment(m=i + 1, lo=bounds[i], hi=bounds[i + 1],
                          phi=PhaseAngle(phases[i]))
             for i in range(len(phases))
         )
-        plans.append(PhasePlan(k=int(rec["k"]), p_cri=p_cri, n_k=n_k,
-                               segments=segments, q_k_pi=float(rec["q_k_pi"]),
-                               level_residual=float(rec["level_residual"])))
+        plan = PhasePlan(k=k, p_cri=p_cri, n_k=n_k, segments=segments,
+                         q_k_pi=float(rec["q_k_pi"]),
+                         level_residual=float(rec["level_residual"]))
+        if plan.q_k_pi < p_cri:
+            raise DomainError(f"band {k}: level {plan.q_k_pi} below p_cri={p_cri}")
+        try:
+            worst = _check_guarantee(plan, cfg)
+        except VerificationError as exc:
+            raise DomainError(f"band {k}: {exc}") from exc
+        if plan.q_k_pi > worst + cfg.level_tol:
+            raise DomainError(f"band {k}: level {plan.q_k_pi} above the certified "
+                              f"minimum {worst}")
+        plans.append(plan)
     return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=tuple(plans), cfg=cfg)
 
 
@@ -382,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--lambda-tol", type=float, default=1e-12)
     common.add_argument("--phase-tol", type=float, default=1e-12)
     common.add_argument("--level-tol", type=float, default=1e-9)
-    common.add_argument("--grid-points", type=int, default=10_000)
     common.add_argument("--max-nk", type=int, default=64)
 
     ap = argparse.ArgumentParser(prog="cmqsearch", allow_abbrev=False,
@@ -419,9 +432,8 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(p_cri=args.pcri, lambda0=args.lambda0,
                         lambda_tol=args.lambda_tol, phase_tol=args.phase_tol,
-                        level_tol=args.level_tol, grid_points=args.grid_points,
-                        max_nk=args.max_nk, fmt=args.format, cache=args.cache,
-                        seed=args.seed)
+                        level_tol=args.level_tol, max_nk=args.max_nk, fmt=args.format,
+                        cache=args.cache, seed=args.seed)
         if args.command == "table":
             return cmd_table(cfg)
         if args.command == "plan":

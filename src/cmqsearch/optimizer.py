@@ -8,13 +8,15 @@ next boundary after the peak).  The greedy march at q = P_cri uses the least
 number of phases n_k that reaches P_cri, so one march gives the phase count.
 The common level Q_k(n_k) comes from an outer bisection on q, using that
 feasibility with at most n_k phases is monotone decreasing in q; each probe
-marches at most n_k phases.
+marches at most n_k phases.  The guarantee P >= P_cri over the band is then
+certified segment by segment in closed form (``_check_guarantee``), not
+sampled on a grid.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from cmqsearch.analytic import IterationBand, PhaseAngle, iteration_band, min_point_k1, phi_min
@@ -29,7 +31,6 @@ class SolverConfig:
     lambda_tol: float = 1e-12
     phase_tol: float = 1e-12
     level_tol: float = 1e-9
-    grid_points: int = 10_000
     max_nk: int = 64
 
     def __post_init__(self):
@@ -37,8 +38,6 @@ class SolverConfig:
             raise ConfigError("tolerances must be positive")
         if self.max_nk < 1:
             raise ConfigError("max_nk must be >= 1")
-        if self.grid_points < 2:
-            raise ConfigError("grid_points must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -255,31 +254,70 @@ def _level_residual(k: int, phases: list[float], boundaries: list[float]) -> flo
     return max(levels) - min(levels)
 
 
-def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> None:
-    """Sampled check of P >= p_cri - level_tol on a uniform grid over the band.
+def _falls_after_peak(k: int, phi: float, lam: float) -> bool:
+    """Sufficient condition at lam for P to fall on [peak, lam] (k >= 2, band k)."""
+    n = 2 * k + 1
+    s = 0.5 * (1.0 - math.cos(phi))
+    x = lam * s
+    half = n * math.asin(math.sqrt(x))  # n * delta / 2
+    lhs = n * abs(math.tan(half)) * math.sqrt(s / (lam * (1.0 - x)))
+    return lhs >= (1.0 - s) / ((1.0 - lam) * (1.0 - x))
 
-    Same points and segment membership as ``probability_at``: the grid is
-    sorted, so each segment takes the next run of points below its upper end.
+
+def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> float:
+    """Certified minimum of the planned success probability over band k.
+
+    Raises DomainError unless the segments tile a cover of the band (the first
+    starts at or below band.lo, the last ends at or above band.hi, and each
+    ends where the next starts), and VerificationError when the minimum is
+    below p_cri - level_tol.  Each segment is clipped to the band.
+
+    With n = 2k+1, s = (1 - cos phi)/2 and delta = 2*asin(sqrt(lam*s)), the
+    kernel's A/B form gives
+
+        1 - P = (1 - lam) * cos^2(n*delta/2) / cos^2(delta/2).
+
+    k = 1: cos(3x)/cos(x) = 1 - 4 sin^2(x), so 1 - P = (1 - lam)(1 - 4 lam s)^2,
+    a cubic whose only critical points are the peak 1/(4s) and min_point_k1.
+    The minimum over a segment is P at its ends, or at min_point_k1 when that
+    lies inside.
+
+    k >= 2: on the band n*delta/2 < pi and lam*s < 1/4.  Left of the peak
+    (n*delta/2 < pi/2) both (1 - lam)/(1 - lam*s) and cos^2(n*delta/2) fall,
+    so P rises.  Right of it P falls where
+
+        n |tan(n*delta/2)| delta'(lam) > (1 - s) / ((1 - lam)(1 - lam*s)),
+
+    with delta' = sqrt(s / (lam (1 - lam*s))).  On [max(lo, peak), hi] the left
+    side is smallest at hi (|tan| falls on (pi/2, pi) and lam(1 - lam*s) rises
+    while lam*s < 1/2) and the right side is largest at hi, so the inequality
+    at hi covers the whole segment and the minimum is at an endpoint.  A
+    segment where it fails cannot be certified and raises VerificationError.
     """
     k = plan.k
     band = iteration_band(k)
-    n = cfg.grid_points
-    step = (band.hi - band.lo) / n
-    grid = [band.lo + i * step for i in range(n)]
     segments = plan.segments
-    if not (segments[0].lo <= grid[0] and grid[-1] < segments[-1].hi):
-        raise DomainError(f"plan for band {k} does not cover [{grid[0]}, {grid[-1]}]")
+    if (segments[0].lo > band.lo or segments[-1].hi < band.hi
+            or any(s.hi != t.lo for s, t in zip(segments, segments[1:]))):
+        raise DomainError(f"plan for band {k} does not cover [{band.lo}, {band.hi}]")
     worst = 1.0
-    start = 0
     for seg in segments:
-        end = bisect_left(grid, seg.hi, start)
+        lo, hi = max(seg.lo, band.lo), min(seg.hi, band.hi)
+        if lo >= hi:
+            continue
         phi = seg.phi.phi
-        for lam in grid[start:end]:
-            p = p_success(k, phi, lam)
-            if p < worst:
-                worst = p
-        start = end
+        worst = min(worst, p_success(k, phi, lo), p_success(k, phi, hi))
+        if k == 1:
+            if phi > phi_min(1).phi:  # else the interior minimum is at or past 1
+                m = min_point_k1(seg.phi)
+                if lo < m < hi:
+                    worst = min(worst, p_success(1, phi, m))
+        elif _peak(k, phi) < hi and not _falls_after_peak(k, phi, hi):
+            raise VerificationError(
+                f"cannot certify plan for band {k} on [{lo}, {hi}] with phase {phi}"
+            )
     if worst < plan.p_cri - cfg.level_tol:
         raise VerificationError(
             f"plan for band {k} dips to {worst} < p_cri - level_tol"
         )
+    return worst

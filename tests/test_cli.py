@@ -36,16 +36,26 @@ def test_table_rebuild_is_byte_identical(cache, capfd, tmp_path):
 
 
 # sha256 and size of the serialized table, pinned so that a solver change that
-# moves any cached bit shows up here (and calls for a new SCHEMA_VERSION).
-@pytest.mark.parametrize("p_cri,lambda0,size,digest", [
-    (0.90, 1e-2, 3234, "4128f5eb09089d6787bc73f8da914afd2ff02d7f930b8810645dbbc114ef9fd4"),
-    (0.99, 1e-3, 10177, "ba26e4a66f2aac33932c7f7d5be995cce71e09a4aed645de6f16eed41ebcfd94"),
+# moves any cached bit shows up here (and calls for a new SCHEMA_VERSION).  The
+# plans' own sha256 is pinned apart: it has not moved since schema version 1.
+@pytest.mark.parametrize("p_cri,lambda0,size,digest,plans_digest", [
+    pytest.param(0.90, 1e-2, 3208,
+                 "b3d77aef5cc906279cdca2ee8ae0430adb40ff8f2f7be2baef739e20453a4497",
+                 "9efb459e14cd65750785e167be0f8795a1ded8f9bc9ffb9761774251ffdb7020",
+                 id="0.9-0.01"),
+    pytest.param(0.99, 1e-3, 10151,
+                 "6c04840560db966c72282373666782b5086f6db82f1544b6e54344f694d0afcc",
+                 "19cf6009a3e3ab99a7ad4ba3f3aabb8d9505ed1abeb3062f47578fa3a5d0dfbd",
+                 id="0.99-0.001"),
 ])
-def test_cache_bytes_pinned(p_cri, lambda0, size, digest):
-    data = serialize_table(build_table(p_cri, lambda0)).encode()
-    assert cli.SCHEMA_VERSION == 1
+def test_cache_bytes_pinned(p_cri, lambda0, size, digest, plans_digest):
+    table = build_table(p_cri, lambda0)
+    data = serialize_table(table).encode()
+    assert cli.SCHEMA_VERSION == 2
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
+    plans = json.dumps(cli.table_to_doc(table)["plans"], indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(plans).hexdigest() == plans_digest
 
 
 def test_document_round_trip(table90):
@@ -105,11 +115,13 @@ def test_exit_code_verification_negative_control(cache, capfd):
 
 # ------------------------------------------------------------- unreadable cache
 
-def _plan_rebuilds_bad_cache(cache, capfd, text):
+def _plan_rebuilds_bad_cache(cache, capfd, text, lam="0.01"):
     Path(cache).write_text(text)
-    code, out, err = run(["plan", "--lambda", "0.01", "--cache", cache], capfd)
+    code, out, err = run(["plan", "--lambda", lam, "--cache", cache], capfd)
     assert code == 0
-    assert json.loads(out)["k"] == 8
+    rec = json.loads(out)
+    assert rec["k"] == 8
+    assert float(rec["guaranteed_p"]) >= 0.90
     warnings = [line for line in err.splitlines() if line.startswith("warning:")]
     assert len(warnings) == 1 and cache in warnings[0]
     assert "Traceback" not in err
@@ -146,6 +158,18 @@ def test_cache_other_version_is_rebuilt(cache, capfd):
     assert "version 0" in warning
 
 
+def test_cache_version_1_is_rebuilt(cache, capfd):
+    # the layout before the sampled scan was retired: tolerances held grid_points
+    main(["table", "--cache", cache])
+    capfd.readouterr()
+    doc = json.loads(Path(cache).read_text())
+    doc["version"] = 1
+    doc["tolerances"]["grid_points"] = 10000
+    warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
+    assert "version 1" in warning
+    assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION
+
+
 def _damage_plans(doc, damage):
     if damage == "no_plans":
         doc["plans"] = []
@@ -167,6 +191,34 @@ def test_cache_damaged_plans_are_rebuilt(cache, capfd, damage):
     with pytest.raises(DomainError):
         doc_to_table(doc)
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
+    assert "DomainError" in warning
+
+
+def _bend_plans(plans, edit):
+    if edit == "late_start":  # coverage would start at 0.009, not band 8's 0.00851
+        plans[-1]["boundaries"][0] = "0.009"
+    elif edit == "low_level":
+        plans[-1]["q_k_pi"] = "0.5"
+    elif edit == "level_above_minimum":
+        plans[-1]["q_k_pi"] = "0.999"
+    else:  # "dipping_phase": band 1's first segment then dips below 0.90
+        plans[0]["phases"][0] = repr(float(plans[0]["phases"][0]) - 0.3)
+
+
+@pytest.mark.parametrize("edit,message", [("late_start", "boundaries span"),
+                                          ("low_level", "below p_cri"),
+                                          ("level_above_minimum", "above the certified"),
+                                          ("dipping_phase", "dips")])
+def test_cache_uncertified_plan_is_rebuilt(cache, capfd, edit, message):
+    main(["table", "--cache", cache])
+    capfd.readouterr()
+    doc = json.loads(Path(cache).read_text())
+    _bend_plans(doc["plans"], edit)
+    with pytest.raises(DomainError, match=message):
+        doc_to_table(doc)
+    # 0.0086 lies in band 8 below 0.009: served from the damaged cache it was
+    # "below table coverage" (exit 3), and a low level was served as guaranteed_p
+    warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc), lam="0.0086")
     assert "DomainError" in warning
 
 

@@ -2,14 +2,21 @@
 
 import dataclasses
 import math
+import random
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, reject, settings
+from hypothesis import strategies as st
 
 from cmqsearch.analytic import PhaseAngle, iteration_band, phi_min
 from cmqsearch.errors import ConfigError, DomainError, VerificationError
+from cmqsearch.kernels import p_derivative, p_success
 from cmqsearch.optimizer import (
     SolverConfig,
     _check_guarantee,
+    _falls_after_peak,
     build_plan,
     largest_min_success,
     march_level,
@@ -28,8 +35,6 @@ def test_config_rejects_bad_values():
         SolverConfig(level_tol=-1e-9)
     with pytest.raises(ConfigError):
         SolverConfig(max_nk=0)
-    with pytest.raises(ConfigError):
-        SolverConfig(grid_points=1)
 
 
 # --------------------------------------------------------------------- marching
@@ -204,3 +209,101 @@ def test_guarantee_rejects_short_cover(solver_cfg):
     bad = dataclasses.replace(plan, segments=plan.segments[:-1] + (short,))
     with pytest.raises(DomainError):
         _check_guarantee(bad, solver_cfg)
+
+
+def test_guarantee_rejects_gap(solver_cfg):
+    plan = build_plan(1, 0.90, solver_cfg)
+    first = plan.segments[0]
+    short = dataclasses.replace(first, hi=first.hi - 1e-6)
+    bad = dataclasses.replace(plan, segments=(short,) + plan.segments[1:])
+    with pytest.raises(DomainError):
+        _check_guarantee(bad, solver_cfg)
+
+
+# The certificate rests on 1 - P = (1 - lam) cos^2(n delta/2) / cos^2(delta/2),
+# n = 2k + 1, s = (1 - cos phi)/2, delta = 2 asin(sqrt(lam s)); for k = 1 this is
+# the cubic (1 - lam)(1 - 4 lam s)^2.  Both sides round like eps / (1 - lam s):
+# cos^2(delta/2) = 1 - lam s here, and 2 - u = 2 (1 - lam s) in the kernel.
+@settings(max_examples=300)
+@given(k=st.integers(min_value=1, max_value=200),
+       phi=st.floats(min_value=1e-3, max_value=PI),
+       lam=st.floats(min_value=1e-9, max_value=1 - 1e-9))
+def test_certificate_identity(k, phi, lam):
+    n = 2 * k + 1
+    s = 0.5 * (1.0 - math.cos(phi))
+    delta = 2.0 * math.asin(math.sqrt(lam * s))
+    tol = 1e-12 + 8.0 * sys.float_info.epsilon / (1.0 - lam * s)
+    one_minus_p = 1.0 - p_success(k, phi, lam)
+    identity = (1.0 - lam) * math.cos(n * delta / 2) ** 2 / math.cos(delta / 2) ** 2
+    assert one_minus_p == pytest.approx(identity, abs=tol)
+    if k == 1:
+        assert one_minus_p == pytest.approx((1.0 - lam) * (1.0 - 4.0 * lam * s) ** 2, abs=tol)
+
+
+@settings(max_examples=200)
+@given(k=st.integers(min_value=2, max_value=50), phi=st.floats(min_value=0.5, max_value=PI),
+       t=st.floats(min_value=0.01, max_value=0.99))
+def test_fall_condition_implies_falling(k, phi, t):
+    # lam between the peak (n delta/2 = pi/2) and the next minimum (n delta/2 = pi)
+    n = 2 * k + 1
+    s = 0.5 * (1.0 - math.cos(phi))
+    lam = math.sin(0.5 * PI * (1.0 + t) / n) ** 2 / s
+    assume(lam < 1.0)
+    if _falls_after_peak(k, phi, lam):
+        assert p_derivative(k, phi, lam) < 0.0
+    else:
+        assert lam > iteration_band(k).hi  # only past the band's upper edge
+
+
+def _dense_scan_min(plan, points=100_000):
+    """Minimum of the planned probability on a uniform grid over the band."""
+    band = iteration_band(plan.k)
+    lam = np.linspace(band.lo, band.hi, points, endpoint=False)
+    idx = np.searchsorted(np.array(plan.boundaries), lam, side="right") - 1
+    c = np.cos(np.array(plan.phases)[idx])
+    u = lam * (1.0 - c)
+    delta = 2.0 * np.arcsin(np.sqrt(0.5 * u))
+    p = (lam - 1.0) / (2.0 - u) * np.cos((2 * plan.k + 1) * delta) + (1.0 + lam * c) / (2.0 - u)
+    return float(np.clip(p, 0.0, 1.0).min())
+
+
+def test_certificate_agrees_with_a_dense_scan(table90, solver_cfg):
+    # Bend one phase of a plan by up to 0.5 rad: the certificate must reject
+    # exactly the plans a 10^5-point scan rejects, and its minimum must not
+    # lie above any scanned point.
+    plans = list(table90.plans) + [build_plan(k, 0.99, solver_cfg) for k in (1, 2, 5, 25)]
+    rng = random.Random(5)
+    rejected = 0
+    for _ in range(100):
+        plan = rng.choice(plans)
+        m = rng.randrange(plan.n_k)
+        segments = list(plan.segments)
+        phi = min(PI, segments[m].phi.phi + rng.uniform(-0.5, 0.5))
+        segments[m] = dataclasses.replace(segments[m], phi=PhaseAngle(phi))
+        bent = dataclasses.replace(plan, segments=tuple(segments))
+        scan_min = _dense_scan_min(bent)
+        if scan_min < plan.p_cri - solver_cfg.level_tol:
+            with pytest.raises(VerificationError, match="dips"):
+                _check_guarantee(bent, solver_cfg)
+            rejected += 1
+        else:
+            assert _check_guarantee(bent, solver_cfg) <= scan_min + 1e-12
+    assert 20 < rejected < 80
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(min_value=1, max_value=8000),
+       p_cri=st.floats(min_value=0.5, max_value=0.995),
+       fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5))
+@example(k=1, p_cri=0.995, fracs=[0.5])
+@example(k=8000, p_cri=0.995, fracs=[0.5])
+def test_plan_guarantee_holds_down_to_small_lambda(k, p_cri, fracs, solver_cfg):
+    try:
+        plan = build_plan(k, p_cri, solver_cfg)
+    except ConfigError:
+        reject()
+    floor = p_cri - solver_cfg.level_tol
+    assert _check_guarantee(plan, solver_cfg) >= floor
+    for seg in plan.segments:
+        points = [seg.lo, seg.hi] + [seg.lo + f * (seg.hi - seg.lo) for f in fracs]
+        assert all(p_success(k, seg.phi.phi, lam) >= floor for lam in points), (k, p_cri)
