@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from cmqsearch import kernels
 from cmqsearch.errors import DomainError
 
 # Largest iteration count iterations_for accepts: it rejects lambda below
@@ -43,32 +42,12 @@ class PhaseAngle:
 
 
 @dataclass(frozen=True)
-class SuccessCurve:
-    """The probability curve P(lam) for a fixed iteration count and phase."""
-
-    k: int
-    phi: PhaseAngle
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise DomainError(f"k must be >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
 class IterationBand:
     """Lambda interval [lo, hi) on which exactly k iterations are optimal."""
 
     k: int
     lo: float
     hi: float
-
-
-def success_probability(curve: SuccessCurve, lam: TargetFraction) -> float:
-    return kernels.p_success(curve.k, curve.phi.phi, lam.lam)
-
-
-def success_derivative(curve: SuccessCurve, lam: TargetFraction) -> float:
-    return kernels.p_derivative(curve.k, curve.phi.phi, lam.lam)
 
 
 def local_maxima(k: int, phi: PhaseAngle) -> list[float]:

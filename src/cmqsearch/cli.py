@@ -27,7 +27,7 @@ from cmqsearch.optimizer import (PhasePlan, PhaseSegment, SolverConfig, _check_g
                                  largest_min_success)
 from cmqsearch.planner import KigrQuery, PlanTable
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_CACHE = "cmqsearch-plans.json"
 
 
@@ -294,10 +294,11 @@ def cmd_compare(cfg: RunConfig, lam_val: float, fixed_phi: float, out=None) -> i
 
 # ----------------------------------------------------------------- verification
 
-def _suite_oracle(cfg: RunConfig) -> None:
+def _suite_oracle(cfg: RunConfig) -> str:
     from cmqsearch import simulator
 
     phis = [math.pi, 2.432, 1.465, 0.7]
+    worst = 0.0
     for n in (2, 4, 6, 8, 10):
         big = 1 << n
         for m in sorted({1, 3, big // 4, big // 2}):
@@ -306,29 +307,33 @@ def _suite_oracle(cfg: RunConfig) -> None:
                 for phi in phis:
                     got = simulator.statevector_run(n, marked, k, PhaseAngle(phi))
                     want = p_success(k, phi, m / big)
-                    if abs(got - want) >= 1e-10:
+                    err = abs(got - want)
+                    if err >= 1e-10:
                         raise VerificationError(
                             f"oracle mismatch at n={n} M={m} k={k} phi={phi}: "
                             f"|{got} - {want}| >= 1e-10"
                         )
+                    worst = max(worst, err)
+    return f"max |statevector - kernel| {worst:.1e} < 1e-10"
 
 
-def _suite_equal_level(cfg: RunConfig) -> None:
+def _suite_equal_level(cfg: RunConfig) -> str:
     table = load_or_build_table(cfg)
-    for plan in table.plans:
-        if plan.level_residual >= 10.0 * cfg.level_tol:
-            raise VerificationError(
-                f"equal-level residual {plan.level_residual} on band {plan.k} "
-                f">= {10.0 * cfg.level_tol}"
-            )
-        if plan.q_k_pi < cfg.p_cri:
-            raise VerificationError(
-                f"band {plan.k} level {plan.q_k_pi} below p_cri={cfg.p_cri}"
-            )
+    limit = 10.0 * cfg.level_tol
+    worst = max(table.plans, key=lambda p: p.level_residual)
+    if worst.level_residual >= limit:
+        raise VerificationError(
+            f"max residual {worst.level_residual:.3e} on band {worst.k} >= {limit:g}"
+        )
+    low = min(table.plans, key=lambda p: p.q_k_pi)
+    if low.q_k_pi < cfg.p_cri:
+        raise VerificationError(f"band {low.k} level {low.q_k_pi} below p_cri={cfg.p_cri}")
+    return f"max residual {worst.level_residual:.1e} < {limit:g}"
 
 
-def _suite_monotonicity(cfg: RunConfig) -> None:
+def _suite_monotonicity(cfg: RunConfig) -> str:
     solver = cfg.solver_config()
+    least = math.inf
     for k in (1, 2, 3):
         prev = 0.0
         for n in (1, 2, 3):
@@ -337,24 +342,31 @@ def _suite_monotonicity(cfg: RunConfig) -> None:
                 raise VerificationError(
                     f"Q({k}, n={n})={q} not above Q({k}, n={n - 1})={prev}"
                 )
+            least = min(least, q - prev)
             prev = q
+    return f"min Q(k, n) - Q(k, n-1) {least:.1e} > 1e-06"
 
 
-def _suite_long_certainty(cfg: RunConfig) -> None:
+def _suite_long_certainty(cfg: RunConfig) -> str:
     import numpy as np
 
     from cmqsearch import simulator
 
     rng = np.random.default_rng(cfg.seed)
+    worst = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 11))
         m = int(rng.integers(1, 1 << n))
-        p = simulator.run_long_exact(n, range(m))
-        if abs(p - 1.0) >= 1e-9:
-            raise VerificationError(f"exact-search run at n={n} M={m} gave P={p}")
+        err = abs(simulator.run_long_exact(n, range(m)) - 1.0)
+        if err >= 1e-9:
+            raise VerificationError(f"exact-search run at n={n} M={m} gave |P - 1| = {err}")
+        worst = max(worst, err)
+    return f"max |P - 1| {worst:.1e} < 1e-09"
 
 
 def cmd_verify(cfg: RunConfig, out=None) -> int:
+    """Run each suite and print ``<suite>: PASS (<worst value against its limit>)``
+    or ``<suite>: FAIL (<reason>)``; any failure raises VerificationError."""
     out = out or sys.stdout
     suites = [
         ("oracle_equivalence", _suite_oracle),
@@ -365,12 +377,12 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
     failed = None
     for name, suite in suites:
         try:
-            suite(cfg)
+            margin = suite(cfg)
         except CmqsearchError as exc:
             out.write(f"{name}: FAIL ({exc})\n")
             failed = failed or exc
         else:
-            out.write(f"{name}: PASS\n")
+            out.write(f"{name}: PASS ({margin})\n")
     if failed is not None:
         raise VerificationError(str(failed))
     return 0

@@ -14,7 +14,7 @@ class DomainError(CmqsearchError, ValueError):
 
 
 class BracketError(CmqsearchError, ArithmeticError):
-    """A bisection bracket failed to change sign; signals an upstream
+    """A root-finding bracket failed to change sign; signals an upstream
     invariant violation rather than a root-finding failure."""
 
     exit_code = 1

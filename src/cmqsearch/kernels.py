@@ -22,20 +22,14 @@ def delta_angle(phi: float, lam: float) -> float:
 def p_success(k: int, phi: float, lam: float) -> float:
     """Success probability after k matched-phase iterations, clamped to [0, 1].
 
-    Uses the cancellation-free coefficient forms
-        A = (lam - 1) / (2 - u),   B = (1 + lam*cos(phi)) / (2 - u),
-    with u = lam*(1 - cos(phi)); these are algebraically identical to the
-    sin^2(theta)/sin^2(delta) forms but stay finite for u -> 0.
+    Uses 1 - P = (1 - lam) * cos^2((2k+1) * asin(sqrt(x))) / (1 - x) with
+    x = lam*(1 - cos(phi))/2, the identity the optimizer's guarantee
+    certificate rests on.  The factor (1 - lam) carries the smallness of
+    1 - P, so there is no cancellation as lam*x -> 1, and x = 0 gives P = lam.
     """
-    c = math.cos(phi)
-    u = lam * (1.0 - c)
-    if u <= 0.0:
-        # phi -> 0 limit: the iteration is -identity, probability stays lam.
-        return lam
-    d = 2.0 * math.asin(math.sqrt(0.5 * u))
-    a = (lam - 1.0) / (2.0 - u)
-    b = (1.0 + lam * c) / (2.0 - u)
-    p = a * math.cos((2 * k + 1) * d) + b
+    x = 0.5 * lam * (1.0 - math.cos(phi))
+    c = math.cos((2 * k + 1) * math.asin(math.sqrt(x)))
+    p = 1.0 - (1.0 - lam) * c * c / (1.0 - x)
     if p < 0.0:
         return 0.0
     if p > 1.0:

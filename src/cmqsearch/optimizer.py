@@ -3,14 +3,14 @@
 The optimal-phase condition is a coupled system: all segment-boundary success
 probabilities and the tail value must share one common level.  We solve it by
 level-set marching -- given a candidate level q, segments are constructed
-left-to-right with two nested 1-D bisections (phase at the left boundary,
+left-to-right with two nested 1-D root solves (phase at the left boundary,
 next boundary after the peak).  The greedy march at q = P_cri uses the least
 number of phases n_k that reaches P_cri, so one march gives the phase count.
-The common level Q_k(n_k) comes from an outer bisection on q, using that
-feasibility with at most n_k phases is monotone decreasing in q; each probe
-marches at most n_k phases.  The guarantee P >= P_cri over the band is then
-certified segment by segment in closed form (``_check_guarantee``), not
-sampled on a grid.
+The common level Q_k(n_k) is the root of the tail gap of the march capped at
+n_k phases, which is nonnegative exactly when that march covers the band.
+All three solves share one bracketed root-finder, ``_root``.  The guarantee
+P >= P_cri over the band is then certified segment by segment in closed form
+(``_check_guarantee``), not sampled on a grid.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from dataclasses import dataclass, replace
 from cmqsearch.analytic import IterationBand, PhaseAngle, iteration_band, min_point_k1, phi_min
 from cmqsearch.errors import BracketError, ConfigError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
-
-_MAX_BISECT = 200
 
 
 @dataclass(frozen=True)
@@ -87,6 +85,40 @@ def _branch_cap(k: int, a: float) -> float:
     return math.acos(1.0 - r)
 
 
+def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
+          ftol: float = 0.0) -> float:
+    """The f >= 0 end of a bracket shrunk around a sign change of f.
+
+    Illinois regula falsi (Dowell & Jarratt 1971), bisecting when the secant
+    point is not strictly inside the bracket.  Stops when the bracket is at
+    most xtol wide, when the exact f at its f >= 0 end is at most ftol, or
+    when no float is left between the ends.
+    """
+    # a is the f >= 0 end and b the f < 0 end; wa and wb are their secant
+    # weights, and the Illinois step halves the weight of an end that stays.
+    a, fa, b, wb = (lo, f_lo, hi, f_hi) if f_lo >= 0.0 else (hi, f_hi, lo, f_lo)
+    wa = fa
+    moved = 0  # +1 when a moved last, -1 when b did
+    while abs(b - a) > xtol and fa > ftol:
+        x = a - wa * (b - a) / (wb - wa)
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+            if x == a or x == b:
+                break
+        fx = f(x)
+        if fx >= 0.0:
+            a, fa, wa = x, fx, fx
+            if moved > 0:
+                wb *= 0.5
+            moved = 1
+        else:
+            b, wb = x, fx
+            if moved < 0:
+                wa *= 0.5
+            moved = -1
+    return a
+
+
 def _solve_phase(k: int, a: float, q: float, cfg: SolverConfig) -> float:
     """Smallest phase with P(a) = q on the branch where a is left of the peak.
 
@@ -96,44 +128,28 @@ def _solve_phase(k: int, a: float, q: float, cfg: SolverConfig) -> float:
     """
     lo = phi_min(k).phi + 1e-12
     hi = _branch_cap(k, a)
-    if p_success(k, lo, a) >= q:
+    f_lo = p_success(k, lo, a) - q
+    if f_lo >= 0.0:
         return lo
     f_hi = p_success(k, hi, a) - q
     if f_hi < 0.0:
         raise BracketError(
             f"no sign change solving phase on band {k} at lambda={a}, level={q}"
         )
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= cfg.phase_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if p_success(k, mid, a) - q < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi  # the >= q side, so the boundary value never undershoots q
+    # The >= q side, so the boundary value never undershoots q.
+    return _root(lambda phi: p_success(k, phi, a) - q, lo, hi, f_lo, f_hi, cfg.phase_tol)
 
 
-def _boundary_after_peak(k: int, phi: float, q: float, hi_pt: float,
+def _boundary_after_peak(k: int, phi: float, q: float, hi_pt: float, f_hi: float,
                          cfg: SolverConfig) -> float:
-    """Point right of the peak where P falls back to level q."""
-    lo = _peak(k, phi)
-    hi = hi_pt
-    if p_success(k, phi, hi_pt) >= q:  # pragma: no cover - caller checks the tail
+    """Point right of the peak where P falls back to level q.
+
+    ``f_hi`` is P(hi_pt) - q; P is 1 at the peak.
+    """
+    if f_hi >= 0.0:  # pragma: no cover - caller checks the tail
         raise BracketError(f"curve does not fall to {q} before {hi_pt} on band {k}")
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= cfg.lambda_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if p_success(k, phi, mid) >= q:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _root(lambda lam: p_success(k, phi, lam) - q, _peak(k, phi), hi_pt,
+                 1.0 - q, f_hi, cfg.lambda_tol)
 
 
 def _tail_point(k: int, phi: float, band: IterationBand) -> float:
@@ -165,10 +181,11 @@ def march_level(k: int, q: float, cfg: SolverConfig
             )
         phases.append(phi)
         tail = _tail_point(k, phi, band)
-        if p_success(k, phi, tail) >= q:
+        gap = p_success(k, phi, tail) - q
+        if gap >= 0.0:
             boundaries.append(band.hi)
             return phases, boundaries, True
-        a = _boundary_after_peak(k, phi, q, tail, cfg)
+        a = _boundary_after_peak(k, phi, q, tail, gap, cfg)
         boundaries.append(a)
     return phases, boundaries, False
 
@@ -177,41 +194,37 @@ def largest_min_success(k: int, n_k: int, cfg: SolverConfig
                         ) -> tuple[float, list[float], list[float]]:
     """Largest level achievable with exactly n_k phases on band k.
 
-    Outer bisection on the level; feasibility of the march with at most n_k
-    phases is monotone decreasing in the level.
+    The root of the signed tail gap g(q) = P(tail; phi_last) - q of the march
+    capped at n_k phases: g >= 0 exactly when that march covers the band, and
+    covering is monotone decreasing in q.  The search stops on
+    0 <= g <= level_tol / 2, not on the width of the bracket in q, because g
+    moves many times faster than q when n_k is large.
     """
     if not 1 <= n_k <= cfg.max_nk:
         raise ConfigError(f"n_k={n_k} outside [1, max_nk={cfg.max_nk}]")
     # The march is greedy, so capping it at n_k phases only cuts short the
     # probes that would need more; covered means covered with <= n_k phases.
     capped = replace(cfg, max_nk=n_k)
+    band = iteration_band(k)
+    marches = {}
 
-    def feasible(q: float) -> bool:
-        return march_level(k, q, capped)[2]
+    def gap(q: float) -> float:
+        marches[q] = march_level(k, q, capped)
+        phi = marches[q][0][-1]
+        return p_success(k, phi, _tail_point(k, phi, band)) - q
 
     lo = 0.5
-    while not feasible(lo):
+    while (g_lo := gap(lo)) < 0.0:
         lo *= 0.5
         if lo < 1e-12:  # pragma: no cover - one phase always covers some level
             raise BracketError(f"no feasible level found on band {k} with n_k={n_k}")
     hi = 1.0 - 1e-12
-    if feasible(hi):
-        lo = hi
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= 0.5 * cfg.level_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    phases, boundaries, ok = march_level(k, lo, capped)
-    assert ok
+    g_hi = gap(hi)
+    q = hi if g_hi >= 0.0 else _root(gap, lo, hi, g_lo, g_hi, 0.0, 0.5 * cfg.level_tol)
+    phases, boundaries, _ = marches[q]
     # The march may cover the band with fewer phases than allowed only when
     # the level is far below Q_k(n_k); at the supremum it uses all of them.
-    return lo, phases, boundaries
+    return q, phases, boundaries
 
 
 def optimal_phase_count(k: int, p_cri: float, cfg: SolverConfig) -> int:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cmqsearch import kernels
 from cmqsearch.analytic import (
     PhaseAngle,
-    SuccessCurve,
     TargetFraction,
     first_max_point,
     grover_iterations,
@@ -18,16 +17,10 @@ from cmqsearch.analytic import (
     local_maxima,
     min_point_k1,
     phi_min,
-    success_derivative,
-    success_probability,
 )
 from cmqsearch.errors import DomainError
 
 PI = math.pi
-
-
-def curve(k, phi):
-    return SuccessCurve(k=k, phi=PhaseAngle(phi))
 
 
 # ------------------------------------------------------------------ type guards
@@ -69,14 +62,14 @@ def test_rotation_angle_defining_identity(lam, phi):
 # --------------------------------------------------------- success probability
 
 def test_success_probability_examples():
-    assert success_probability(curve(1, PI), TargetFraction(0.25)) == pytest.approx(1.0, abs=1e-12)
-    assert success_probability(curve(1, PI), TargetFraction(0.75)) == pytest.approx(0.0, abs=1e-12)
-    assert success_probability(curve(1, 2.134), TargetFraction(0.25)) == pytest.approx(0.9593, abs=1e-3)
+    assert kernels.p_success(1, PI, 0.25) == pytest.approx(1.0, abs=1e-12)
+    assert kernels.p_success(1, PI, 0.75) == pytest.approx(0.0, abs=1e-12)
+    assert kernels.p_success(1, 2.134, 0.25) == pytest.approx(0.9593, abs=1e-3)
 
 
 def test_success_probability_frozen_value():
     # independently cross-checked against the exact statevector simulator
-    assert success_probability(curve(1, 2.134), TargetFraction(0.25)) == pytest.approx(
+    assert kernels.p_success(1, 2.134, 0.25) == pytest.approx(
         0.9592653878673654, abs=1e-12)
 
 
@@ -96,17 +89,15 @@ def test_coefficients_reconstruct_probability():
 # ------------------------------------------------------------------- derivative
 
 def test_derivative_zero_at_extrema():
-    assert success_derivative(curve(1, PI), TargetFraction(0.25)) == pytest.approx(0.0, abs=1e-9)
-    assert success_derivative(curve(1, PI), TargetFraction(0.75)) == pytest.approx(0.0, abs=1e-9)
+    assert kernels.p_derivative(1, PI, 0.25) == pytest.approx(0.0, abs=1e-9)
+    assert kernels.p_derivative(1, PI, 0.75) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_derivative_matches_finite_difference_example():
-    c = curve(2, PI)
     lam = 0.15
     h = 1e-6
-    fd = (success_probability(c, TargetFraction(lam + h))
-          - success_probability(c, TargetFraction(lam - h))) / (2 * h)
-    d = success_derivative(c, TargetFraction(lam))
+    fd = (kernels.p_success(2, PI, lam + h) - kernels.p_success(2, PI, lam - h)) / (2 * h)
+    d = kernels.p_derivative(2, PI, lam)
     assert abs(d - fd) < 1e-5 * abs(fd)
 
 
@@ -115,11 +106,9 @@ def test_derivative_matches_finite_difference_example():
        phi=st.floats(min_value=0.5, max_value=PI),
        lam=st.floats(min_value=0.01, max_value=0.95))
 def test_derivative_consistency_random(k, phi, lam):
-    c = curve(k, phi)
     h = 1e-7
-    fd = (success_probability(c, TargetFraction(lam + h))
-          - success_probability(c, TargetFraction(lam - h))) / (2 * h)
-    d = success_derivative(c, TargetFraction(lam))
+    fd = (kernels.p_success(k, phi, lam + h) - kernels.p_success(k, phi, lam - h)) / (2 * h)
+    d = kernels.p_derivative(k, phi, lam)
     assert abs(d - fd) < 1e-4 * max(1.0, abs(fd))
 
 
@@ -138,7 +127,7 @@ def test_local_maxima_are_unit_probability():
             if phi <= phi_min(k).phi:
                 continue
             for lam in local_maxima(k, PhaseAngle(phi)):
-                p = success_probability(curve(k, phi), TargetFraction(lam))
+                p = kernels.p_success(k, phi, lam)
                 assert abs(p - 1.0) < 1e-10, (k, phi, lam, p)
 
 
@@ -179,7 +168,7 @@ def test_extremum_count_on_bands():
             band = iteration_band(k)
             n = 10_000
             xs = [band.lo + (band.hi - band.lo) * i / n for i in range(n + 1)]
-            signs = [success_derivative(curve(k, phi), TargetFraction(x)) > 0 for x in xs]
+            signs = [kernels.p_derivative(k, phi, x) > 0 for x in xs]
             changes = sum(a != b for a, b in zip(signs, signs[1:]))
             assert changes == 1, (k, phi, changes)
             assert signs[0] and not signs[-1]
@@ -187,7 +176,7 @@ def test_extremum_count_on_bands():
     band = iteration_band(1)
     n = 10_000
     xs = [band.lo + (band.hi - band.lo) * i / n for i in range(n)]
-    signs = [success_derivative(curve(1, phi), TargetFraction(x)) > 0 for x in xs]
+    signs = [kernels.p_derivative(1, phi, x) > 0 for x in xs]
     flips = [i for i in range(n - 1) if signs[i] != signs[i + 1]]
     assert len(flips) == 2
     lam_min = min_point_k1(PhaseAngle(phi))

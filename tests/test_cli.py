@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,21 +38,21 @@ def test_table_rebuild_is_byte_identical(cache, capfd, tmp_path):
 
 # sha256 and size of the serialized table, pinned so that a solver change that
 # moves any cached bit shows up here (and calls for a new SCHEMA_VERSION).  The
-# plans' own sha256 is pinned apart: it has not moved since schema version 1.
+# plans' own sha256 is pinned apart; it last moved with schema version 3.
 @pytest.mark.parametrize("p_cri,lambda0,size,digest,plans_digest", [
-    pytest.param(0.90, 1e-2, 3208,
-                 "b3d77aef5cc906279cdca2ee8ae0430adb40ff8f2f7be2baef739e20453a4497",
-                 "9efb459e14cd65750785e167be0f8795a1ded8f9bc9ffb9761774251ffdb7020",
+    pytest.param(0.90, 1e-2, 3211,
+                 "5b0d8150966786e0f7c17647e6166fe3589f086eff7a145558caab882896b114",
+                 "851be3e3a82aec13b41d64adf01cbe85e18bac0d878eb42095b32c63e3724a4b",
                  id="0.9-0.01"),
-    pytest.param(0.99, 1e-3, 10151,
-                 "6c04840560db966c72282373666782b5086f6db82f1544b6e54344f694d0afcc",
-                 "19cf6009a3e3ab99a7ad4ba3f3aabb8d9505ed1abeb3062f47578fa3a5d0dfbd",
+    pytest.param(0.99, 1e-3, 10158,
+                 "fd3d82aaf3bf717bdb6609cd30b4a02133d824bd651b20abfe6e206d2d339b01",
+                 "4b4a59d4bfccc3dd8d23a9e308c217bf7bd4f5afd22fe423865553b9f2b63db3",
                  id="0.99-0.001"),
 ])
 def test_cache_bytes_pinned(p_cri, lambda0, size, digest, plans_digest):
     table = build_table(p_cri, lambda0)
     data = serialize_table(table).encode()
-    assert cli.SCHEMA_VERSION == 2
+    assert cli.SCHEMA_VERSION == 3
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
     plans = json.dumps(cli.table_to_doc(table)["plans"], indent=2, sort_keys=True).encode()
@@ -104,6 +105,20 @@ def test_exit_code_solver_config(cache, capfd):
     code, _, err = run(["table", "--max-nk", "1", "--cache", cache], capfd)
     assert code == 4
     assert "max_nk" in err
+
+
+def test_verify_passes_at_high_pcri_with_margins(cache, capfd):
+    code, out, _ = run(["verify", "--pcri", "0.9999", "--lambda0", "1e-2", "--cache", cache],
+                       capfd)
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == [
+        "oracle_equivalence", "equal_level", "monotonicity", "long_certainty"]
+    assert all(line.split(": ")[1].startswith("PASS (") for line in lines)
+    match = re.fullmatch(r"equal_level: PASS \(max residual (\S+) < (\S+)\)", lines[1])
+    assert match, lines[1]
+    assert float(match[2]) == 1e-8
+    assert float(match[1]) <= 1e-9  # level_tol, well inside the suite's limit
 
 
 def test_exit_code_verification_negative_control(cache, capfd):
@@ -168,6 +183,17 @@ def test_cache_version_1_is_rebuilt(cache, capfd):
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
     assert "version 1" in warning
     assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION
+
+
+def test_cache_version_2_is_rebuilt(cache, capfd):
+    # same layout as schema 3; only the solver that wrote the plans differs
+    main(["table", "--cache", cache])
+    capfd.readouterr()
+    doc = json.loads(Path(cache).read_text())
+    doc["version"] = 2
+    warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
+    assert "version 2" in warning
+    assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION == 3
 
 
 def _damage_plans(doc, damage):

@@ -22,6 +22,7 @@ from cmqsearch.optimizer import (
     march_level,
     optimal_phase_count,
 )
+from cmqsearch.planner import build_table
 
 PI = math.pi
 
@@ -78,7 +79,7 @@ def test_march_infeasible_at_cap():
 
 # ----------------------------------------------------- largest minimum success
 
-# Q_k^pi(n) oracle values, frozen from bisection at level_tol = 1e-9 and
+# Q_k^pi(n) oracle values, frozen from the level search at level_tol = 1e-9 and
 # cross-checked against the published common levels where available.
 Q1 = [0.862245, 0.959261, 0.980739, 0.988797, 0.992675, 0.994837]
 Q2 = [0.87061681, 0.96539064, 0.98441819, 0.99119527, 0.99435307]
@@ -177,6 +178,16 @@ def test_plan_invariants(table90):
         assert all(phi_min(plan.k).phi < p <= PI for p in phases)
         assert plan.q_k_pi >= plan.p_cri
         assert plan.level_residual < 1e-8
+
+
+# The level search must stop on the march's tail gap, not on the width of its
+# bracket in q: the gap moves about 50x faster than q when n_k is 38-45, so a
+# stop on the width in q leaves residuals up to 2.6e-8 at P_cri = 0.9999.
+@pytest.mark.parametrize("p_cri,lambda0", [(0.90, 1e-2), (0.99, 1e-2), (0.999, 1e-2),
+                                           (0.9999, 1e-2), (0.99, 1e-3)])
+def test_level_residual_within_level_tol(p_cri, lambda0, solver_cfg):
+    for plan in build_table(p_cri, lambda0, solver_cfg).plans:
+        assert plan.level_residual <= solver_cfg.level_tol, (p_cri, plan.k, plan.n_k)
 
 
 def test_plan_probability_at(table90):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmqsearch.analytic import PhaseAngle, SuccessCurve, TargetFraction, success_probability
+from cmqsearch.analytic import PhaseAngle, TargetFraction
 from cmqsearch.errors import DomainError
+from cmqsearch.kernels import p_success
 from cmqsearch.simulator import (
     Statevector,
     evolve_two_level,
@@ -68,7 +69,7 @@ def test_evolve_matches_analytic_and_closed_form(k, phi, lam):
     state = evolve_two_level(k, PhaseAngle(phi), TargetFraction(lam))
     assert abs(state.a) ** 2 + abs(state.b) ** 2 == pytest.approx(1.0, abs=1e-12)
     if k >= 1:
-        want = success_probability(SuccessCurve(k, PhaseAngle(phi)), TargetFraction(lam))
+        want = p_success(k, phi, lam)
         assert state.success_probability == pytest.approx(want, abs=1e-10)
     # closed-form amplitude, global phase included
     a_cf = two_level_closed_form(k, PhaseAngle(phi), TargetFraction(lam))
@@ -81,7 +82,6 @@ def test_statevector_examples():
     assert statevector_run(2, {3}, 1, PhaseAngle(PI)) == pytest.approx(1.0, abs=1e-12)
     assert statevector_run(4, range(8), 0, PhaseAngle(2.0)) == pytest.approx(0.5, abs=1e-14)
     got = statevector_run(10, range(102), 2, PhaseAngle(2.163))
-    from cmqsearch.kernels import p_success
     assert abs(got - p_success(2, 2.163, 102 / 1024)) < 1e-10
 
 
