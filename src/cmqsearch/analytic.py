@@ -72,15 +72,6 @@ def phi_min(k: int) -> PhaseAngle:
     return PhaseAngle(math.acos(1.0 - num / den))
 
 
-def first_max_point(k: int, phi: PhaseAngle) -> float:
-    """Leftmost probability-1 point; lies inside band k iff phi > phi_min(k)."""
-    if phi.phi <= phi_min(k).phi:
-        raise DomainError(
-            f"phi={phi.phi} <= phi_min({k})={phi_min(k).phi}: peak leaves band {k}"
-        )
-    return (1.0 - math.cos(math.pi / (2 * k + 1))) / (1.0 - math.cos(phi.phi))
-
-
 def min_point_k1(phi: PhaseAngle) -> float:
     """Interior minimum point of the one-iteration curve on [1/4, 1)."""
     if phi.phi <= phi_min(1).phi:

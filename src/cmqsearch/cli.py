@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 ambiguous range query, 3 below coverage,
 4 solver-config failure, 5 verification failure.
 
-numpy and the simulator are imported only by ``sweep`` and ``verify``, so the
-other commands start without them.
+numpy and the simulator are imported only by ``verify``, so the other
+commands start without them.
 """
 
 from __future__ import annotations
@@ -16,15 +16,14 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from cmqsearch import analytic, planner
 from cmqsearch.analytic import PhaseAngle, TargetFraction
 from cmqsearch.errors import CmqsearchError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
-from cmqsearch.optimizer import (PhasePlan, PhaseSegment, SolverConfig, _check_guarantee,
-                                 largest_min_success)
+from cmqsearch.optimizer import SolverConfig, largest_min_success, make_plan
 from cmqsearch.planner import KigrQuery, PlanTable
 
 SCHEMA_VERSION = 3
@@ -35,10 +34,7 @@ DEFAULT_CACHE = "cmqsearch-plans.json"
 class RunConfig:
     p_cri: float = 0.90
     lambda0: float = 1e-2
-    lambda_tol: float = 1e-12
-    phase_tol: float = 1e-12
-    level_tol: float = 1e-9
-    max_nk: int = 64
+    solver: SolverConfig = SolverConfig()
     fmt: str = "json"
     cache: str = DEFAULT_CACHE
     seed: int = 0
@@ -48,10 +44,6 @@ class RunConfig:
             raise DomainError(f"p_cri must be in (0, 1), got {self.p_cri}")
         if not 0.0 < self.lambda0 < 1.0:
             raise DomainError(f"lambda0 must be in (0, 1), got {self.lambda0}")
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(lambda_tol=self.lambda_tol, phase_tol=self.phase_tol,
-                            level_tol=self.level_tol, max_nk=self.max_nk)
 
 
 # ---------------------------------------------------------------- plan-table IO
@@ -63,12 +55,8 @@ def table_to_doc(table: PlanTable) -> dict:
         "version": SCHEMA_VERSION,
         "p_cri": repr(table.p_cri),
         "lambda0": repr(table.lambda0),
-        "tolerances": {
-            "lambda_tol": repr(table.cfg.lambda_tol),
-            "phase_tol": repr(table.cfg.phase_tol),
-            "level_tol": repr(table.cfg.level_tol),
-            "max_nk": table.cfg.max_nk,
-        },
+        "tolerances": {name: repr(value) if isinstance(value, float) else value
+                       for name, value in asdict(table.cfg).items()},
         "plans": [
             {
                 "k": p.k,
@@ -87,19 +75,13 @@ def table_to_doc(table: PlanTable) -> dict:
 def doc_to_table(doc: dict) -> PlanTable:
     """Inverse of ``table_to_doc``.
 
-    Raises DomainError unless the plans are bands 1..k(lambda0), each with
-    n_k >= 1 phases and n_k + 1 strictly increasing boundaries from band k's
-    lower edge to its upper edge, a level q_k_pi >= p_cri, and a guarantee
-    that ``_check_guarantee`` certifies with a minimum of at least
-    q_k_pi - level_tol.
+    Raises DomainError unless the plans are bands 1..k(lambda0), each with an
+    n_k field that counts its phases and a plan that ``make_plan`` accepts.
     """
     if doc.get("version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported plan-table version {doc.get('version')}")
     tol = doc["tolerances"]
-    cfg = SolverConfig(lambda_tol=float(tol["lambda_tol"]),
-                       phase_tol=float(tol["phase_tol"]),
-                       level_tol=float(tol["level_tol"]),
-                       max_nk=int(tol["max_nk"]))
+    cfg = SolverConfig(**{f.name: type(f.default)(tol[f.name]) for f in fields(SolverConfig)})
     p_cri = float(doc["p_cri"])
     lambda0 = float(doc["lambda0"])
     k_max = analytic.iterations_for(TargetFraction(lambda0))
@@ -107,36 +89,14 @@ def doc_to_table(doc: dict) -> PlanTable:
         raise DomainError(f"plans do not hold bands 1..{k_max} for lambda0={lambda0}")
     plans = []
     for k, rec in enumerate(doc["plans"], start=1):
-        bounds = [float(x) for x in rec["boundaries"]]
         phases = [float(x) for x in rec["phases"]]
-        n_k = int(rec["n_k"])
-        if not 1 <= n_k == len(phases) == len(bounds) - 1:
-            raise DomainError(f"band {k}: n_k={n_k} with {len(phases)} phases "
-                              f"and {len(bounds)} boundaries")
-        if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
-            raise DomainError(f"band {k}: boundaries do not strictly increase")
-        band = analytic.iteration_band(k)
-        if (bounds[0], bounds[-1]) != (band.lo, band.hi):
-            raise DomainError(f"band {k}: boundaries span [{bounds[0]}, {bounds[-1]}], "
-                              f"not [{band.lo}, {band.hi}]")
-        segments = tuple(
-            PhaseSegment(m=i + 1, lo=bounds[i], hi=bounds[i + 1],
-                         phi=PhaseAngle(phases[i]))
-            for i in range(len(phases))
-        )
-        plan = PhasePlan(k=k, p_cri=p_cri, n_k=n_k, segments=segments,
-                         q_k_pi=float(rec["q_k_pi"]),
-                         level_residual=float(rec["level_residual"]))
-        if plan.q_k_pi < p_cri:
-            raise DomainError(f"band {k}: level {plan.q_k_pi} below p_cri={p_cri}")
+        if int(rec["n_k"]) != len(phases):
+            raise DomainError(f"band {k}: n_k={rec['n_k']} with {len(phases)} phases")
         try:
-            worst = _check_guarantee(plan, cfg)
+            plans.append(make_plan(k, p_cri, phases, [float(x) for x in rec["boundaries"]],
+                                   float(rec["q_k_pi"]), float(rec["level_residual"]), cfg))
         except VerificationError as exc:
             raise DomainError(f"band {k}: {exc}") from exc
-        if plan.q_k_pi > worst + cfg.level_tol:
-            raise DomainError(f"band {k}: level {plan.q_k_pi} above the certified "
-                              f"minimum {worst}")
-        plans.append(plan)
     return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=tuple(plans), cfg=cfg)
 
 
@@ -180,9 +140,9 @@ def load_or_build_table(cfg: RunConfig) -> PlanTable:
                   f"({type(exc).__name__}: {exc})", file=sys.stderr)
         else:
             if (table.p_cri == cfg.p_cri and table.lambda0 == cfg.lambda0
-                    and table.cfg == cfg.solver_config()):
+                    and table.cfg == cfg.solver):
                 return table
-    table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.solver_config())
+    table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.solver)
     write_table(table, cfg.cache)
     return table
 
@@ -191,7 +151,7 @@ def load_or_build_table(cfg: RunConfig) -> PlanTable:
 
 def cmd_table(cfg: RunConfig, out=None) -> int:
     out = out or sys.stdout
-    table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.solver_config())
+    table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.solver)
     write_table(table, cfg.cache)
     if cfg.fmt == "json":
         out.write(serialize_table(table))
@@ -226,10 +186,8 @@ def cmd_plan(cfg: RunConfig, query: KigrQuery, out=None) -> int:
 
 def _log_grid(lambda0: float, n: int) -> list[float]:
     # Log-spaced over [lambda0, 1): small-lambda bands are geometrically thin.
-    import numpy as np
-
-    hi = math.nextafter(1.0, 0.0)
-    return [float(x) for x in np.geomspace(lambda0, hi, n, endpoint=False)]
+    r = math.nextafter(1.0, 0.0) / lambda0
+    return [lambda0 * r ** (i / n) for i in range(n)]
 
 
 def cmd_sweep(cfg: RunConfig, algorithms: list[str], grid: int,
@@ -319,7 +277,7 @@ def _suite_oracle(cfg: RunConfig) -> str:
 
 def _suite_equal_level(cfg: RunConfig) -> str:
     table = load_or_build_table(cfg)
-    limit = 10.0 * cfg.level_tol
+    limit = 10.0 * cfg.solver.level_tol
     worst = max(table.plans, key=lambda p: p.level_residual)
     if worst.level_residual >= limit:
         raise VerificationError(
@@ -332,12 +290,11 @@ def _suite_equal_level(cfg: RunConfig) -> str:
 
 
 def _suite_monotonicity(cfg: RunConfig) -> str:
-    solver = cfg.solver_config()
     least = math.inf
     for k in (1, 2, 3):
         prev = 0.0
         for n in (1, 2, 3):
-            q, _, _ = largest_min_success(k, n, solver)
+            q, _, _ = largest_min_success(k, n, cfg.solver)
             if q <= prev + 1e-6:
                 raise VerificationError(
                     f"Q({k}, n={n})={q} not above Q({k}, n={n - 1})={prev}"
@@ -405,10 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--cache", default=os.environ.get("CMQSEARCH_CACHE", DEFAULT_CACHE))
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--lambda-tol", type=float, default=1e-12)
-    common.add_argument("--phase-tol", type=float, default=1e-12)
-    common.add_argument("--level-tol", type=float, default=1e-9)
-    common.add_argument("--max-nk", type=int, default=64)
+    for f in fields(SolverConfig):
+        common.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            default=f.default)
 
     ap = argparse.ArgumentParser(prog="cmqsearch", allow_abbrev=False,
                                  description="Complementary-multiphase search planner")
@@ -442,19 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(p_cri=args.pcri, lambda0=args.lambda0,
-                        lambda_tol=args.lambda_tol, phase_tol=args.phase_tol,
-                        level_tol=args.level_tol, max_nk=args.max_nk, fmt=args.format,
+        solver = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
+        cfg = RunConfig(p_cri=args.pcri, lambda0=args.lambda0, solver=solver, fmt=args.format,
                         cache=args.cache, seed=args.seed)
         if args.command == "table":
             return cmd_table(cfg)
         if args.command == "plan":
-            if (args.lam is None) == (args.range_ is None):
-                raise DomainError("provide exactly one of --lambda or --range")
-            if args.lam is not None:
-                query = KigrQuery(exact_lambda=args.lam)
-            else:
-                query = KigrQuery(range=_parse_range(args.range_))
+            query = KigrQuery(exact_lambda=args.lam,
+                              range=None if args.range_ is None else _parse_range(args.range_))
             return cmd_plan(cfg, query)
         if args.command == "sweep":
             algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]

@@ -8,8 +8,12 @@ next boundary after the peak).  The greedy march at q = P_cri uses the least
 number of phases n_k that reaches P_cri, so one march gives the phase count.
 The common level Q_k(n_k) is the root of the tail gap of the march capped at
 n_k phases, which is nonnegative exactly when that march covers the band.
-All three solves share one bracketed root-finder, ``_root``.  The guarantee
-P >= P_cri over the band is then certified segment by segment in closed form
+All three solves share one bracketed root-finder, ``_root``.
+
+``make_plan`` is the one constructor of a ``PhasePlan``, for fresh builds and
+for plans read back from a cache alike.  It enforces the plan contract: the
+segments tile the band exactly, the level reaches P_cri, and the guarantee
+P >= P_cri is certified segment by segment in closed form
 (``_check_guarantee``), not sampled on a grid.
 """
 
@@ -73,6 +77,7 @@ class PhasePlan:
 
 
 def _peak(k: int, phi: float) -> float:
+    """Leftmost probability-1 point; it lies inside band k iff phi > phi_min(k)."""
     return (1.0 - math.cos(math.pi / (2 * k + 1))) / (1.0 - math.cos(phi))
 
 
@@ -248,14 +253,37 @@ def build_plan(k: int, p_cri: float, cfg: SolverConfig | None = None) -> PhasePl
     cfg = cfg or SolverConfig()
     n_k = optimal_phase_count(k, p_cri, cfg)
     q, phases, boundaries = largest_min_success(k, n_k, cfg)
+    return make_plan(k, p_cri, phases, boundaries, q, _level_residual(k, phases, boundaries),
+                     cfg)
+
+
+def make_plan(k: int, p_cri: float, phases: list[float], boundaries: list[float],
+              q_k_pi: float, level_residual: float, cfg: SolverConfig) -> PhasePlan:
+    """The one constructor of a PhasePlan, for fresh builds and cache loads.
+
+    Raises DomainError unless there are n_k >= 1 phases and n_k + 1 strictly
+    increasing boundaries from band k's lower edge to its upper edge (that
+    last is checked by ``_check_guarantee``), and the level q_k_pi is at least
+    p_cri and at most the certified minimum plus level_tol.  Raises
+    VerificationError when ``_check_guarantee`` cannot certify
+    P >= p_cri - level_tol over the band.
+    """
+    if not 1 <= len(phases) == len(boundaries) - 1:
+        raise DomainError(f"band {k}: {len(phases)} phases and {len(boundaries)} boundaries")
+    if any(lo >= hi for lo, hi in zip(boundaries, boundaries[1:])):
+        raise DomainError(f"band {k}: boundaries do not strictly increase")
+    if q_k_pi < p_cri:
+        raise DomainError(f"band {k}: level {q_k_pi} below p_cri={p_cri}")
     segments = tuple(
         PhaseSegment(m=i + 1, lo=boundaries[i], hi=boundaries[i + 1],
                      phi=PhaseAngle(phases[i]))
         for i in range(len(phases))
     )
     plan = PhasePlan(k=k, p_cri=p_cri, n_k=len(phases), segments=segments,
-                     q_k_pi=q, level_residual=_level_residual(k, phases, boundaries))
-    _check_guarantee(plan, cfg)
+                     q_k_pi=q_k_pi, level_residual=level_residual)
+    worst = _check_guarantee(plan, cfg)
+    if q_k_pi > worst + cfg.level_tol:
+        raise DomainError(f"band {k}: level {q_k_pi} above the certified minimum {worst}")
     return plan
 
 
@@ -280,10 +308,9 @@ def _falls_after_peak(k: int, phi: float, lam: float) -> bool:
 def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> float:
     """Certified minimum of the planned success probability over band k.
 
-    Raises DomainError unless the segments tile a cover of the band (the first
-    starts at or below band.lo, the last ends at or above band.hi, and each
-    ends where the next starts), and VerificationError when the minimum is
-    below p_cri - level_tol.  Each segment is clipped to the band.
+    Raises DomainError unless the segments tile the band exactly (the first
+    starts at band.lo, the last ends at band.hi, and each ends where the next
+    starts), and VerificationError when the minimum is below p_cri - level_tol.
 
     With n = 2k+1, s = (1 - cos phi)/2 and delta = 2*asin(sqrt(lam*s)), the
     kernel's A/B form gives
@@ -310,15 +337,13 @@ def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> float:
     k = plan.k
     band = iteration_band(k)
     segments = plan.segments
-    if (segments[0].lo > band.lo or segments[-1].hi < band.hi
-            or any(s.hi != t.lo for s, t in zip(segments, segments[1:]))):
-        raise DomainError(f"plan for band {k} does not cover [{band.lo}, {band.hi}]")
+    if (segments[0].lo, segments[-1].hi) != (band.lo, band.hi) or any(
+            s.hi != t.lo for s, t in zip(segments, segments[1:])):
+        raise DomainError(f"band {k}: segments do not tile [{band.lo}, {band.hi}] "
+                          f"(boundaries span [{segments[0].lo}, {segments[-1].hi}])")
     worst = 1.0
     for seg in segments:
-        lo, hi = max(seg.lo, band.lo), min(seg.hi, band.hi)
-        if lo >= hi:
-            continue
-        phi = seg.phi.phi
+        lo, hi, phi = seg.lo, seg.hi, seg.phi.phi
         worst = min(worst, p_success(k, phi, lo), p_success(k, phi, hi))
         if k == 1:
             if phi > phi_min(1).phi:  # else the interior minimum is at or past 1

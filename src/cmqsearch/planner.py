@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-from cmqsearch import analytic
 from cmqsearch.analytic import PhaseAngle, TargetFraction, grover_iterations, iterations_for
 from cmqsearch.errors import AmbiguityError, DomainError, RangeError
 from cmqsearch.kernels import p_success
@@ -51,7 +49,7 @@ class KigrQuery:
 
     def __post_init__(self):
         if (self.exact_lambda is None) == (self.range is None):
-            raise DomainError("provide exactly one of exact_lambda or range")
+            raise DomainError("provide exactly one of an exact lambda or a range")
         if self.exact_lambda is not None and not 0.0 < self.exact_lambda < 1.0:
             raise DomainError(f"lambda must be in (0, 1), got {self.exact_lambda}")
         if self.range is not None:
@@ -130,18 +128,6 @@ def crossover_pcri() -> float:
     P* = 1 - 4*exp(-pi) ~ 0.8271.
     """
     return 1.0 - 4.0 * math.exp(-math.pi)
-
-
-class Relation(enum.Enum):
-    EQUAL = "equal"
-    PLUS_ONE = "plus_one"
-
-
-def iteration_relation(lam: TargetFraction) -> Relation:
-    """Whether our count matches Grover's or exceeds it by one at this lambda."""
-    k = iterations_for(lam)
-    split = math.sin(math.pi / (4 * k)) ** 2
-    return Relation.EQUAL if lam.lam < split else Relation.PLUS_ONE
 
 
 @dataclass(frozen=True)

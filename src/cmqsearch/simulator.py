@@ -127,14 +127,3 @@ def run_long_exact(n_qubits: int, marked) -> float:
     for _ in range(k):
         state.apply_iteration(PhaseAngle(phi))
     return state.marked_probability()
-
-
-def sample_measurement(state: Statevector, shots: int, seed: int) -> dict[int, int]:
-    """Multinomial measurement samples; returns nonzero counts per basis index."""
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots}")
-    probs = np.abs(state.amps) ** 2
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    return {int(i): int(c) for i, c in enumerate(counts) if c}

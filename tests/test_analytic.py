@@ -10,7 +10,6 @@ from cmqsearch import kernels
 from cmqsearch.analytic import (
     PhaseAngle,
     TargetFraction,
-    first_max_point,
     grover_iterations,
     iteration_band,
     iterations_for,
@@ -19,6 +18,7 @@ from cmqsearch.analytic import (
     phi_min,
 )
 from cmqsearch.errors import DomainError
+from cmqsearch.optimizer import _peak
 
 PI = math.pi
 
@@ -139,10 +139,8 @@ def test_local_maxima_strictly_increasing_and_filtered():
 
 
 def test_first_max_point_examples():
-    assert first_max_point(1, PhaseAngle(PI)) == pytest.approx(0.25, abs=1e-14)
-    assert first_max_point(1, PhaseAngle(2 * PI / 3)) == pytest.approx(1 / 3, abs=1e-14)
-    with pytest.raises(DomainError):
-        first_max_point(2, PhaseAngle(PI / 3))
+    assert _peak(1, PI) == pytest.approx(0.25, abs=1e-14)
+    assert _peak(1, 2 * PI / 3) == pytest.approx(1 / 3, abs=1e-14)
 
 
 def test_min_point_k1_examples():
@@ -232,5 +230,9 @@ def test_count_matches_band_membership(lam):
 @settings(max_examples=300)
 @given(lam=st.floats(min_value=1e-4, max_value=1 - 1e-9))
 def test_count_vs_grover_gap(lam):
+    # one more iteration than Grover exactly on the upper part of band k
     t = TargetFraction(lam)
-    assert iterations_for(t) - grover_iterations(t) in (0, 1)
+    k = iterations_for(t)
+    gap = k - grover_iterations(t)
+    assert gap in (0, 1)
+    assert (gap == 1) == (lam >= math.sin(PI / (4 * k)) ** 2)

@@ -12,6 +12,7 @@ import pytest
 from cmqsearch import cli
 from cmqsearch.cli import doc_to_table, main, serialize_table
 from cmqsearch.errors import DomainError
+from cmqsearch.optimizer import SolverConfig
 from cmqsearch.planner import build_table
 
 
@@ -223,6 +224,8 @@ def test_cache_damaged_plans_are_rebuilt(cache, capfd, damage):
 def _bend_plans(plans, edit):
     if edit == "late_start":  # coverage would start at 0.009, not band 8's 0.00851
         plans[-1]["boundaries"][0] = "0.009"
+    elif edit == "early_start":  # band 8's first segment would reach into band 9
+        plans[-1]["boundaries"][0] = "0.0085"
     elif edit == "low_level":
         plans[-1]["q_k_pi"] = "0.5"
     elif edit == "level_above_minimum":
@@ -232,6 +235,7 @@ def _bend_plans(plans, edit):
 
 
 @pytest.mark.parametrize("edit,message", [("late_start", "boundaries span"),
+                                          ("early_start", "boundaries span"),
                                           ("low_level", "below p_cri"),
                                           ("level_above_minimum", "above the certified"),
                                           ("dipping_phase", "dips")])
@@ -246,6 +250,20 @@ def test_cache_uncertified_plan_is_rebuilt(cache, capfd, edit, message):
     # "below table coverage" (exit 3), and a low level was served as guaranteed_p
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc), lam="0.0086")
     assert "DomainError" in warning
+
+
+def test_solver_flags_round_trip_through_the_cache(cache, capfd, monkeypatch):
+    flags = {"lambda_tol": 1e-11, "phase_tol": 2e-12, "level_tol": 1e-8, "max_nk": 32}
+    argv = [f"--{name.replace('_', '-')}={value!r}" for name, value in flags.items()]
+    assert main(["table", "--cache", cache, *argv]) == 0
+    doc = json.loads(Path(cache).read_text())
+    assert doc["tolerances"] == {"lambda_tol": "1e-11", "phase_tol": "2e-12",
+                                 "level_tol": "1e-08", "max_nk": 32}
+    assert doc_to_table(doc).cfg == SolverConfig(**flags)
+    # the same flags find the cached table instead of building another
+    monkeypatch.setattr(cli.planner, "build_table", None)
+    assert main(["plan", "--lambda", "0.01", "--cache", cache, *argv]) == 0
+    capfd.readouterr()
 
 
 def test_unreadable_cache_path_is_an_error_line(tmp_path):
@@ -311,10 +329,15 @@ def test_compare_record(cache, capfd):
 
 # ------------------------------------------------------------------ environment
 
-def test_cli_import_leaves_numpy_out():
-    # run from the package's parent directory so the tree under test is imported
+def test_cli_import_leaves_numpy_out(tmp_path):
+    # run from the package's parent directory so the tree under test is imported;
+    # a sweep over every algorithm must not load numpy either
     src = Path(cli.__file__).resolve().parents[1]
-    code = ("import sys, cmqsearch.cli; "
+    sweep = ["sweep", "--grid", "50", "--algorithms", "ours,grover,fixed,long,yoder_bound",
+             "--cache", str(tmp_path / "plans.json")]
+    code = ("import contextlib, io, sys, cmqsearch.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cmqsearch.cli.main({sweep!r}) == 0\n"
             "print(sorted(m for m in ('numpy', 'cmqsearch.simulator') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                           text=True, check=True)

@@ -222,6 +222,17 @@ def test_guarantee_rejects_short_cover(solver_cfg):
         _check_guarantee(bad, solver_cfg)
 
 
+def test_guarantee_rejects_early_start(solver_cfg):
+    # a first segment that starts below band.lo is not clipped to the band
+    plan = build_plan(3, 0.90, solver_cfg)
+    band = iteration_band(3)
+    first = plan.segments[0]
+    early = dataclasses.replace(first, lo=band.lo - 0.01 * (band.hi - band.lo))
+    bad = dataclasses.replace(plan, segments=(early,) + plan.segments[1:])
+    with pytest.raises(DomainError, match="boundaries span"):
+        _check_guarantee(bad, solver_cfg)
+
+
 def test_guarantee_rejects_gap(solver_cfg):
     plan = build_plan(1, 0.90, solver_cfg)
     first = plan.segments[0]

@@ -4,11 +4,10 @@ import math
 
 import pytest
 
-from cmqsearch.analytic import PhaseAngle, TargetFraction, grover_iterations, iterations_for
+from cmqsearch.analytic import PhaseAngle, TargetFraction, iterations_for
 from cmqsearch.errors import AmbiguityError, DomainError, RangeError
 from cmqsearch.planner import (
     KigrQuery,
-    Relation,
     baseline_fixed_phase,
     baseline_long,
     baseline_yoder_bound,
@@ -16,7 +15,6 @@ from cmqsearch.planner import (
     classify,
     compare,
     crossover_pcri,
-    iteration_relation,
     plan_for,
 )
 
@@ -137,24 +135,6 @@ def test_bound_exceeds_ours_above_crossover():
     for lam in (1e-2, 1e-4):
         t = TargetFraction(lam)
         assert baseline_yoder_bound(0.90, t) > iterations_for(t)
-
-
-# ------------------------------------------------------------ iteration relation
-
-@pytest.mark.parametrize("lam,rel", [(0.3, Relation.EQUAL), (0.6, Relation.PLUS_ONE),
-                                     (0.12, Relation.EQUAL)])
-def test_iteration_relation_examples(lam, rel):
-    assert iteration_relation(TargetFraction(lam)) is rel
-
-
-def test_iteration_relation_matches_integer_difference():
-    lam = 1e-3
-    while lam < 1.0:
-        t = TargetFraction(lam)
-        gap = iterations_for(t) - grover_iterations(t)
-        want = Relation.EQUAL if gap == 0 else Relation.PLUS_ONE
-        assert iteration_relation(t) is want, lam
-        lam *= 1.009
 
 
 # ---------------------------------------------------------------------- compare

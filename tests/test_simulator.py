@@ -15,7 +15,6 @@ from cmqsearch.simulator import (
     evolve_two_level,
     g_matrix,
     run_long_exact,
-    sample_measurement,
     statevector_run,
     two_level_closed_form,
 )
@@ -120,32 +119,3 @@ def test_subspace_uniformity():
 @pytest.mark.parametrize("n,m", [(2, 1), (6, 5), (10, 1)])
 def test_run_long_exact(n, m):
     assert run_long_exact(n, range(m)) == pytest.approx(1.0, abs=1e-9)
-
-
-# --------------------------------------------------------------------- sampling
-
-def test_sampling_degenerate_distribution():
-    state = Statevector.uniform(2, {3})
-    state.apply_iteration(PhaseAngle(PI))  # exact Grover: P = 1 on index 3
-    counts = sample_measurement(state, shots=100, seed=7)
-    assert counts == {3: 100}
-
-
-def test_sampling_table_row_frequency():
-    state = Statevector.uniform(4, range(4))  # lambda = 0.25
-    state.apply_iteration(PhaseAngle(2.134))
-    counts = sample_measurement(state, shots=100_000, seed=11)
-    freq = sum(c for i, c in counts.items() if i < 4) / 100_000
-    assert freq == pytest.approx(0.9593, abs=0.005)
-
-
-def test_sampling_coin_flip():
-    state = Statevector.uniform(4, range(8))  # k = 0, lambda = 0.5
-    counts = sample_measurement(state, shots=100_000, seed=3)
-    freq = sum(c for i, c in counts.items() if i < 8) / 100_000
-    assert freq == pytest.approx(0.5, abs=0.01)
-
-
-def test_sampling_rejects_zero_shots():
-    with pytest.raises(DomainError):
-        sample_measurement(Statevector.uniform(2, {0}), shots=0, seed=0)
