@@ -100,6 +100,13 @@ def _ci(x: float) -> int:
 def iterations_for(lam: TargetFraction) -> int:
     """Iteration count of the multiphase algorithm: the k with lam in band k."""
     k = _ci(math.pi / (4.0 * lam.theta))
+    # Within a few ulps of an edge the closed form can name a neighbour; the
+    # float edges of iteration_band decide, as they do for the plan tables.
+    band = iteration_band(k)
+    if lam.lam < band.lo:
+        k += 1
+    elif lam.lam >= band.hi:
+        k -= 1
     if k > K_MAX:
         raise DomainError(f"k={k} exceeds cap K_MAX={K_MAX}")
     return k

@@ -168,19 +168,20 @@ def cmd_plan(cfg: RunConfig, query: KigrQuery, out=None) -> int:
     out = out or sys.stdout
     table = load_or_build_table(cfg)
     k, m = planner.classify(query, table)
-    seg = table.plan(k).segments[m - 1]
+    plan = table.plan(k)
+    phi = plan.phases[m - 1]
     record = {
         "k": k,
         "m": m,
-        "phi": repr(seg.phi.phi),
-        "guaranteed_p": repr(table.plan(k).q_k_pi),
-        "segment": [repr(seg.lo), repr(seg.hi)],
+        "phi": repr(phi),
+        "guaranteed_p": repr(plan.q_k_pi),
+        "segment": [repr(x) for x in plan.boundaries[m - 1:m + 1]],
     }
     if cfg.fmt == "json":
         out.write(json.dumps(record, sort_keys=True) + "\n")
     else:
         out.write("k,m,phi,guaranteed_p\n")
-        out.write(f"{k},{m},{seg.phi.phi!r},{table.plan(k).q_k_pi!r}\n")
+        out.write(f"{k},{m},{phi!r},{plan.q_k_pi!r}\n")
     return 0
 
 

@@ -43,37 +43,26 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class PhaseSegment:
-    m: int
-    lo: float
-    hi: float
-    phi: PhaseAngle
-
-
-@dataclass(frozen=True)
 class PhasePlan:
+    """Phase m (1-based) is used on [boundaries[m-1], boundaries[m])."""
+
     k: int
     p_cri: float
-    n_k: int
-    segments: tuple[PhaseSegment, ...]
+    phases: tuple[float, ...]
+    boundaries: tuple[float, ...]
     q_k_pi: float
     level_residual: float
 
     @property
-    def phases(self) -> list[float]:
-        return [s.phi.phi for s in self.segments]
-
-    @property
-    def boundaries(self) -> list[float]:
-        return [self.segments[0].lo] + [s.hi for s in self.segments]
+    def n_k(self) -> int:
+        return len(self.phases)
 
     def probability_at(self, lam: float) -> float:
         """Planned piecewise success probability (half-open segment membership)."""
         bounds = self.boundaries
         if not bounds[0] <= lam < bounds[-1]:
             raise DomainError(f"lambda {lam} outside band {self.k}")
-        i = bisect_right(bounds, lam) - 1
-        return p_success(self.k, self.segments[i].phi.phi, lam)
+        return p_success(self.k, self.phases[bisect_right(bounds, lam) - 1], lam)
 
 
 def _peak(k: int, phi: float) -> float:
@@ -261,11 +250,11 @@ def make_plan(k: int, p_cri: float, phases: list[float], boundaries: list[float]
               q_k_pi: float, level_residual: float, cfg: SolverConfig) -> PhasePlan:
     """The one constructor of a PhasePlan, for fresh builds and cache loads.
 
-    Raises DomainError unless there are n_k >= 1 phases and n_k + 1 strictly
-    increasing boundaries from band k's lower edge to its upper edge (that
-    last is checked by ``_check_guarantee``), and the level q_k_pi is at least
-    p_cri and at most the certified minimum plus level_tol.  Raises
-    VerificationError when ``_check_guarantee`` cannot certify
+    Raises DomainError unless there are n_k >= 1 phases, each in (0, pi], and
+    n_k + 1 strictly increasing boundaries from band k's lower edge to its
+    upper edge (that last is checked by ``_check_guarantee``), and the level
+    q_k_pi is at least p_cri and at most the certified minimum plus level_tol.
+    Raises VerificationError when ``_check_guarantee`` cannot certify
     P >= p_cri - level_tol over the band.
     """
     if not 1 <= len(phases) == len(boundaries) - 1:
@@ -274,12 +263,10 @@ def make_plan(k: int, p_cri: float, phases: list[float], boundaries: list[float]
         raise DomainError(f"band {k}: boundaries do not strictly increase")
     if q_k_pi < p_cri:
         raise DomainError(f"band {k}: level {q_k_pi} below p_cri={p_cri}")
-    segments = tuple(
-        PhaseSegment(m=i + 1, lo=boundaries[i], hi=boundaries[i + 1],
-                     phi=PhaseAngle(phases[i]))
-        for i in range(len(phases))
-    )
-    plan = PhasePlan(k=k, p_cri=p_cri, n_k=len(phases), segments=segments,
+    for phi in phases:
+        if not 0.0 < phi <= math.pi:
+            raise DomainError(f"band {k}: phi must be in (0, pi], got {phi}")
+    plan = PhasePlan(k=k, p_cri=p_cri, phases=tuple(phases), boundaries=tuple(boundaries),
                      q_k_pi=q_k_pi, level_residual=level_residual)
     worst = _check_guarantee(plan, cfg)
     if q_k_pi > worst + cfg.level_tol:
@@ -308,9 +295,8 @@ def _falls_after_peak(k: int, phi: float, lam: float) -> bool:
 def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> float:
     """Certified minimum of the planned success probability over band k.
 
-    Raises DomainError unless the segments tile the band exactly (the first
-    starts at band.lo, the last ends at band.hi, and each ends where the next
-    starts), and VerificationError when the minimum is below p_cri - level_tol.
+    Raises DomainError unless the boundaries run from band.lo to band.hi, and
+    VerificationError when the minimum is below p_cri - level_tol.
 
     With n = 2k+1, s = (1 - cos phi)/2 and delta = 2*asin(sqrt(lam*s)), the
     kernel's A/B form gives
@@ -336,18 +322,16 @@ def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> float:
     """
     k = plan.k
     band = iteration_band(k)
-    segments = plan.segments
-    if (segments[0].lo, segments[-1].hi) != (band.lo, band.hi) or any(
-            s.hi != t.lo for s, t in zip(segments, segments[1:])):
+    bounds = plan.boundaries
+    if (bounds[0], bounds[-1]) != (band.lo, band.hi):
         raise DomainError(f"band {k}: segments do not tile [{band.lo}, {band.hi}] "
-                          f"(boundaries span [{segments[0].lo}, {segments[-1].hi}])")
+                          f"(boundaries span [{bounds[0]}, {bounds[-1]}])")
     worst = 1.0
-    for seg in segments:
-        lo, hi, phi = seg.lo, seg.hi, seg.phi.phi
+    for phi, lo, hi in zip(plan.phases, bounds, bounds[1:]):
         worst = min(worst, p_success(k, phi, lo), p_success(k, phi, hi))
         if k == 1:
             if phi > phi_min(1).phi:  # else the interior minimum is at or past 1
-                m = min_point_k1(seg.phi)
+                m = min_point_k1(PhaseAngle(phi))
                 if lo < m < hi:
                     worst = min(worst, p_success(1, phi, m))
         elif _peak(k, phi) < hi and not _falls_after_peak(k, phi, hi):

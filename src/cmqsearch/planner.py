@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from cmqsearch.analytic import PhaseAngle, TargetFraction, grover_iterations, iterations_for
 from cmqsearch.errors import AmbiguityError, DomainError, RangeError
@@ -22,7 +24,16 @@ class PlanTable:
 
     @property
     def coverage_lo(self) -> float:
-        return self.plans[-1].segments[0].lo
+        return self.plans[-1].boundaries[0]
+
+    @cached_property
+    def _segments(self) -> tuple[list[float], list[tuple[int, int]]]:
+        """Ascending lower edges of all segments, and the (k, m) of each."""
+        edges, keys = [], []
+        for plan in reversed(self.plans):
+            edges += plan.boundaries[:-1]
+            keys += [(plan.k, m) for m in range(1, plan.n_k + 1)]
+        return edges, keys
 
     def plan(self, k: int) -> PhasePlan:
         if not 1 <= k <= len(self.plans):
@@ -59,16 +70,13 @@ class KigrQuery:
 
 
 def _segment_of(table: PlanTable, lam: float) -> tuple[int, int]:
-    if lam < table.coverage_lo:
-        raise RangeError(
-            f"lambda={lam} below table coverage [{table.coverage_lo}, 1)"
-        )
-    k = iterations_for(TargetFraction(lam))
-    plan = table.plan(k)
-    for seg in plan.segments:
-        if seg.lo <= lam < seg.hi:
-            return k, seg.m
-    raise RangeError(f"lambda={lam} not covered by band {k} segments")  # pragma: no cover
+    # Bands tile the table's range, so the segment whose lower edge is the
+    # last one at or below lam holds it; band 1 runs up to 1.
+    edges, keys = table._segments
+    i = bisect_right(edges, lam) - 1
+    if i < 0:
+        raise RangeError(f"lambda={lam} below table coverage [{edges[0]}, 1)")
+    return keys[i]
 
 
 def classify(query: KigrQuery, table: PlanTable) -> tuple[int, int]:
@@ -81,20 +89,20 @@ def classify(query: KigrQuery, table: PlanTable) -> tuple[int, int]:
         return _segment_of(table, query.exact_lambda)
     lo, hi = query.range
     k, m = _segment_of(table, lo)
-    seg = table.plan(k).segments[m - 1]
-    if hi <= seg.hi:
+    seg_lo, seg_hi = table.plan(k).boundaries[m - 1:m + 1]
+    if hi <= seg_hi:
         return k, m
     k2, m2 = _segment_of(table, min(hi, math.nextafter(1.0, 0.0)))
     raise AmbiguityError(
         f"range [{lo}, {hi}) straddles segment (k={k}, m={m}) "
-        f"[{seg.lo}, {seg.hi}) and segment (k={k2}, m={m2})"
+        f"[{seg_lo}, {seg_hi}) and segment (k={k2}, m={m2})"
     )
 
 
 def plan_for(lam: TargetFraction, table: PlanTable) -> tuple[int, PhaseAngle]:
     """Iteration count and phase guaranteeing P >= p_cri at this lambda."""
     k, m = _segment_of(table, lam.lam)
-    return k, table.plan(k).segments[m - 1].phi
+    return k, PhaseAngle(table.plan(k).phases[m - 1])
 
 
 def baseline_fixed_phase(phi: PhaseAngle, lam: TargetFraction) -> int:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from cmqsearch.analytic import PhaseAngle, iteration_band, phi_min
+from cmqsearch.analytic import iteration_band, phi_min
 from cmqsearch.errors import ConfigError, DomainError, VerificationError
 from cmqsearch.kernels import p_derivative, p_success
 from cmqsearch.optimizer import (
@@ -170,9 +170,7 @@ def test_plan_invariants(table90):
         assert bounds[0] == band.lo
         assert bounds[-1] == band.hi
         assert all(a < b for a, b in zip(bounds, bounds[1:]))
-        # adjacent segments share endpoints by construction
-        for s, t in zip(plan.segments, plan.segments[1:]):
-            assert s.hi == t.lo
+        assert plan.n_k == len(plan.phases) == len(bounds) - 1
         phases = plan.phases
         assert all(a > b for a, b in zip(phases, phases[1:]))
         assert all(phi_min(plan.k).phi < p <= PI for p in phases)
@@ -205,9 +203,9 @@ def test_guarantee_rejects_dip(m, solver_cfg):
     plan = build_plan(1, 0.90, solver_cfg)
     assert plan.n_k == 2
     _check_guarantee(plan, solver_cfg)
-    segments = list(plan.segments)
-    segments[m] = dataclasses.replace(segments[m], phi=PhaseAngle(segments[m].phi.phi - 0.3))
-    bad = dataclasses.replace(plan, segments=tuple(segments))
+    phases = list(plan.phases)
+    phases[m] -= 0.3
+    bad = dataclasses.replace(plan, phases=tuple(phases))
     with pytest.raises(VerificationError, match="dips"):
         _check_guarantee(bad, solver_cfg)
 
@@ -215,9 +213,8 @@ def test_guarantee_rejects_dip(m, solver_cfg):
 def test_guarantee_rejects_short_cover(solver_cfg):
     plan = build_plan(3, 0.90, solver_cfg)
     band = iteration_band(3)
-    last = plan.segments[-1]
-    short = dataclasses.replace(last, hi=band.hi - 0.01 * (band.hi - band.lo))
-    bad = dataclasses.replace(plan, segments=plan.segments[:-1] + (short,))
+    short = band.hi - 0.01 * (band.hi - band.lo)
+    bad = dataclasses.replace(plan, boundaries=plan.boundaries[:-1] + (short,))
     with pytest.raises(DomainError):
         _check_guarantee(bad, solver_cfg)
 
@@ -226,19 +223,9 @@ def test_guarantee_rejects_early_start(solver_cfg):
     # a first segment that starts below band.lo is not clipped to the band
     plan = build_plan(3, 0.90, solver_cfg)
     band = iteration_band(3)
-    first = plan.segments[0]
-    early = dataclasses.replace(first, lo=band.lo - 0.01 * (band.hi - band.lo))
-    bad = dataclasses.replace(plan, segments=(early,) + plan.segments[1:])
+    early = band.lo - 0.01 * (band.hi - band.lo)
+    bad = dataclasses.replace(plan, boundaries=(early,) + plan.boundaries[1:])
     with pytest.raises(DomainError, match="boundaries span"):
-        _check_guarantee(bad, solver_cfg)
-
-
-def test_guarantee_rejects_gap(solver_cfg):
-    plan = build_plan(1, 0.90, solver_cfg)
-    first = plan.segments[0]
-    short = dataclasses.replace(first, hi=first.hi - 1e-6)
-    bad = dataclasses.replace(plan, segments=(short,) + plan.segments[1:])
-    with pytest.raises(DomainError):
         _check_guarantee(bad, solver_cfg)
 
 
@@ -299,10 +286,9 @@ def test_certificate_agrees_with_a_dense_scan(table90, solver_cfg):
     for _ in range(100):
         plan = rng.choice(plans)
         m = rng.randrange(plan.n_k)
-        segments = list(plan.segments)
-        phi = min(PI, segments[m].phi.phi + rng.uniform(-0.5, 0.5))
-        segments[m] = dataclasses.replace(segments[m], phi=PhaseAngle(phi))
-        bent = dataclasses.replace(plan, segments=tuple(segments))
+        phases = list(plan.phases)
+        phases[m] = min(PI, phases[m] + rng.uniform(-0.5, 0.5))
+        bent = dataclasses.replace(plan, phases=tuple(phases))
         scan_min = _dense_scan_min(bent)
         if scan_min < plan.p_cri - solver_cfg.level_tol:
             with pytest.raises(VerificationError, match="dips"):
@@ -326,6 +312,6 @@ def test_plan_guarantee_holds_down_to_small_lambda(k, p_cri, fracs, solver_cfg):
         reject()
     floor = p_cri - solver_cfg.level_tol
     assert _check_guarantee(plan, solver_cfg) >= floor
-    for seg in plan.segments:
-        points = [seg.lo, seg.hi] + [seg.lo + f * (seg.hi - seg.lo) for f in fracs]
-        assert all(p_success(k, seg.phi.phi, lam) >= floor for lam in points), (k, p_cri)
+    for phi, lo, hi in zip(plan.phases, plan.boundaries, plan.boundaries[1:]):
+        points = [lo, hi] + [lo + f * (hi - lo) for f in fracs]
+        assert all(p_success(k, phi, lam) >= floor for lam in points), (k, p_cri)

@@ -50,8 +50,8 @@ def test_query_validation():
 def test_classify_exact(table90):
     k, m = classify(KigrQuery(exact_lambda=0.2), table90)
     assert k == 2
-    seg = table90.plan(k).segments[m - 1]
-    assert seg.lo <= 0.2 < seg.hi
+    bounds = table90.plan(k).boundaries
+    assert bounds[m - 1] <= 0.2 < bounds[m]
 
 
 def test_classify_range_inside_one_segment(table90):
@@ -74,8 +74,8 @@ def test_classify_total_on_coverage(table90):
     lam = table90.coverage_lo
     while lam < 1.0:
         k, m = classify(KigrQuery(exact_lambda=lam), table90)
-        seg = table90.plan(k).segments[m - 1]
-        assert seg.lo <= lam < seg.hi
+        bounds = table90.plan(k).boundaries
+        assert bounds[m - 1] <= lam < bounds[m]
         lam += 0.0013
 
 
