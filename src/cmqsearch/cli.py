@@ -26,7 +26,7 @@ from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import SolverConfig, largest_min_success, make_plan
 from cmqsearch.planner import KigrQuery, PlanTable
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 DEFAULT_CACHE = "cmqsearch-plans.json"
 
 
@@ -419,6 +419,11 @@ def main(argv=None) -> int:
     except CmqsearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`); send what is still
+        # buffered to devnull so that flushing it at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

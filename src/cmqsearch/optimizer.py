@@ -184,15 +184,17 @@ def march_level(k: int, q: float, cfg: SolverConfig
     return phases, boundaries, False
 
 
-def largest_min_success(k: int, n_k: int, cfg: SolverConfig
+def largest_min_success(k: int, n_k: int, cfg: SolverConfig, floor: float = 0.5
                         ) -> tuple[float, list[float], list[float]]:
     """Largest level achievable with exactly n_k phases on band k.
 
     The root of the signed tail gap g(q) = P(tail; phi_last) - q of the march
     capped at n_k phases: g >= 0 exactly when that march covers the band, and
-    covering is monotone decreasing in q.  The search stops on
-    0 <= g <= level_tol / 2, not on the width of the bracket in q, because g
-    moves many times faster than q when n_k is large.
+    covering is monotone decreasing in q.  The search starts from ``floor``, a
+    level that march is known to cover (BracketError if it does not), and
+    keeps the g >= 0 end, so the level it returns is at least ``floor``.  It
+    stops on 0 <= g <= level_tol / 2, not on the width of the bracket in q,
+    because g moves many times faster than q when n_k is large.
     """
     if not 1 <= n_k <= cfg.max_nk:
         raise ConfigError(f"n_k={n_k} outside [1, max_nk={cfg.max_nk}]")
@@ -207,14 +209,12 @@ def largest_min_success(k: int, n_k: int, cfg: SolverConfig
         phi = marches[q][0][-1]
         return p_success(k, phi, _tail_point(k, phi, band)) - q
 
-    lo = 0.5
-    while (g_lo := gap(lo)) < 0.0:
-        lo *= 0.5
-        if lo < 1e-12:  # pragma: no cover - one phase always covers some level
-            raise BracketError(f"no feasible level found on band {k} with n_k={n_k}")
+    g_lo = gap(floor)
+    if g_lo < 0.0:
+        raise BracketError(f"level {floor} not covered on band {k} with n_k={n_k}")
     hi = 1.0 - 1e-12
     g_hi = gap(hi)
-    q = hi if g_hi >= 0.0 else _root(gap, lo, hi, g_lo, g_hi, 0.0, 0.5 * cfg.level_tol)
+    q = hi if g_hi >= 0.0 else _root(gap, floor, hi, g_lo, g_hi, 0.0, 0.5 * cfg.level_tol)
     phases, boundaries, _ = marches[q]
     # The march may cover the band with fewer phases than allowed only when
     # the level is far below Q_k(n_k); at the supremum it uses all of them.
@@ -241,7 +241,7 @@ def build_plan(k: int, p_cri: float, cfg: SolverConfig | None = None) -> PhasePl
     """Full plan for one band: phase count, phases, boundaries, achieved level."""
     cfg = cfg or SolverConfig()
     n_k = optimal_phase_count(k, p_cri, cfg)
-    q, phases, boundaries = largest_min_success(k, n_k, cfg)
+    q, phases, boundaries = largest_min_success(k, n_k, cfg, floor=p_cri)
     return make_plan(k, p_cri, phases, boundaries, q, _level_residual(k, phases, boundaries),
                      cfg)
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmqsearch import kernels
@@ -221,10 +221,23 @@ def test_grover_iterations_examples():
 
 @settings(max_examples=300)
 @given(lam=st.floats(min_value=1e-4, max_value=1 - 1e-9))
+@example(lam=0.09549150281252626)  # one ulp below band 2's lower edge
+@example(lam=0.04951556604879043)  # one ulp below band 3's lower edge
 def test_count_matches_band_membership(lam):
     k = iterations_for(TargetFraction(lam))
     band = iteration_band(k)
     assert band.lo <= lam < band.hi
+
+
+def test_count_matches_band_membership_at_edges():
+    # within 2 ulps of an edge the closed form alone misses about 1 point in 8
+    for k in range(1, 20_001):
+        edge = iteration_band(k).lo
+        below = math.nextafter(edge, 0.0)
+        above = math.nextafter(edge, 1.0)
+        for lam in (math.nextafter(below, 0.0), below, edge, above, math.nextafter(above, 1.0)):
+            got = iterations_for(TargetFraction(lam))
+            assert got == (k if lam >= edge else k + 1), (k, lam)
 
 
 @settings(max_examples=300)

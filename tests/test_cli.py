@@ -39,21 +39,21 @@ def test_table_rebuild_is_byte_identical(cache, capfd, tmp_path):
 
 # sha256 and size of the serialized table, pinned so that a solver change that
 # moves any cached bit shows up here (and calls for a new SCHEMA_VERSION).  The
-# plans' own sha256 is pinned apart; it last moved with schema version 3.
+# plans' own sha256 is pinned apart; it last moved with schema version 4.
 @pytest.mark.parametrize("p_cri,lambda0,size,digest,plans_digest", [
-    pytest.param(0.90, 1e-2, 3211,
-                 "5b0d8150966786e0f7c17647e6166fe3589f086eff7a145558caab882896b114",
-                 "851be3e3a82aec13b41d64adf01cbe85e18bac0d878eb42095b32c63e3724a4b",
+    pytest.param(0.90, 1e-2, 3204,
+                 "c835378b2772461fe18e3025c8cbe77f2f68d3bfbfd8ca844b35e33542efd9ba",
+                 "568f0239791e44cadc6085fd62a3a49b915c4387295d6433745ad0e64f0cc8d9",
                  id="0.9-0.01"),
-    pytest.param(0.99, 1e-3, 10158,
-                 "fd3d82aaf3bf717bdb6609cd30b4a02133d824bd651b20abfe6e206d2d339b01",
-                 "4b4a59d4bfccc3dd8d23a9e308c217bf7bd4f5afd22fe423865553b9f2b63db3",
+    pytest.param(0.99, 1e-3, 10154,
+                 "d6abf753c175cfcfa01a63119468c9d1bb42e662bec3ef0f45977f54e50c1f0f",
+                 "a3226eccd8dcd8cadbd5e2e99c4c0caad6967941c3e2b31e009333e53f4f6791",
                  id="0.99-0.001"),
 ])
 def test_cache_bytes_pinned(p_cri, lambda0, size, digest, plans_digest):
     table = build_table(p_cri, lambda0)
     data = serialize_table(table).encode()
-    assert cli.SCHEMA_VERSION == 3
+    assert cli.SCHEMA_VERSION == 4
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
     plans = json.dumps(cli.table_to_doc(table)["plans"], indent=2, sort_keys=True).encode()
@@ -86,6 +86,59 @@ def test_plan_output_fields(cache, capfd):
     assert rec["k"] == 8 and rec["m"] == 1
     assert float(rec["phi"]) == pytest.approx(2.432, abs=5e-3)
     assert float(rec["guaranteed_p"]) >= 0.90
+
+
+# sin^2(pi/10), one ulp below band 2's lower edge: band 3 holds it, though the
+# closed form CI(pi/(4 theta)) names band 2
+EDGE_LAMBDA = "0.09549150281252626"
+
+
+def test_plan_and_compare_at_a_band_edge(cache, capfd):
+    code, out, err = run(["plan", "--lambda", EDGE_LAMBDA, "--cache", cache], capfd)
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert (rec["k"], rec["m"]) == (3, 1)
+    lo, hi = (float(x) for x in rec["segment"])
+    assert lo <= float(EDGE_LAMBDA) < hi
+    code, out, err = run(["compare", "--lambda", EDGE_LAMBDA, "--cache", cache], capfd)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["k_ours"] == 3
+
+
+def test_sweep_from_a_band_edge_lambda0(cache, capfd):
+    # the table built for this lambda0 must cover lambda0, the first grid point
+    code, out, err = run(["sweep", "--lambda0", EDGE_LAMBDA, "--grid", "10",
+                          "--cache", cache], capfd)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1].split(",")[:3] == [EDGE_LAMBDA, "ours", "3"]
+    assert len(lines) == 1 + 10 * 2
+
+
+def test_table_level_reaches_pcri_just_above_a_level(cache, capfd):
+    # Q_8(1) + 1e-12: the march at P_cri covers band 8 with one phase, so the
+    # level search starts there and cannot return a level below P_cri
+    p_cri = 0.9904114249724051
+    code, out, _ = run(["table", "--pcri", repr(p_cri), "--cache", cache], capfd)
+    assert code == 0
+    plans = json.loads(out)["plans"]
+    assert plans[7]["n_k"] == 1
+    assert all(float(plan["q_k_pi"]) >= p_cri for plan in plans)
+
+
+def test_closed_stdout_is_not_a_traceback(tmp_path):
+    # the sweep writes far more than a pipe holds, so the writes fail once the
+    # reader has gone
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen([sys.executable, "-m", "cmqsearch.cli", "sweep", "--grid", "20000",
+                             "--cache", str(tmp_path / "plans.json")],
+                            cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"lambda,algorithm,k,p\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 # ------------------------------------------------------------------- exit codes
@@ -163,38 +216,21 @@ def test_cache_missing_phases_is_rebuilt(cache, capfd):
     assert "KeyError" in warning
 
 
-def test_cache_other_version_is_rebuilt(cache, capfd):
+# Schema 1 held grid_points among the tolerances; schemas 2 and 3 have the
+# layout of schema 4, and only the solver that wrote the plans differs.
+@pytest.mark.parametrize("version", [0, 1, 2, 3])
+def test_cache_other_version_is_rebuilt(cache, capfd, version):
     main(["table", "--cache", cache])
     capfd.readouterr()
     doc = json.loads(Path(cache).read_text())
-    doc["version"] = 0
+    doc["version"] = version
+    if version == 1:
+        doc["tolerances"]["grid_points"] = 10000
     with pytest.raises(DomainError):
         doc_to_table(doc)  # direct callers still get the typed error
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
-    assert "version 0" in warning
-
-
-def test_cache_version_1_is_rebuilt(cache, capfd):
-    # the layout before the sampled scan was retired: tolerances held grid_points
-    main(["table", "--cache", cache])
-    capfd.readouterr()
-    doc = json.loads(Path(cache).read_text())
-    doc["version"] = 1
-    doc["tolerances"]["grid_points"] = 10000
-    warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
-    assert "version 1" in warning
-    assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION
-
-
-def test_cache_version_2_is_rebuilt(cache, capfd):
-    # same layout as schema 3; only the solver that wrote the plans differs
-    main(["table", "--cache", cache])
-    capfd.readouterr()
-    doc = json.loads(Path(cache).read_text())
-    doc["version"] = 2
-    warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
-    assert "version 2" in warning
-    assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION == 3
+    assert f"version {version}" in warning
+    assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION == 4
 
 
 def _damage_plans(doc, damage):
@@ -230,6 +266,8 @@ def _bend_plans(plans, edit):
         plans[-1]["q_k_pi"] = "0.5"
     elif edit == "level_above_minimum":
         plans[-1]["q_k_pi"] = "0.999"
+    elif edit == "phase_above_pi":
+        plans[-1]["phases"][0] = "4.0"
     else:  # "dipping_phase": band 1's first segment then dips below 0.90
         plans[0]["phases"][0] = repr(float(plans[0]["phases"][0]) - 0.3)
 
@@ -238,6 +276,7 @@ def _bend_plans(plans, edit):
                                           ("early_start", "boundaries span"),
                                           ("low_level", "below p_cri"),
                                           ("level_above_minimum", "above the certified"),
+                                          ("phase_above_pi", "phi must be in"),
                                           ("dipping_phase", "dips")])
 def test_cache_uncertified_plan_is_rebuilt(cache, capfd, edit, message):
     main(["table", "--cache", cache])
