@@ -134,18 +134,6 @@ def _solve_phase(k: int, a: float, q: float, cfg: SolverConfig) -> float:
     return _root(lambda phi: p_success(k, phi, a) - q, lo, hi, f_lo, f_hi, cfg.phase_tol)
 
 
-def _boundary_after_peak(k: int, phi: float, q: float, hi_pt: float, f_hi: float,
-                         cfg: SolverConfig) -> float:
-    """Point right of the peak where P falls back to level q.
-
-    ``f_hi`` is P(hi_pt) - q; P is 1 at the peak.
-    """
-    if f_hi >= 0.0:  # pragma: no cover - caller checks the tail
-        raise BracketError(f"curve does not fall to {q} before {hi_pt} on band {k}")
-    return _root(lambda lam: p_success(k, phi, lam) - q, _peak(k, phi), hi_pt,
-                 1.0 - q, f_hi, cfg.lambda_tol)
-
-
 def _tail_point(k: int, phi: float, band: IterationBand) -> float:
     """Equal-level tail checkpoint: interior minimum for k=1, band end for k>=2."""
     if k == 1:
@@ -179,7 +167,10 @@ def march_level(k: int, q: float, cfg: SolverConfig
         if gap >= 0.0:
             boundaries.append(band.hi)
             return phases, boundaries, True
-        a = _boundary_after_peak(k, phi, q, tail, gap, cfg)
+        # P is 1 at the peak and below q at the tail: the next boundary is
+        # where it falls back to q in between.
+        a = _root(lambda lam: p_success(k, phi, lam) - q, _peak(k, phi), tail, 1.0 - q, gap,
+                  cfg.lambda_tol)
         boundaries.append(a)
     return phases, boundaries, False
 
