@@ -62,7 +62,8 @@ class PhasePlan:
         bounds = self.boundaries
         if not bounds[0] <= lam < bounds[-1]:
             raise DomainError(f"lambda {lam} outside band {self.k}")
-        return p_success(self.k, self.phases[bisect_right(bounds, lam) - 1], lam)
+        i = bisect_right(bounds, lam) - 1
+        return p_success(self.k, self.phases[i], lam)
 
 
 def _peak(k: int, phi: float) -> float:
