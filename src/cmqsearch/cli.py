@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 ambiguous range query, 3 below coverage,
 4 solver-config failure, 5 verification failure.
 
-numpy and the simulator are imported only by ``verify``, so the other
-commands start without them.
+Only ``verify`` imports the simulator, so the other commands start without
+it; no command imports numpy.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import os
+import random
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields
@@ -44,6 +45,8 @@ class RunConfig:
             raise DomainError(f"p_cri must be in (0, 1), got {self.p_cri}")
         if not 0.0 < self.lambda0 < 1.0:
             raise DomainError(f"lambda0 must be in (0, 1), got {self.lambda0}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------- plan-table IO
@@ -254,17 +257,22 @@ def cmd_compare(cfg: RunConfig, lam_val: float, fixed_phi: float, out=None) -> i
 # ----------------------------------------------------------------- verification
 
 def _suite_oracle(cfg: RunConfig) -> str:
-    from cmqsearch import simulator
+    from cmqsearch.simulator import Statevector
 
-    phis = [math.pi, 2.432, 1.465, 0.7]
+    # One trajectory per (n, M, phi), read after k = 0, 3, 6, 9, 12 iterations:
+    # each reading is bit-identical to a fresh statevector_run(n, M, k, phi).
     worst = 0.0
     for n in (2, 4, 6, 8, 10):
         big = 1 << n
         for m in sorted({1, 3, big // 4, big // 2}):
-            marked = range(m)
-            for k in (0, 3, 6, 9, 12):
-                for phi in phis:
-                    got = simulator.statevector_run(n, marked, k, PhaseAngle(phi))
+            for phi in (math.pi, 2.432, 1.465, 0.7):
+                state = Statevector.uniform(n, range(m))
+                for k in range(13):
+                    if k:
+                        state.apply_iteration(PhaseAngle(phi))
+                    if k % 3:
+                        continue
+                    got = state.marked_probability()
                     want = p_success(k, phi, m / big)
                     err = abs(got - want)
                     if err >= 1e-10:
@@ -306,15 +314,13 @@ def _suite_monotonicity(cfg: RunConfig) -> str:
 
 
 def _suite_long_certainty(cfg: RunConfig) -> str:
-    import numpy as np
-
     from cmqsearch import simulator
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     worst = 0.0
     for _ in range(20):
-        n = int(rng.integers(2, 11))
-        m = int(rng.integers(1, 1 << n))
+        n = rng.randrange(2, 11)
+        m = rng.randrange(1, 1 << n)
         err = abs(simulator.run_long_exact(n, range(m)) - 1.0)
         if err >= 1e-9:
             raise VerificationError(f"exact-search run at n={n} M={m} gave |P - 1| = {err}")

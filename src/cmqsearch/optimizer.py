@@ -36,8 +36,8 @@ class SolverConfig:
     max_nk: int = 64
 
     def __post_init__(self):
-        if min(self.lambda_tol, self.phase_tol, self.level_tol) <= 0.0:
-            raise ConfigError("tolerances must be positive")
+        if not all(0.0 < t < math.inf for t in (self.lambda_tol, self.phase_tol, self.level_tol)):
+            raise ConfigError("tolerances must be positive and finite")
         if self.max_nk < 1:
             raise ConfigError("max_nk must be >= 1")
 

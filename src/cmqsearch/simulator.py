@@ -8,16 +8,16 @@ Two independent realizations of the same dynamics:
   phase oracle and the zero-state reflection are applied as diagonal /
   rank-one updates (O(N) per iteration, no gate decomposition).
 
+Both are pure Python (``cmath`` and lists); a 2x2 matrix is a nested tuple.
 Global phase is kept (including the leading minus sign of the iteration) so
 the closed-form amplitude can be checked verbatim.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from cmqsearch.analytic import PhaseAngle, TargetFraction
 from cmqsearch.errors import DomainError
@@ -27,16 +27,14 @@ from cmqsearch.planner import baseline_long
 MAX_QUBITS = 14
 
 
-def g_matrix(phi: PhaseAngle, theta: float) -> np.ndarray:
-    """Matched-phase iteration matrix on the (marked, unmarked) subspace."""
+def g_matrix(phi: PhaseAngle, theta: float) -> tuple[tuple[complex, complex], ...]:
+    """Matched-phase iteration matrix on the (marked, unmarked) subspace, as rows."""
     if not 0.0 < theta < math.pi / 2.0:
         raise DomainError(f"theta must be in (0, pi/2), got {theta}")
-    e = np.exp(1j * phi.phi)
+    e = cmath.exp(1j * phi.phi)
     s, c = math.sin(theta), math.cos(theta)
-    return np.array([
-        [-e * (e * s * s + c * c), (1.0 - e) * s * c],
-        [e * (1.0 - e) * s * c, -e * c * c - s * s],
-    ])
+    return ((-e * (e * s * s + c * c), (1.0 - e) * s * c),
+            (e * (1.0 - e) * s * c, -e * c * c - s * s))
 
 
 @dataclass(frozen=True)
@@ -54,11 +52,11 @@ def evolve_two_level(k: int, phi: PhaseAngle, lam: TargetFraction) -> TwoLevelSt
     """Apply the 2x2 iteration k times to the equal-superposition start."""
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    g = g_matrix(phi, lam.theta)
-    v = np.array([math.sin(lam.theta), math.cos(lam.theta)], dtype=complex)
+    (g00, g01), (g10, g11) = g_matrix(phi, lam.theta)
+    a, b = complex(math.sin(lam.theta)), complex(math.cos(lam.theta))
     for _ in range(k):
-        v = g @ v
-    return TwoLevelState(a=complex(v[0]), b=complex(v[1]), k=k)
+        a, b = g00 * a + g01 * b, g10 * a + g11 * b
+    return TwoLevelState(a=a, b=b, k=k)
 
 
 def two_level_closed_form(k: int, phi: PhaseAngle, lam: TargetFraction) -> complex:
@@ -66,9 +64,9 @@ def two_level_closed_form(k: int, phi: PhaseAngle, lam: TargetFraction) -> compl
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     d = delta_angle(phi.phi, lam.lam)
-    e = np.exp(1j * phi.phi)
-    pref = (math.sin(lam.theta) / math.sin(d)) * (-1.0) ** k * np.exp(1j * (k - 1) * phi.phi)
-    return complex(pref * (e * math.sin((k + 1) * d) - math.sin(k * d)))
+    e = cmath.exp(1j * phi.phi)
+    pref = (math.sin(lam.theta) / math.sin(d)) * (-1.0) ** k * cmath.exp(1j * (k - 1) * phi.phi)
+    return pref * (e * math.sin((k + 1) * d) - math.sin(k * d))
 
 
 @dataclass
@@ -76,7 +74,7 @@ class Statevector:
     """2^n complex amplitudes plus the marked basis-index set."""
 
     n_qubits: int
-    amps: np.ndarray
+    amps: list[complex]
     marked: frozenset[int]
 
     @classmethod
@@ -89,25 +87,23 @@ class Statevector:
             raise DomainError("marked set must be nonempty and proper")
         if any(not 0 <= x < n for x in marked):
             raise DomainError("marked index out of range")
-        amps = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-        return cls(n_qubits=n_qubits, amps=amps, marked=marked)
+        return cls(n_qubits=n_qubits, amps=[complex(1.0 / math.sqrt(n))] * n, marked=marked)
 
     @property
     def lam(self) -> float:
         return len(self.marked) / len(self.amps)
 
     def marked_probability(self) -> float:
-        idx = np.fromiter(self.marked, dtype=np.intp)
-        return float(np.sum(np.abs(self.amps[idx]) ** 2))
+        return sum(abs(self.amps[i]) ** 2 for i in self.marked)
 
     def apply_iteration(self, phi: PhaseAngle) -> None:
         """One matched-phase iteration G = -(I - (1-e^{i phi})|psi><psi|) S_f^phi."""
-        e = np.exp(1j * phi.phi)
-        idx = np.fromiter(self.marked, dtype=np.intp)
-        self.amps[idx] *= e                       # phase oracle on marked items
-        mean = self.amps.sum() / len(self.amps)   # <psi|v> / sqrt(N)
-        self.amps -= (1.0 - e) * mean             # reflection about |psi>
-        self.amps *= -1.0
+        e = cmath.exp(1j * phi.phi)
+        amps = self.amps
+        for i in self.marked:                         # phase oracle on marked items
+            amps[i] *= e
+        shift = (1.0 - e) * sum(amps) / len(amps)     # (1-e) <psi|v> / sqrt(N)
+        self.amps = [shift - a for a in amps]         # reflection about |psi>, times -1
 
 
 def statevector_run(n_qubits: int, marked, k: int, phi: PhaseAngle) -> float:
@@ -124,6 +120,4 @@ def run_long_exact(n_qubits: int, marked) -> float:
     """Run the exact-search baseline (its own k and phase) on the statevector."""
     state = Statevector.uniform(n_qubits, marked)
     k, phi = baseline_long(TargetFraction(state.lam))
-    for _ in range(k):
-        state.apply_iteration(PhaseAngle(phi))
-    return state.marked_probability()
+    return statevector_run(n_qubits, state.marked, k, PhaseAngle(phi))

@@ -161,6 +161,25 @@ def test_exit_code_solver_config(cache, capfd):
     assert "max_nk" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--lambda-tol", "--phase-tol", "--level-tol"])
+def test_non_finite_tolerance_is_a_config_error(cache, capfd, flag, value):
+    # a NaN tolerance compares false everywhere and would wave through a plan
+    # that dips below P_cri; inf accepts any residual
+    code, out, err = run(["table", flag, value, "--cache", cache], capfd)
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == ["error: tolerances must be positive and finite"]
+    assert not Path(cache).exists()
+
+
+def test_negative_seed_is_a_domain_error(cache, capfd):
+    code, out, err = run(["verify", "--seed", "-1", "--cache", cache], capfd)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: seed must be >= 0, got -1"]
+
+
 def test_verify_passes_at_high_pcri_with_margins(cache, capfd):
     code, out, _ = run(["verify", "--pcri", "0.9999", "--lambda0", "1e-2", "--cache", cache],
                        capfd)
@@ -370,17 +389,21 @@ def test_compare_record(cache, capfd):
 
 def test_cli_import_leaves_numpy_out(tmp_path):
     # run from the package's parent directory so the tree under test is imported;
-    # a sweep over every algorithm must not load numpy either
+    # a sweep over every algorithm must not load numpy or the simulator, and
+    # verify, which runs the simulator, must not load numpy
     src = Path(cli.__file__).resolve().parents[1]
+    cache = ["--cache", str(tmp_path / "plans.json")]
     sweep = ["sweep", "--grid", "50", "--algorithms", "ours,grover,fixed,long,yoder_bound",
-             "--cache", str(tmp_path / "plans.json")]
+             *cache]
     code = ("import contextlib, io, sys, cmqsearch.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cmqsearch.cli.main({sweep!r}) == 0\n"
-            "print(sorted(m for m in ('numpy', 'cmqsearch.simulator') if m in sys.modules))")
+            "def loaded(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cmqsearch.cli.main(argv) == 0\n"
+            "    return sorted(m for m in ('numpy', 'cmqsearch.simulator') if m in sys.modules)\n"
+            f"print(loaded({sweep!r}), loaded({['verify', *cache]!r}))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] ['cmqsearch.simulator']"
 
 
 def test_cache_env_override(tmp_path, capfd, monkeypatch):

@@ -25,7 +25,7 @@ PI = math.pi
 # --------------------------------------------------------------------- g matrix
 
 def test_g_matrix_grover_case():
-    g = g_matrix(PhaseAngle(PI), PI / 6)
+    g = np.array(g_matrix(PhaseAngle(PI), PI / 6))
     want = np.array([[0.5, math.sqrt(3) / 2], [-math.sqrt(3) / 2, 0.5]])
     assert np.allclose(g, want, atol=1e-14)
     assert np.max(np.abs(g.imag)) < 1e-14
@@ -40,7 +40,7 @@ def test_g_matrix_small_phase_limit():
 @given(phi=st.floats(min_value=1e-6, max_value=PI),
        theta=st.floats(min_value=1e-3, max_value=PI / 2 - 1e-3))
 def test_g_matrix_unitary(phi, theta):
-    g = g_matrix(PhaseAngle(phi), theta)
+    g = np.array(g_matrix(PhaseAngle(phi), theta))
     assert np.max(np.abs(g.conj().T @ g - np.eye(2))) < 1e-12
 
 
@@ -93,6 +93,8 @@ def test_statevector_validation():
         Statevector.uniform(3, range(8))  # full set
     with pytest.raises(DomainError):
         Statevector.uniform(3, {8})
+    with pytest.raises(DomainError):
+        run_long_exact(0, {0})
 
 
 def test_norm_preserved_over_many_iterations():
@@ -110,8 +112,20 @@ def test_subspace_uniformity():
     mask[idx] = True
     for _ in range(7):
         state.apply_iteration(PhaseAngle(1.9))
-        assert np.max(np.abs(state.amps[mask] - state.amps[mask][0])) < 1e-12
-        assert np.max(np.abs(state.amps[~mask] - state.amps[~mask][0])) < 1e-12
+        amps = np.array(state.amps)
+        assert np.max(np.abs(amps[mask] - amps[mask][0])) < 1e-12
+        assert np.max(np.abs(amps[~mask] - amps[~mask][0])) < 1e-12
+
+
+@pytest.mark.parametrize("n,m,phi", [(2, 1, PI), (4, 3, 2.432), (6, 16, 1.465), (10, 1, 0.7),
+                                     (10, 512, 2.0)])
+def test_one_trajectory_reads_like_fresh_runs(n, m, phi):
+    # verify's oracle suite reads one evolving state after k iterations; each
+    # reading must equal a fresh run of k iterations bit for bit
+    state = Statevector.uniform(n, range(m))
+    for k in range(13):
+        assert state.marked_probability() == statevector_run(n, range(m), k, PhaseAngle(phi))
+        state.apply_iteration(PhaseAngle(phi))
 
 
 # ------------------------------------------------------------------ exact search
