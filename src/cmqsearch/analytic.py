@@ -8,7 +8,7 @@ the extremum/range formulas, and the iteration count rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from cmqsearch.errors import DomainError
 
@@ -17,37 +17,32 @@ from cmqsearch.errors import DomainError
 K_MAX = 10**6
 
 
-@dataclass(frozen=True)
-class TargetFraction:
+class TargetFraction(namedtuple("TargetFraction", "lam theta")):
     """Fraction lam = M/N of marked items, with theta = arcsin(sqrt(lam)) cached."""
 
-    lam: float
-    theta: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise DomainError(f"lambda must be in (0, 1), got {self.lam}")
-        object.__setattr__(self, "theta", math.asin(math.sqrt(self.lam)))
+    def __new__(cls, lam: float):
+        if not 0.0 < lam < 1.0:
+            raise DomainError(f"lambda must be in (0, 1), got {lam}")
+        return super().__new__(cls, lam, math.asin(math.sqrt(lam)))
 
 
-@dataclass(frozen=True)
-class PhaseAngle:
+class PhaseAngle(namedtuple("PhaseAngle", "phi")):
     """Matched phase phi, restricted to (0, pi] since P is symmetric about pi."""
 
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.phi <= math.pi:
-            raise DomainError(f"phi must be in (0, pi], got {self.phi}")
+    def __new__(cls, phi: float):
+        if not 0.0 < phi <= math.pi:
+            raise DomainError(f"phi must be in (0, pi], got {phi}")
+        return super().__new__(cls, phi)
 
 
-@dataclass(frozen=True)
-class IterationBand:
+class IterationBand(namedtuple("IterationBand", "k lo hi")):
     """Lambda interval [lo, hi) on which exactly k iterations are optimal."""
 
-    k: int
-    lo: float
-    hi: float
+    __slots__ = ()
 
 
 def local_maxima(k: int, phi: PhaseAngle) -> list[float]:

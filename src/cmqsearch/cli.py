@@ -1,10 +1,12 @@
 """Command-line surface: table / plan / sweep / verify / compare.
 
-Exit codes: 0 success, 2 ambiguous range query, 3 below coverage,
-4 solver-config failure, 5 verification failure.
+Exit codes: 0 success, 1 bad input (a malformed flag included), 2 ambiguous
+range query, 3 below coverage, 4 solver-config failure, 5 verification failure.
 
 Only ``verify`` imports the simulator, so the other commands start without
-it; no command imports numpy.
+it; no command imports numpy or ``dataclasses`` (the record types are
+namedtuples: importing ``dataclasses`` pulls in ``inspect``, ``ast`` and
+``dis``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import random
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 from pathlib import Path
 
 from cmqsearch import analytic, planner
@@ -31,22 +33,19 @@ SCHEMA_VERSION = 4
 DEFAULT_CACHE = "cmqsearch-plans.json"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    p_cri: float = 0.90
-    lambda0: float = 1e-2
-    solver: SolverConfig = SolverConfig()
-    fmt: str = "json"
-    cache: str = DEFAULT_CACHE
-    seed: int = 0
+class RunConfig(namedtuple("RunConfig", "p_cri lambda0 solver fmt cache seed",
+                           defaults=(0.90, 1e-2, SolverConfig(), "json", DEFAULT_CACHE, 0))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.p_cri < 1.0:
             raise DomainError(f"p_cri must be in (0, 1), got {self.p_cri}")
         if not 0.0 < self.lambda0 < 1.0:
             raise DomainError(f"lambda0 must be in (0, 1), got {self.lambda0}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
+        return self
 
 
 # ---------------------------------------------------------------- plan-table IO
@@ -59,7 +58,7 @@ def table_to_doc(table: PlanTable) -> dict:
         "p_cri": repr(table.p_cri),
         "lambda0": repr(table.lambda0),
         "tolerances": {name: repr(value) if isinstance(value, float) else value
-                       for name, value in asdict(table.cfg).items()},
+                       for name, value in table.cfg._asdict().items()},
         "plans": [
             {
                 "k": p.k,
@@ -84,7 +83,8 @@ def doc_to_table(doc: dict) -> PlanTable:
     if doc.get("version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported plan-table version {doc.get('version')}")
     tol = doc["tolerances"]
-    cfg = SolverConfig(**{f.name: type(f.default)(tol[f.name]) for f in fields(SolverConfig)})
+    cfg = SolverConfig(**{name: type(default)(tol[name])
+                          for name, default in SolverConfig._field_defaults.items()})
     p_cri = float(doc["p_cri"])
     lambda0 = float(doc["lambda0"])
     k_max = analytic.iterations_for(TargetFraction(lambda0))
@@ -362,19 +362,27 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise DomainError(f"range must look like LO..HI, got {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a DomainError (exit 1), not argparse's exit 2, which
+    is the exit code of an ambiguous range query. Subparsers inherit this
+    class through ``parser_class``."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--pcri", type=float, default=0.90)
     common.add_argument("--lambda0", type=float, default=1e-2)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--cache", default=os.environ.get("CMQSEARCH_CACHE", DEFAULT_CACHE))
     common.add_argument("--seed", type=int, default=0)
-    for f in fields(SolverConfig):
-        common.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                            default=f.default)
+    for name, default in SolverConfig._field_defaults.items():
+        common.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
-    ap = argparse.ArgumentParser(prog="cmqsearch", allow_abbrev=False,
-                                 description="Complementary-multiphase search planner")
+    ap = _Parser(prog="cmqsearch", allow_abbrev=False,
+                 description="Complementary-multiphase search planner")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sub.add_parser("table", parents=[common],
@@ -403,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        solver = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
+        args = build_parser().parse_args(argv)
+        solver = SolverConfig(*[getattr(args, name) for name in SolverConfig._fields])
         cfg = RunConfig(p_cri=args.pcri, lambda0=args.lambda0, solver=solver, fmt=args.format,
                         cache=args.cache, seed=args.seed)
         if args.command == "table":

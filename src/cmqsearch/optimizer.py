@@ -21,37 +21,30 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from cmqsearch.analytic import IterationBand, PhaseAngle, iteration_band, min_point_k1, phi_min
 from cmqsearch.errors import BracketError, ConfigError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    lambda_tol: float = 1e-12
-    phase_tol: float = 1e-12
-    level_tol: float = 1e-9
-    max_nk: int = 64
+class SolverConfig(namedtuple("SolverConfig", "lambda_tol phase_tol level_tol max_nk",
+                                defaults=(1e-12, 1e-12, 1e-9, 64))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not all(0.0 < t < math.inf for t in (self.lambda_tol, self.phase_tol, self.level_tol)):
             raise ConfigError("tolerances must be positive and finite")
         if self.max_nk < 1:
             raise ConfigError("max_nk must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class PhasePlan:
+class PhasePlan(namedtuple("PhasePlan", "k p_cri phases boundaries q_k_pi level_residual")):
     """Phase m (1-based) is used on [boundaries[m-1], boundaries[m])."""
 
-    k: int
-    p_cri: float
-    phases: tuple[float, ...]
-    boundaries: tuple[float, ...]
-    q_k_pi: float
-    level_residual: float
+    __slots__ = ()
 
     @property
     def n_k(self) -> int:
@@ -192,7 +185,8 @@ def largest_min_success(k: int, n_k: int, cfg: SolverConfig, floor: float = 0.5
         raise ConfigError(f"n_k={n_k} outside [1, max_nk={cfg.max_nk}]")
     # The march is greedy, so capping it at n_k phases only cuts short the
     # probes that would need more; covered means covered with <= n_k phases.
-    capped = replace(cfg, max_nk=n_k)
+    # _replace skips SolverConfig's checks, which n_k has just passed.
+    capped = cfg._replace(max_nk=n_k)
     band = iteration_band(k)
     marches = {}
 

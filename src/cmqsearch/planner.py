@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from cmqsearch.analytic import PhaseAngle, TargetFraction, grover_iterations, iterations_for
@@ -13,14 +13,10 @@ from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import PhasePlan, SolverConfig, build_plan
 
 
-@dataclass(frozen=True)
-class PlanTable:
+class PlanTable(namedtuple("PlanTable", "p_cri lambda0 plans cfg")):
     """Plans for every band intersecting [lambda0, 1), indexed by k = 1..k_max."""
 
-    p_cri: float
-    lambda0: float
-    plans: tuple[PhasePlan, ...]
-    cfg: SolverConfig
+    # No __slots__: the instance dict holds the cached _segments.
 
     @property
     def coverage_lo(self) -> float:
@@ -50,15 +46,14 @@ def build_table(p_cri: float, lambda0: float, cfg: SolverConfig | None = None) -
     return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=plans, cfg=cfg)
 
 
-@dataclass(frozen=True)
-class KigrQuery:
+class KigrQuery(namedtuple("KigrQuery", "exact_lambda range", defaults=(None, None))):
     """Either an exact lambda or a half-open range [lo, hi) that is known to
     contain it."""
 
-    exact_lambda: float | None = None
-    range: tuple[float, float] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if (self.exact_lambda is None) == (self.range is None):
             raise DomainError("provide exactly one of an exact lambda or a range")
         if self.exact_lambda is not None and not 0.0 < self.exact_lambda < 1.0:
@@ -67,6 +62,7 @@ class KigrQuery:
             lo, hi = self.range
             if not 0.0 < lo < hi <= 1.0:
                 raise DomainError(f"need 0 < lo < hi <= 1, got [{lo}, {hi})")
+        return self
 
 
 def _segment_of(table: PlanTable, lam: float) -> tuple[int, int]:
@@ -138,18 +134,9 @@ def crossover_pcri() -> float:
     return 1.0 - 4.0 * math.exp(-math.pi)
 
 
-@dataclass(frozen=True)
-class BaselineComparison:
-    lam: float
-    k_ours: int
-    k_grover: int
-    k_fixed: int
-    k_long: int
-    phi_long: float
-    k_yoder_lb: int
-    p_ours: float
-    p_grover: float
-    p_fixed: float
+BaselineComparison = namedtuple(
+    "BaselineComparison",
+    "lam k_ours k_grover k_fixed k_long phi_long k_yoder_lb p_ours p_grover p_fixed")
 
 
 def compare(lam: TargetFraction, table: PlanTable, p_cri: float,

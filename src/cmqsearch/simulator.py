@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from cmqsearch.analytic import PhaseAngle, TargetFraction
 from cmqsearch.errors import DomainError
@@ -37,11 +37,8 @@ def g_matrix(phi: PhaseAngle, theta: float) -> tuple[tuple[complex, complex], ..
             (e * (1.0 - e) * s * c, -e * c * c - s * s))
 
 
-@dataclass(frozen=True)
-class TwoLevelState:
-    a: complex
-    b: complex
-    k: int
+class TwoLevelState(namedtuple("TwoLevelState", "a b k")):
+    __slots__ = ()
 
     @property
     def success_probability(self) -> float:
@@ -69,13 +66,13 @@ def two_level_closed_form(k: int, phi: PhaseAngle, lam: TargetFraction) -> compl
     return pref * (e * math.sin((k + 1) * d) - math.sin(k * d))
 
 
-@dataclass
 class Statevector:
     """2^n complex amplitudes plus the marked basis-index set."""
 
-    n_qubits: int
-    amps: list[complex]
-    marked: frozenset[int]
+    def __init__(self, n_qubits: int, amps: list[complex], marked: frozenset[int]):
+        self.n_qubits = n_qubits
+        self.amps = amps
+        self.marked = marked
 
     @classmethod
     def uniform(cls, n_qubits: int, marked) -> "Statevector":

@@ -37,6 +37,28 @@ def test_phase_angle_rejects_out_of_range(bad):
         PhaseAngle(bad)
 
 
+def test_target_fraction_is_frozen():
+    with pytest.raises(DomainError, match=r"^lambda must be in \(0, 1\), got 1.5$"):
+        TargetFraction(1.5)
+    lam = TargetFraction(0.25)
+    for name in ("lam", "theta", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(lam, name, 0.5)
+    assert lam == TargetFraction(lam=0.25) and hash(lam) == hash(TargetFraction(0.25))
+    assert repr(lam) == f"TargetFraction(lam=0.25, theta={lam.theta!r})"
+
+
+def test_phase_angle_is_frozen():
+    with pytest.raises(DomainError, match=r"^phi must be in \(0, pi\], got -1.0$"):
+        PhaseAngle(-1.0)
+    phi = PhaseAngle(1.0)
+    for name in ("phi", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(phi, name, 0.5)
+    assert phi == PhaseAngle(phi=1.0) and hash(phi) == hash(PhaseAngle(1.0))
+    assert repr(phi) == "PhaseAngle(phi=1.0)"
+
+
 def test_theta_cached():
     lam = TargetFraction(0.25)
     assert lam.theta == pytest.approx(PI / 6.0, abs=1e-15)

@@ -180,6 +180,46 @@ def test_negative_seed_is_a_domain_error(cache, capfd):
     assert err.splitlines() == ["error: seed must be >= 0, got -1"]
 
 
+def test_run_config_is_frozen():
+    with pytest.raises(DomainError, match=r"^p_cri must be in \(0, 1\), got 1.0$"):
+        cli.RunConfig(p_cri=1.0)
+    with pytest.raises(DomainError, match=r"^lambda0 must be in \(0, 1\), got 0.0$"):
+        cli.RunConfig(0.9, 0.0)
+    with pytest.raises(DomainError, match="^seed must be >= 0, got -2$"):
+        cli.RunConfig(seed=-2)
+    cfg = cli.RunConfig()
+    assert cfg.solver == SolverConfig() and (cfg.p_cri, cfg.lambda0, cfg.seed) == (0.9, 1e-2, 0)
+    for name in ("p_cri", "solver", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, 0.5)
+    assert cfg == cli.RunConfig() and hash(cfg) == hash(cli.RunConfig())
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--lambda", "abc"],
+    ["plan", "--max-nk", "x"],
+    ["plan", "--lambda", "0.2", "--bogus"],
+    ["plan", "--format", "xml", "--lambda", "0.2"],
+    ["nosuch"],
+])
+def test_usage_error_exits_1(cache, capfd, argv):
+    # exit 2 is reserved for a range query that straddles two segments
+    code, out, err = run([*argv, "--cache", cache], capfd)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    code, _, err = run(["plan", "--range", "0.2..0.3", "--cache", cache], capfd)
+    assert code == 2
+    assert "straddles" in err
+
+
+def test_help_still_exits_0(capfd):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--help"])
+    assert exc.value.code == 0
+    assert capfd.readouterr().out.startswith("usage: cmqsearch plan ")
+
+
 def test_verify_passes_at_high_pcri_with_margins(cache, capfd):
     code, out, _ = run(["verify", "--pcri", "0.9999", "--lambda0", "1e-2", "--cache", cache],
                        capfd)
@@ -388,22 +428,29 @@ def test_compare_record(cache, capfd):
 # ------------------------------------------------------------------ environment
 
 def test_cli_import_leaves_numpy_out(tmp_path):
-    # run from the package's parent directory so the tree under test is imported;
-    # a sweep over every algorithm must not load numpy or the simulator, and
-    # verify, which runs the simulator, must not load numpy
+    # run from the package's parent directory so the tree under test is imported,
+    # under -S so that no site hook preloads modules; no command may load numpy,
+    # or dataclasses and the inspect and typing modules it pulls in, and only
+    # verify may load the simulator
     src = Path(cli.__file__).resolve().parents[1]
     cache = ["--cache", str(tmp_path / "plans.json")]
-    sweep = ["sweep", "--grid", "50", "--algorithms", "ours,grover,fixed,long,yoder_bound",
-             *cache]
+    commands = [
+        ["table", *cache],
+        ["plan", "--lambda", "0.02", *cache],
+        ["compare", "--lambda", "0.02", *cache],
+        ["sweep", "--grid", "50", "--algorithms", "ours,grover,fixed,long,yoder_bound", *cache],
+        ["verify", *cache],
+    ]
     code = ("import contextlib, io, sys, cmqsearch.cli\n"
             "def loaded(argv):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cmqsearch.cli.main(argv) == 0\n"
-            "    return sorted(m for m in ('numpy', 'cmqsearch.simulator') if m in sys.modules)\n"
-            f"print(loaded({sweep!r}), loaded({['verify', *cache]!r}))")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+            "    return sorted(m for m in ('numpy', 'cmqsearch.simulator', 'dataclasses',\n"
+            "                              'inspect', 'typing') if m in sys.modules)\n"
+            f"print(*[loaded(argv) for argv in {commands!r}])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=src, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[] ['cmqsearch.simulator']"
+    assert proc.stdout.strip() == "[] [] [] [] ['cmqsearch.simulator']"
 
 
 def test_cache_env_override(tmp_path, capfd, monkeypatch):

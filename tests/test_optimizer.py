@@ -1,6 +1,5 @@
 """Equal-level solver: level marching, Q_k, phase counts, plans."""
 
-import dataclasses
 import math
 import random
 import sys
@@ -36,6 +35,20 @@ def test_config_rejects_bad_values():
         SolverConfig(level_tol=-1e-9)
     with pytest.raises(ConfigError):
         SolverConfig(max_nk=0)
+
+
+def test_config_is_frozen():
+    with pytest.raises(ConfigError, match="^tolerances must be positive and finite$"):
+        SolverConfig(1e-12, math.nan)
+    with pytest.raises(ConfigError, match="^max_nk must be >= 1$"):
+        SolverConfig(max_nk=-3)
+    cfg = SolverConfig()
+    for name in ("max_nk", "level_tol", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, 2)
+    assert cfg == SolverConfig(1e-12, 1e-12, 1e-9, 64) and hash(cfg) == hash(SolverConfig())
+    assert repr(cfg) == ("SolverConfig(lambda_tol=1e-12, phase_tol=1e-12, level_tol=1e-09, "
+                         "max_nk=64)")
 
 
 # --------------------------------------------------------------------- marching
@@ -205,7 +218,7 @@ def test_guarantee_rejects_dip(m, solver_cfg):
     _check_guarantee(plan, solver_cfg)
     phases = list(plan.phases)
     phases[m] -= 0.3
-    bad = dataclasses.replace(plan, phases=tuple(phases))
+    bad = plan._replace(phases=tuple(phases))
     with pytest.raises(VerificationError, match="dips"):
         _check_guarantee(bad, solver_cfg)
 
@@ -214,7 +227,7 @@ def test_guarantee_rejects_short_cover(solver_cfg):
     plan = build_plan(3, 0.90, solver_cfg)
     band = iteration_band(3)
     short = band.hi - 0.01 * (band.hi - band.lo)
-    bad = dataclasses.replace(plan, boundaries=plan.boundaries[:-1] + (short,))
+    bad = plan._replace(boundaries=plan.boundaries[:-1] + (short,))
     with pytest.raises(DomainError):
         _check_guarantee(bad, solver_cfg)
 
@@ -224,7 +237,7 @@ def test_guarantee_rejects_early_start(solver_cfg):
     plan = build_plan(3, 0.90, solver_cfg)
     band = iteration_band(3)
     early = band.lo - 0.01 * (band.hi - band.lo)
-    bad = dataclasses.replace(plan, boundaries=(early,) + plan.boundaries[1:])
+    bad = plan._replace(boundaries=(early,) + plan.boundaries[1:])
     with pytest.raises(DomainError, match="boundaries span"):
         _check_guarantee(bad, solver_cfg)
 
@@ -288,7 +301,7 @@ def test_certificate_agrees_with_a_dense_scan(table90, solver_cfg):
         m = rng.randrange(plan.n_k)
         phases = list(plan.phases)
         phases[m] = min(PI, phases[m] + rng.uniform(-0.5, 0.5))
-        bent = dataclasses.replace(plan, phases=tuple(phases))
+        bent = plan._replace(phases=tuple(phases))
         scan_min = _dense_scan_min(bent)
         if scan_min < plan.p_cri - solver_cfg.level_tol:
             with pytest.raises(VerificationError, match="dips"):

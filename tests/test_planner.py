@@ -47,6 +47,20 @@ def test_query_validation():
         KigrQuery(range=(0.4, 0.2))
 
 
+def test_query_is_frozen():
+    with pytest.raises(DomainError, match=r"^lambda must be in \(0, 1\), got 1.0$"):
+        KigrQuery(exact_lambda=1.0)
+    with pytest.raises(DomainError, match=r"^need 0 < lo < hi <= 1, got \[0.4, 0.2\)$"):
+        KigrQuery(None, (0.4, 0.2))
+    query = KigrQuery(range=(0.2, 0.3))
+    for name in ("exact_lambda", "range", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(query, name, 0.5)
+    assert query == KigrQuery(None, (0.2, 0.3))
+    assert hash(query) == hash(KigrQuery(range=(0.2, 0.3)))
+    assert repr(query) == "KigrQuery(exact_lambda=None, range=(0.2, 0.3))"
+
+
 def test_classify_exact(table90):
     k, m = classify(KigrQuery(exact_lambda=0.2), table90)
     assert k == 2
