@@ -94,7 +94,8 @@ def _ci(x: float) -> int:
 
 def iterations_for(lam: TargetFraction) -> int:
     """Iteration count of the multiphase algorithm: the k with lam in band k."""
-    k = _ci(math.pi / (4.0 * lam.theta))
+    # Clamped before int(): the edge check moves k by one at most, so k > K_MAX past it.
+    k = _ci(min(math.pi / (4.0 * lam.theta), K_MAX + 2.0))
     # Within a few ulps of an edge the closed form can name a neighbour; the
     # float edges of iteration_band decide, as they do for the plan tables.
     band = iteration_band(k)
@@ -103,7 +104,7 @@ def iterations_for(lam: TargetFraction) -> int:
     elif lam.lam >= band.hi:
         k -= 1
     if k > K_MAX:
-        raise DomainError(f"k={k} exceeds cap K_MAX={K_MAX}")
+        raise DomainError(f"lambda={lam.lam!r} needs more than K_MAX={K_MAX} iterations")
     return k
 
 

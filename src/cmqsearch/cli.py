@@ -6,21 +6,18 @@ range query, 3 below coverage, 4 solver-config failure, 5 verification failure.
 Only ``verify`` imports the simulator, so the other commands start without
 it; no command imports numpy or ``dataclasses`` (the record types are
 namedtuples: importing ``dataclasses`` pulls in ``inspect``, ``ast`` and
-``dis``).
+``dis``).  Only ``--help`` and malformed flags import ``argparse``, and no
+command imports ``pathlib``, ``tempfile`` or ``random`` at start-up.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
 import os
-import random
 import sys
-import tempfile
 from collections import namedtuple
-from pathlib import Path
 
 from cmqsearch import analytic, planner
 from cmqsearch.analytic import PhaseAngle, TargetFraction
@@ -108,17 +105,17 @@ def serialize_table(table: PlanTable) -> str:
 
 
 def write_table(table: PlanTable, path: str) -> None:
-    """Atomic write: temp file in the target directory, then rename.
+    """Atomic write: temp file (mode 0o666 less the umask) next to the target, then rename.
 
     On failure the temp file is removed, so no partial table is left behind.
     """
-    target = Path(path)
+    tmp = os.path.join(os.path.dirname(path), f"tmp{os.urandom(6).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(serialize_table(table))
-            os.replace(tmp, target)
+            os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
@@ -133,10 +130,11 @@ def load_or_build_table(cfg: RunConfig) -> PlanTable:
     A cache that cannot be read as a table (an OS error on read, truncated,
     missing keys, another schema version, a damaged plan list) is a miss: one warning on stderr, then rebuild.
     """
-    path = Path(cfg.cache)
-    if path.exists():
+    path = cfg.cache
+    if os.path.exists(path):
         try:
-            table = doc_to_table(json.loads(path.read_text()))
+            with open(path) as fh:
+                table = doc_to_table(json.load(fh))
         except (OSError, CmqsearchError, ValueError, LookupError, TypeError,
                 AttributeError) as exc:
             print(f"warning: rebuilding unreadable plan cache {path} "
@@ -314,6 +312,8 @@ def _suite_monotonicity(cfg: RunConfig) -> str:
 
 
 def _suite_long_certainty(cfg: RunConfig) -> str:
+    import random
+
     from cmqsearch import simulator
 
     rng = random.Random(cfg.seed)
@@ -362,74 +362,98 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise DomainError(f"range must look like LO..HI, got {text!r}") from exc
 
 
-class _Parser(argparse.ArgumentParser):
-    """A usage error is a DomainError (exit 1), not argparse's exit 2, which
-    is the exit code of an ambiguous range query. Subparsers inherit this
-    class through ``parser_class``."""
+def _flag_table() -> dict:
+    """command -> (help, {long flag: add_argument keywords}), flags in --help order;
+    built per call, since the --cache default reads CMQSEARCH_CACHE."""
+    cache = os.environ.get("CMQSEARCH_CACHE", DEFAULT_CACHE)
+    common = {"--pcri": dict(dest="pcri", type=float, default=0.90),
+              "--lambda0": dict(dest="lambda0", type=float, default=1e-2),
+              "--format": dict(dest="format", choices=("json", "csv"), default="json"),
+              "--cache": dict(dest="cache", default=cache),
+              "--seed": dict(dest="seed", type=int, default=0),
+              **{"--" + name.replace("_", "-"): dict(dest=name, type=type(default), default=default)
+                 for name, default in SolverConfig._field_defaults.items()}}
+    lam, phi = dict(dest="lam", type=float), dict(dest="phi", type=float, default=0.1 * math.pi)
+    algorithms = dict(dest="algorithms", default="ours,grover",
+                      help="comma list: ours,grover,fixed,yoder_bound,long")
+    return {"table": ("build the plan table and write it to the cache", common),
+            "plan": ("look up (k, m, phi) for a lambda or range",
+                     {**common, "--lambda": lam, "--range": dict(dest="range_", metavar="LO..HI")}),
+            "sweep": ("emit per-lambda CSV over a log grid",
+                      {**common, "--algorithms": algorithms,
+                       "--grid": dict(dest="grid", type=int, default=1000),
+                       "--phi": dict(phi, help="phase for the fixed-phase baseline")}),
+            "verify": ("run the verification suites", common),
+            "compare": ("baseline comparison at one lambda",
+                        {**common, "--lambda": dict(lam, required=True), "--phi": phi})}
 
-    def error(self, message):
-        raise DomainError(message)
+
+def _parse(argv: list[str]) -> dict | None:
+    """``<command> (--flag value)*`` with exact long flags, values that do not start
+    with "-" and convert, and the required flags, read as argparse reads it; None
+    for anything else (--help, abbreviations, --flag=value, usage errors)."""
+    table = _flag_table()
+    if not argv or argv[0] not in table or len(argv) % 2 == 0:
+        return None
+    flags = table[argv[0]][1]
+    args = {"command": argv[0], **{spec["dest"]: spec.get("default") for spec in flags.values()}}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        spec = flags.get(flag)
+        if spec is None or value.startswith("-"):
+            return None
+        try:
+            args[spec["dest"]] = value = spec.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+    if any(spec.get("required") and args[spec["dest"]] is None for spec in flags.values()):
+        return None
+    return args
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--pcri", type=float, default=0.90)
-    common.add_argument("--lambda0", type=float, default=1e-2)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--cache", default=os.environ.get("CMQSEARCH_CACHE", DEFAULT_CACHE))
-    common.add_argument("--seed", type=int, default=0)
-    for name, default in SolverConfig._field_defaults.items():
-        common.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+def build_parser():
+    """The argparse parser for the flag table; a usage error raises DomainError."""
+    import argparse
 
-    ap = _Parser(prog="cmqsearch", allow_abbrev=False,
-                 description="Complementary-multiphase search planner")
+    class Parser(argparse.ArgumentParser):
+        # exit 1, not 2 (an ambiguous range); subparsers inherit it via parser_class
+        def error(self, message):
+            raise DomainError(message)
+
+    ap = Parser(prog="cmqsearch", allow_abbrev=False,
+                description="Complementary-multiphase search planner")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("table", parents=[common],
-                   help="build the plan table and write it to the cache")
-
-    plan = sub.add_parser("plan", parents=[common],
-                          help="look up (k, m, phi) for a lambda or range")
-    plan.add_argument("--lambda", dest="lam", type=float)
-    plan.add_argument("--range", dest="range_", metavar="LO..HI")
-
-    sweep = sub.add_parser("sweep", parents=[common],
-                           help="emit per-lambda CSV over a log grid")
-    sweep.add_argument("--algorithms", default="ours,grover",
-                       help="comma list: ours,grover,fixed,yoder_bound,long")
-    sweep.add_argument("--grid", type=int, default=1000)
-    sweep.add_argument("--phi", type=float, default=0.1 * math.pi,
-                       help="phase for the fixed-phase baseline")
-
-    sub.add_parser("verify", parents=[common], help="run the verification suites")
-
-    comp = sub.add_parser("compare", parents=[common],
-                          help="baseline comparison at one lambda")
-    comp.add_argument("--lambda", dest="lam", type=float, required=True)
-    comp.add_argument("--phi", type=float, default=0.1 * math.pi)
+    for command, (text, flags) in _flag_table().items():
+        parser = sub.add_parser(command, help=text)
+        for flag, spec in flags.items():
+            parser.add_argument(flag, **spec)
     return ap
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        solver = SolverConfig(*[getattr(args, name) for name in SolverConfig._fields])
-        cfg = RunConfig(p_cri=args.pcri, lambda0=args.lambda0, solver=solver, fmt=args.format,
-                        cache=args.cache, seed=args.seed)
-        if args.command == "table":
+        argv = sys.argv[1:] if argv is None else argv
+        args = _parse(argv) or vars(build_parser().parse_args(argv))
+        solver = SolverConfig(*[args[name] for name in SolverConfig._fields])
+        cfg = RunConfig(p_cri=args["pcri"], lambda0=args["lambda0"], solver=solver,
+                        fmt=args["format"], cache=args["cache"], seed=args["seed"])
+        command = args["command"]
+        if command == "table":
             return cmd_table(cfg)
-        if args.command == "plan":
-            query = KigrQuery(exact_lambda=args.lam,
-                              range=None if args.range_ is None else _parse_range(args.range_))
+        if command == "plan":
+            range_ = args["range_"]
+            query = KigrQuery(exact_lambda=args["lam"],
+                              range=None if range_ is None else _parse_range(range_))
             return cmd_plan(cfg, query)
-        if args.command == "sweep":
-            algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-            return cmd_sweep(cfg, algorithms, args.grid, args.phi)
-        if args.command == "verify":
+        if command == "sweep":
+            algorithms = [a.strip() for a in args["algorithms"].split(",") if a.strip()]
+            return cmd_sweep(cfg, algorithms, args["grid"], args["phi"])
+        if command == "verify":
             return cmd_verify(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg, args.lam, args.phi)
-        raise AssertionError(args.command)  # pragma: no cover
+        if command == "compare":
+            return cmd_compare(cfg, args["lam"], args["phi"])
+        raise AssertionError(command)  # pragma: no cover
     except CmqsearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cmqsearch import kernels
 from cmqsearch.analytic import (
+    K_MAX,
     PhaseAngle,
     TargetFraction,
     grover_iterations,
@@ -233,6 +234,16 @@ def test_iterations_for_examples():
 def test_iterations_for_cap():
     with pytest.raises(DomainError):
         iterations_for(TargetFraction(1e-15))
+
+
+@pytest.mark.parametrize("lam", [math.nextafter(iteration_band(K_MAX).lo, 0.0), 1e-15, 1e-300,
+                                 5e-324])
+def test_iterations_for_cap_names_lambda_and_cap(lam):
+    # the message names lambda and the cap, not k, which has 150 digits at 1e-300
+    assert iterations_for(TargetFraction(iteration_band(K_MAX).lo)) == K_MAX
+    with pytest.raises(DomainError) as exc:
+        iterations_for(TargetFraction(lam))
+    assert str(exc.value) == f"lambda={lam!r} needs more than K_MAX={K_MAX} iterations"
 
 
 def test_grover_iterations_examples():

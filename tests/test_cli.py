@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmqsearch import cli
 from cmqsearch.cli import doc_to_table, main, serialize_table
@@ -213,6 +217,99 @@ def test_usage_error_exits_1(cache, capfd, argv):
     assert "straddles" in err
 
 
+def test_tiny_lambda0_names_lambda_and_cap(cache, capfd):
+    code, out, err = run(["table", "--lambda0", "1e-300", "--cache", cache], capfd)
+    assert (code, out) == (1, "")
+    assert err == "error: lambda=1e-300 needs more than K_MAX=1000000 iterations\n"
+
+
+# ------------------------------------------------------------------ flag parsing
+
+@pytest.fixture(scope="module")
+def argparser():
+    return cli.build_parser()
+
+
+def _value(spec):
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    if spec.get("type") is float:
+        return st.floats(min_value=0.0, allow_nan=False).map(repr)
+    if spec.get("type") is int:
+        return st.integers(min_value=0, max_value=10**6).map(str)
+    return st.text(max_size=8).map(lambda text: text.lstrip("-"))
+
+
+@st.composite
+def _valid_argv(draw):
+    table = cli._flag_table()
+    command = draw(st.sampled_from(list(table)))
+    flags = table[command][1]
+    pairs = draw(st.lists(st.sampled_from(list(flags)), max_size=12))
+    required = [flag for flag, spec in flags.items() if spec.get("required")]
+    for flag in required:
+        pairs.insert(draw(st.integers(0, len(pairs))), flag)
+    argv = [command]
+    for flag in pairs:  # repeated flags included: the last one wins
+        argv += [flag, draw(_value(flags[flag]))]
+    return argv
+
+
+@settings(max_examples=150)
+@given(argv=_valid_argv())
+def test_fast_parse_agrees_with_argparse(argparser, argv):
+    args = cli._parse(argv)
+    assert args is not None
+    assert args == vars(argparser.parse_args(argv))
+
+
+_TOKENS = sorted({flag for _, flags in cli._flag_table().values() for flag in flags}
+                 | {"--lam", "--pc", "--lambda=0.1", "--cache=x", "--format=csv", "-1", "--",
+                    "-h", "--help", "0.5", "7", "json", "xml", "0.1..0.2", "junk", "", "plan"})
+
+
+@settings(max_examples=300)
+@given(command=st.sampled_from([*cli._flag_table(), "nosuch", "--pcri", "-h"]),
+       tokens=st.lists(st.sampled_from(_TOKENS), max_size=8))
+@example(command="plan", tokens=["--lam", "0.1"])
+@example(command="plan", tokens=["--seed", "-1"])
+@example(command="compare", tokens=["--phi", "0.5"])
+def test_fast_parse_accepts_only_what_argparse_reads_alike(argparser, command, tokens):
+    # whatever the fast path accepts, argparse accepts with the same result;
+    # the rest (help, abbreviations, --flag=value, usage errors) is argparse's
+    argv = [command, *tokens]
+    args = cli._parse(argv)
+    if args is not None:
+        assert args == vars(argparser.parse_args(argv))
+
+
+def test_query_commands_leave_argparse_unloaded(tmp_path):
+    # in a python -S process, with no site hook to preload modules, a warm plan
+    # and compare load no argparse (with gettext and locale), pathlib, tempfile
+    # or random; --help then builds the parser
+    cache = str(tmp_path / "plans.json")
+    assert main(["table", "--cache", cache]) == 0
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import contextlib, io, sys, cmqsearch.cli\n"
+            f"query = ['--lambda', '0.02', '--cache', {cache!r}]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cmqsearch.cli.main(['plan', *query]) == 0\n"
+            "    assert cmqsearch.cli.main(['compare', *query]) == 0\n"
+            "print(sorted(m for m in ('argparse', 'gettext', 'locale', 'pathlib', 'tempfile',\n"
+            "                         'random') if m in sys.modules))\n"
+            "try:\n"
+            "    cmqsearch.cli.main(['plan', '--help'])\n"
+            "except SystemExit as exc:\n"
+            "    print('exit', exc.code)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=src, capture_output=True,
+                          text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[1].startswith("usage: cmqsearch plan ")
+    assert lines[-1] == "exit 0"
+    assert proc.stderr == ""
+
+
 def test_help_still_exits_0(capfd):
     with pytest.raises(SystemExit) as exc:
         main(["plan", "--help"])
@@ -375,6 +472,19 @@ def test_unreadable_cache_path_is_an_error_line(tmp_path):
     assert proc.returncode == 1
     assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+def test_cache_mode_follows_umask(cache, capfd, umask):
+    # a cache shared through CMQSEARCH_CACHE is readable as any other file the
+    # user writes, not 0600
+    old = os.umask(umask)
+    try:
+        assert main(["table", "--cache", cache]) == 0
+    finally:
+        os.umask(old)
+    capfd.readouterr()
+    assert stat.S_IMODE(os.stat(cache).st_mode) == 0o666 & ~umask
 
 
 def test_failed_cache_write_leaves_no_temp_file(tmp_path, capfd):

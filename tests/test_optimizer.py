@@ -165,6 +165,40 @@ def test_optimal_phase_count_unreachable():
         optimal_phase_count(1, 0.90, cfg)
 
 
+# ------------------------------------------------- deep bands and high P_cri
+
+# Q_k(1) tends to 1 as k grows (0.99994 at k = 100), so deep bands need one
+# phase for any P_cri up to 0.9999.
+@pytest.mark.parametrize("k", [100, 1000, 7854])
+def test_deep_bands_have_one_phase(k, solver_cfg):
+    plan = build_plan(k, 0.9999, solver_cfg)
+    assert plan.n_k == 1
+    assert plan.q_k_pi >= 0.9999
+
+
+# Band 7854 is 2.5e-12 wide, so lambda_tol = 1e-12 is 39 % of it: a second
+# phase would need a boundary that the solver cannot resolve.
+@pytest.mark.parametrize("p_cri", [0.9, 0.99, 0.9999])
+def test_band_near_lambda_tol_has_one_phase(p_cri, solver_cfg):
+    band = iteration_band(7854)
+    assert solver_cfg.lambda_tol > 0.01 * (band.hi - band.lo)
+    assert build_plan(7854, p_cri, solver_cfg).n_k == 1
+
+
+# Band 2 takes up to 40 ms a plan at P_cri = 0.9999 (38 phases), but most
+# draws need a few phases: 100 examples of two plans take 0.3-0.5 s.
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(min_value=2, max_value=6),
+       p_cri=st.lists(st.floats(min_value=0.5, max_value=0.9999), min_size=2, max_size=2))
+@example(k=2, p_cri=[0.9999, 0.5])
+def test_plans_certify_up_to_high_pcri(k, p_cri, solver_cfg):
+    low, high = (build_plan(k, p, solver_cfg) for p in sorted(p_cri))
+    for plan in (low, high):  # build_plan certifies through make_plan, or raises
+        assert plan.q_k_pi >= plan.p_cri
+        assert plan.level_residual < 10.0 * solver_cfg.level_tol
+    assert low.n_k <= high.n_k
+
+
 # ------------------------------------------------------------------------ plans
 
 @pytest.mark.parametrize("k,phi,q", [(6, 2.322, 0.9830), (7, 2.383, 0.9875),
