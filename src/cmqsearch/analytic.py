@@ -49,30 +49,41 @@ def local_maxima(k: int, phi: PhaseAngle) -> list[float]:
     """All probability-1 points of the k-iteration curve inside (0, 1), ascending."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    denom = 1.0 - math.cos(phi.phi)
+    h = math.sin(0.5 * phi.phi)
     points = []
     for j in range(1, k + 1):
-        lam = (1.0 - math.cos((2 * j - 1) * math.pi / (2 * k + 1))) / denom
+        lam = (math.sin((2 * j - 1) * math.pi / (4 * k + 2)) / h) ** 2
         if lam < 1.0:
             points.append(lam)
     return points
 
 
+def peak(k: int, phi: float) -> float:
+    """Leftmost probability-1 point; it lies inside band k iff phi > phi_min(k)."""
+    return (math.sin(math.pi / (4 * k + 2)) / math.sin(0.5 * phi)) ** 2
+
+
+def peak_phase(k: int, lam: float) -> float:
+    """Inverse of ``peak``: the phase whose peak is lam, pi at band k's lower edge.
+
+    DomainError when even phi = pi peaks right of lam by more than rounding.
+    """
+    r = math.sin(math.pi / (4 * k + 2)) / math.sqrt(lam)
+    if r > 1.0 + 1e-12:
+        raise DomainError(f"no phase puts the peak of band {k} at lambda={lam}")
+    return 2.0 * math.asin(min(1.0, r))
+
+
 def phi_min(k: int) -> PhaseAngle:
     """Smallest usable phase on band k; below it the curve's peak leaves the band."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    num = 2.0 - 2.0 * math.cos(math.pi / (2 * k + 1))
-    den = 1.0 - math.cos(math.pi / (2 * k - 1)) if k > 1 else 2.0
-    return PhaseAngle(math.acos(1.0 - num / den))
+    return PhaseAngle(peak_phase(k, iteration_band(k).hi))
 
 
 def min_point_k1(phi: PhaseAngle) -> float:
-    """Interior minimum point of the one-iteration curve on [1/4, 1)."""
-    if phi.phi <= phi_min(1).phi:
+    """Interior minimum point 2/3 + 1/(12 sin^2(phi/2)) of the one-iteration curve on [1/4, 1)."""
+    if phi.phi <= peak_phase(1, 1.0):  # phi_min(1), as band 1 ends at 1
         raise DomainError(f"phi={phi.phi} <= pi/3: no interior minimum in band 1")
-    c = math.cos(phi.phi)
-    return (5.0 - 4.0 * c) / (6.0 - 6.0 * c)
+    return 2.0 / 3.0 + 1.0 / (12.0 * math.sin(0.5 * phi.phi) ** 2)
 
 
 def iteration_band(k: int) -> IterationBand:

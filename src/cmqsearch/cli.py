@@ -26,7 +26,7 @@ from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import SolverConfig, largest_min_success, make_plan
 from cmqsearch.planner import KigrQuery, PlanTable
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 DEFAULT_CACHE = "cmqsearch-plans.json"
 
 

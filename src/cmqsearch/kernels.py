@@ -10,25 +10,25 @@ import math
 
 
 def delta_angle(phi: float, lam: float) -> float:
-    """Per-iteration rotation angle delta with cos(delta) = 1 - lam*(1 - cos(phi)).
+    """Per-iteration rotation angle delta with sin(delta/2) = sqrt(lam) * sin(phi/2).
 
-    Evaluated as 2*asin(sqrt(u/2)) with u = lam*(1 - cos(phi)), which stays
-    accurate as u -> 0 where arccos(1 - u) loses all precision.
+    That is cos(delta) = 1 - 2*lam*sin^2(phi/2), evaluated through asin, which
+    stays accurate as lam*sin^2(phi/2) -> 0 where arccos loses all precision.
     """
-    u = lam * (1.0 - math.cos(phi))
-    return 2.0 * math.asin(math.sqrt(0.5 * u))
+    return 2.0 * math.asin(math.sqrt(lam) * math.sin(0.5 * phi))
 
 
 def p_success(k: int, phi: float, lam: float) -> float:
     """Success probability after k matched-phase iterations, clamped to [0, 1].
 
-    Uses 1 - P = (1 - lam) * cos^2((2k+1) * asin(sqrt(x))) / (1 - x) with
-    x = lam*(1 - cos(phi))/2, the identity the optimizer's guarantee
+    Uses 1 - P = (1 - lam) * cos^2((2k+1) * asin(r)) / (1 - r^2) with
+    r = sqrt(lam) * sin(phi/2), the identity the optimizer's guarantee
     certificate rests on.  The factor (1 - lam) carries the smallness of
-    1 - P, so there is no cancellation as lam*x -> 1, and x = 0 gives P = lam.
+    1 - P, so there is no cancellation as r^2 -> 1, and r = 0 gives P = lam.
     """
-    x = 0.5 * lam * (1.0 - math.cos(phi))
-    c = math.cos((2 * k + 1) * math.asin(math.sqrt(x)))
+    r = math.sqrt(lam) * math.sin(0.5 * phi)
+    x = r * r
+    c = math.cos((2 * k + 1) * math.asin(r))
     p = 1.0 - (1.0 - lam) * c * c / (1.0 - x)
     if p < 0.0:
         return 0.0

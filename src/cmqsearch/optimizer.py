@@ -23,7 +23,8 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 
-from cmqsearch.analytic import IterationBand, PhaseAngle, iteration_band, min_point_k1, phi_min
+from cmqsearch.analytic import (IterationBand, PhaseAngle, iteration_band, min_point_k1, peak,
+                                peak_phase, phi_min)
 from cmqsearch.errors import BracketError, ConfigError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
 
@@ -57,20 +58,6 @@ class PhasePlan(namedtuple("PhasePlan", "k p_cri phases boundaries q_k_pi level_
             raise DomainError(f"lambda {lam} outside band {self.k}")
         i = bisect_right(bounds, lam) - 1
         return p_success(self.k, self.phases[i], lam)
-
-
-def _peak(k: int, phi: float) -> float:
-    """Leftmost probability-1 point; it lies inside band k iff phi > phi_min(k)."""
-    return (1.0 - math.cos(math.pi / (2 * k + 1))) / (1.0 - math.cos(phi))
-
-
-def _branch_cap(k: int, a: float) -> float:
-    """Largest phase whose peak is still at or right of a (peak(cap) == a)."""
-    c1 = 1.0 - math.cos(math.pi / (2 * k + 1))
-    r = c1 / a
-    if r >= 2.0:
-        return math.pi
-    return math.acos(1.0 - r)
 
 
 def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
@@ -107,15 +94,14 @@ def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
     return a
 
 
-def _solve_phase(k: int, a: float, q: float, cfg: SolverConfig) -> float:
+def _solve_phase(k: int, a: float, q: float, lo: float, cfg: SolverConfig) -> float:
     """Smallest phase with P(a) = q on the branch where a is left of the peak.
 
-    P(a; phi) grows from its value just above phi_min up to 1 at the branch
-    cap (where the peak sits exactly on a).  If it never drops below q the
-    constraint is inactive and the deepest admissible phase is returned.
+    P(a; phi) grows from its value at lo, just above phi_min(k), up to 1 at
+    peak_phase(k, a), where the peak sits exactly on a.  If it never drops
+    below q, the constraint is inactive and lo, the deepest phase, is returned.
     """
-    lo = phi_min(k).phi + 1e-12
-    hi = _branch_cap(k, a)
+    hi = peak_phase(k, a)
     f_lo = p_success(k, lo, a) - q
     if f_lo >= 0.0:
         return lo
@@ -147,10 +133,11 @@ def march_level(k: int, q: float, cfg: SolverConfig
         raise DomainError(f"level q must be in (0, 1), got {q}")
     band = iteration_band(k)
     a = band.lo
+    phi_lo = peak_phase(k, band.hi) + 1e-12  # just above phi_min(k)
     phases: list[float] = []
     boundaries: list[float] = [a]
     while len(phases) < cfg.max_nk:
-        phi = _solve_phase(k, a, q, cfg)
+        phi = _solve_phase(k, a, q, phi_lo, cfg)
         if phases and phi >= phases[-1]:
             raise BracketError(
                 f"phase ordering violated on band {k}: {phi} >= {phases[-1]}"
@@ -163,7 +150,7 @@ def march_level(k: int, q: float, cfg: SolverConfig
             return phases, boundaries, True
         # P is 1 at the peak and below q at the tail: the next boundary is
         # where it falls back to q in between.
-        a = _root(lambda lam: p_success(k, phi, lam) - q, _peak(k, phi), tail, 1.0 - q, gap,
+        a = _root(lambda lam: p_success(k, phi, lam) - q, peak(k, phi), tail, 1.0 - q, gap,
                   cfg.lambda_tol)
         boundaries.append(a)
     return phases, boundaries, False
@@ -271,7 +258,7 @@ def _level_residual(k: int, phases: list[float], boundaries: list[float]) -> flo
 def _falls_after_peak(k: int, phi: float, lam: float) -> bool:
     """Sufficient condition at lam for P to fall on [peak, lam] (k >= 2, band k)."""
     n = 2 * k + 1
-    s = 0.5 * (1.0 - math.cos(phi))
+    s = math.sin(0.5 * phi) ** 2
     x = lam * s
     half = n * math.asin(math.sqrt(x))  # n * delta / 2
     lhs = n * abs(math.tan(half)) * math.sqrt(s / (lam * (1.0 - x)))
@@ -284,7 +271,7 @@ def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> float:
     Raises DomainError unless the boundaries run from band.lo to band.hi, and
     VerificationError when the minimum is below p_cri - level_tol.
 
-    With n = 2k+1, s = (1 - cos phi)/2 and delta = 2*asin(sqrt(lam*s)), the
+    With n = 2k+1, s = sin^2(phi/2) and delta = 2*asin(sqrt(lam*s)), the
     kernel's A/B form gives
 
         1 - P = (1 - lam) * cos^2(n*delta/2) / cos^2(delta/2).
@@ -320,7 +307,7 @@ def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> float:
                 m = min_point_k1(PhaseAngle(phi))
                 if lo < m < hi:
                     worst = min(worst, p_success(1, phi, m))
-        elif _peak(k, phi) < hi and not _falls_after_peak(k, phi, hi):
+        elif peak(k, phi) < hi and not _falls_after_peak(k, phi, hi):
             raise VerificationError(
                 f"cannot certify plan for band {k} on [{lo}, {hi}] with phase {phi}"
             )

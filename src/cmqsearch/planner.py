@@ -7,7 +7,8 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
 
-from cmqsearch.analytic import PhaseAngle, TargetFraction, grover_iterations, iterations_for
+from cmqsearch.analytic import (PhaseAngle, TargetFraction, grover_iterations, iterations_for,
+                                peak_phase)
 from cmqsearch.errors import AmbiguityError, DomainError, RangeError
 from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import PhasePlan, SolverConfig, build_plan
@@ -102,19 +103,19 @@ def plan_for(lam: TargetFraction, table: PlanTable) -> tuple[int, PhaseAngle]:
 
 
 def baseline_fixed_phase(phi: PhaseAngle, lam: TargetFraction) -> int:
-    """Optimal iteration count when the phase is fixed ahead of time."""
-    return math.floor((math.pi / 4.0) / math.asin(math.sqrt(lam.lam) * math.sin(phi.phi / 2.0)))
+    """Optimal iteration count for a phase fixed ahead of time; DomainError unless finite."""
+    half_delta = math.asin(math.sqrt(lam.lam) * math.sin(0.5 * phi.phi))
+    turns = (math.pi / 2.0) / half_delta if half_delta > 0.0 else math.inf  # about 2k + 1
+    if turns == math.inf:  # 2k + 1 would not be a finite float
+        raise DomainError(f"phi={phi.phi!r} too small: no finite fixed-phase count "
+                          f"at lambda={lam.lam!r}")
+    return math.floor(0.5 * turns)
 
 
 def baseline_long(lam: TargetFraction) -> tuple[int, float]:
     """Minimal exact-search iteration count and its certainty phase."""
     k = math.ceil(math.pi / (4.0 * lam.theta) - 0.5)
-    s = math.sin(math.pi / (4 * k + 2)) / math.sqrt(lam.lam)
-    if s > 1.0:
-        if s > 1.0 + 1e-12:
-            raise DomainError(f"inadmissible k={k} for lambda={lam.lam}")
-        s = 1.0
-    return k, 2.0 * math.asin(s)
+    return k, peak_phase(k, lam.lam)
 
 
 def baseline_yoder_bound(p_cri: float, lam: TargetFraction) -> int:

@@ -16,10 +16,11 @@ from cmqsearch.analytic import (
     iterations_for,
     local_maxima,
     min_point_k1,
+    peak,
+    peak_phase,
     phi_min,
 )
 from cmqsearch.errors import DomainError
-from cmqsearch.optimizer import _peak
 
 PI = math.pi
 
@@ -162,8 +163,16 @@ def test_local_maxima_strictly_increasing_and_filtered():
 
 
 def test_first_max_point_examples():
-    assert _peak(1, PI) == pytest.approx(0.25, abs=1e-14)
-    assert _peak(1, 2 * PI / 3) == pytest.approx(1 / 3, abs=1e-14)
+    assert peak(1, PI) == pytest.approx(0.25, abs=1e-14)
+    assert peak(1, 2 * PI / 3) == pytest.approx(1 / 3, abs=1e-14)
+    # peak_phase inverts peak on every band, from its lower edge (phi = pi) up
+    for k in (1, 2, 7, 100, 7854):
+        band = iteration_band(k)
+        assert peak_phase(k, band.lo) == pytest.approx(PI, abs=1e-7)
+        for lam in (band.lo, 0.5 * (band.lo + band.hi), band.hi, min(1.0, 4 * band.hi)):
+            assert peak(k, peak_phase(k, lam)) == pytest.approx(lam, rel=1e-12)
+    with pytest.raises(DomainError):  # even phi = pi peaks right of band 2's lower edge
+        peak_phase(2, 0.99 * iteration_band(2).lo)
 
 
 def test_min_point_k1_examples():
@@ -179,6 +188,8 @@ def test_phi_min_examples():
     assert phi_min(2).phi == pytest.approx(1.3324788649850305, abs=1e-12)  # frozen
     vals = [phi_min(k).phi for k in range(1, 40)]
     assert all(0.0 < v < PI for v in vals)
+    for k in range(1, 41):  # the peak of phi_min(k) is band k's upper edge
+        assert phi_min(k).phi == peak_phase(k, iteration_band(k).hi)
 
 
 def test_extremum_count_on_bands():

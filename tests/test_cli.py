@@ -43,21 +43,21 @@ def test_table_rebuild_is_byte_identical(cache, capfd, tmp_path):
 
 # sha256 and size of the serialized table, pinned so that a solver change that
 # moves any cached bit shows up here (and calls for a new SCHEMA_VERSION).  The
-# plans' own sha256 is pinned apart; it last moved with schema version 4.
+# plans' own sha256 is pinned apart; it last moved with schema version 5.
 @pytest.mark.parametrize("p_cri,lambda0,size,digest,plans_digest", [
-    pytest.param(0.90, 1e-2, 3204,
-                 "c835378b2772461fe18e3025c8cbe77f2f68d3bfbfd8ca844b35e33542efd9ba",
-                 "568f0239791e44cadc6085fd62a3a49b915c4387295d6433745ad0e64f0cc8d9",
+    pytest.param(0.90, 1e-2, 3207,
+                 "28a36548bf827e2cbd3a34fadc7cf28691a5972a417a8d84b37426288020cc92",
+                 "50dffee191c470f14305b1db004622e2b006fd7dfa9f962c6be56c29672204f8",
                  id="0.9-0.01"),
-    pytest.param(0.99, 1e-3, 10154,
-                 "d6abf753c175cfcfa01a63119468c9d1bb42e662bec3ef0f45977f54e50c1f0f",
-                 "a3226eccd8dcd8cadbd5e2e99c4c0caad6967941c3e2b31e009333e53f4f6791",
+    pytest.param(0.99, 1e-3, 10166,
+                 "fea80bdc8333f6a3c1472b18976a12117d276b4ac9c48966693f6ef7a36b159b",
+                 "3a7aecfde82a39d71b8600f64a46606b581262d672a70fdb6b213ba15f719105",
                  id="0.99-0.001"),
 ])
 def test_cache_bytes_pinned(p_cri, lambda0, size, digest, plans_digest):
     table = build_table(p_cri, lambda0)
     data = serialize_table(table).encode()
-    assert cli.SCHEMA_VERSION == 4
+    assert cli.SCHEMA_VERSION == 5
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
     plans = json.dumps(cli.table_to_doc(table)["plans"], indent=2, sort_keys=True).encode()
@@ -372,9 +372,9 @@ def test_cache_missing_phases_is_rebuilt(cache, capfd):
     assert "KeyError" in warning
 
 
-# Schema 1 held grid_points among the tolerances; schemas 2 and 3 have the
-# layout of schema 4, and only the solver that wrote the plans differs.
-@pytest.mark.parametrize("version", [0, 1, 2, 3])
+# Schema 1 held grid_points among the tolerances; schemas 2 to 4 have the
+# layout of schema 5, and only the solver that wrote the plans differs.
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 4])
 def test_cache_other_version_is_rebuilt(cache, capfd, version):
     main(["table", "--cache", cache])
     capfd.readouterr()
@@ -386,7 +386,7 @@ def test_cache_other_version_is_rebuilt(cache, capfd, version):
         doc_to_table(doc)  # direct callers still get the typed error
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
     assert f"version {version}" in warning
-    assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION == 4
+    assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION == 5
 
 
 def _damage_plans(doc, damage):
@@ -533,6 +533,17 @@ def test_compare_record(cache, capfd):
     rec = json.loads(out)
     assert rec["k_ours"] == 8 and rec["k_yoder_lb"] == 16
     assert float(rec["yoder_ratio"]) == pytest.approx(2.0, abs=0.15)
+
+
+@pytest.mark.parametrize("command", [["compare", "--lambda", "0.5"],
+                                     ["sweep", "--algorithms", "fixed", "--grid", "3"]])
+# At phi = 2.2e-308 the count k is finite, but 2k + 1 is past the largest float.
+@pytest.mark.parametrize("phi", ["5e-324", "1e-310", "2.2e-308"])
+def test_phi_with_no_finite_fixed_count_is_one_error_line(cache, capfd, command, phi):
+    code, _, err = run([*command, "--phi", phi, "--cache", cache], capfd)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "no finite fixed-phase count" in err
 
 
 # ------------------------------------------------------------------ environment

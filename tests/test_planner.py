@@ -162,6 +162,15 @@ def test_compare_record(table90):
     assert rec.k_ours - rec.k_grover in (0, 1)
 
 
+@pytest.mark.parametrize("phi", [1e-9, 1e-12, 1e-100])
+def test_compare_fixed_phase_reaches_one_at_small_phi(table90, phi):
+    # 1 - cos(phi) is 0.0 in floats below phi ~ 1e-8: a probability formed
+    # from it fell back to lambda, though the count from sin(phi/2) was right.
+    rec = compare(TargetFraction(0.5), table90, 0.90, PhaseAngle(phi))
+    assert rec.k_fixed > 1e8
+    assert rec.p_fixed > 0.99
+
+
 def test_compare_zero_grover_iterations(table90):
     rec = compare(TargetFraction(0.6), table90, 0.90, PhaseAngle(0.1 * PI))
     assert rec.k_grover == 0 and rec.k_ours == 1
