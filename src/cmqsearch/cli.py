@@ -198,31 +198,36 @@ def cmd_sweep(cfg: RunConfig, algorithms: list[str], grid: int,
     if grid < 2:
         raise DomainError(f"grid must be >= 2, got {grid}")
     known = {"ours", "grover", "fixed", "yoder_bound", "long"}
-    bad = set(algorithms) - known
-    if bad:
+    if bad := set(algorithms) - known:
         raise DomainError(f"unknown algorithms: {sorted(bad)} (choose from {sorted(known)})")
     table = load_or_build_table(cfg) if "ours" in algorithms else None
     phi_f = PhaseAngle(fixed_phi)
-    out.write("lambda,algorithm,k,p\n")
+    # The grid ascends from lambda0, which the table covers, so one cursor walks
+    # the table's segments up from band k_max.  The header waits for grid point 0:
+    # the fixed-phase half-angle grows with lambda, so a row that can fail fails there.
+    segments = ((plan.k, phi, hi) for plan in reversed(table.plans)
+                for phi, hi in zip(plan.phases, plan.boundaries[1:])) if table else None
+    seg_hi = 0.0
+    text = "lambda,algorithm,k,p\n"
     for lam_val in _log_grid(cfg.lambda0, grid):
         lam = TargetFraction(lam_val)
         for alg in algorithms:
             if alg == "ours":
-                k, phi = planner.plan_for(lam, table)
-                p = repr(p_success(k, phi.phi, lam_val))
+                while lam_val >= seg_hi:
+                    k_ours, phi_ours, seg_hi = next(segments)
+                k, phi = k_ours, phi_ours
             elif alg == "grover":
-                k = analytic.grover_iterations(lam)
-                p = repr(p_success(k, math.pi, lam_val) if k > 0 else lam_val)
+                k, phi = analytic.grover_iterations(lam), math.pi
             elif alg == "fixed":
-                k = planner.baseline_fixed_phase(phi_f, lam)
-                p = repr(p_success(k, phi_f.phi, lam_val) if k > 0 else lam_val)
+                k, phi = planner.baseline_fixed_phase(phi_f, lam), phi_f.phi
             elif alg == "long":
-                k, phi_l = planner.baseline_long(lam)
-                p = repr(p_success(k, phi_l, lam_val))
+                k, phi = planner.baseline_long(lam)
             else:  # yoder_bound: iteration lower bound only, no probability curve
-                k = planner.baseline_yoder_bound(cfg.p_cri, lam)
-                p = ""
-            out.write(f"{lam_val!r},{alg},{k},{p}\n")
+                text += f"{lam_val!r},{alg},{planner.baseline_yoder_bound(cfg.p_cri, lam)},\n"
+                continue
+            text += f"{lam_val!r},{alg},{k},{planner.success_after(k, phi, lam_val)!r}\n"
+        out.write(text)
+        text = ""
     return 0
 
 

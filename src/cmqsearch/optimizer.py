@@ -126,8 +126,8 @@ def march_level(k: int, q: float, cfg: SolverConfig
     """Greedy left-to-right segment construction at common level q.
 
     Returns (phases, boundaries, feasible).  ``boundaries`` always starts at
-    the band's lower edge; when feasible it ends at the band's upper edge.
-    Infeasible means the phase-count cap was reached before full coverage.
+    the band's lower edge.  It ends at the band's upper edge when feasible, and
+    holds only the segments' lower edges when the phase cap came first.
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"level q must be in (0, 1), got {q}")
@@ -136,7 +136,7 @@ def march_level(k: int, q: float, cfg: SolverConfig
     phi_lo = peak_phase(k, band.hi) + 1e-12  # just above phi_min(k)
     phases: list[float] = []
     boundaries: list[float] = [a]
-    while len(phases) < cfg.max_nk:
+    while True:
         phi = _solve_phase(k, a, q, phi_lo, cfg)
         if phases and phi >= phases[-1]:
             raise BracketError(
@@ -148,12 +148,13 @@ def march_level(k: int, q: float, cfg: SolverConfig
         if gap >= 0.0:
             boundaries.append(band.hi)
             return phases, boundaries, True
+        if len(phases) == cfg.max_nk:
+            return phases, boundaries, False
         # P is 1 at the peak and below q at the tail: the next boundary is
         # where it falls back to q in between.
         a = _root(lambda lam: p_success(k, phi, lam) - q, peak(k, phi), tail, 1.0 - q, gap,
                   cfg.lambda_tol)
         boundaries.append(a)
-    return phases, boundaries, False
 
 
 def largest_min_success(k: int, n_k: int, cfg: SolverConfig, floor: float = 0.5

@@ -5,32 +5,22 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from functools import cached_property
 
 from cmqsearch.analytic import (PhaseAngle, TargetFraction, grover_iterations, iterations_for,
                                 peak_phase)
 from cmqsearch.errors import AmbiguityError, DomainError, RangeError
-from cmqsearch.kernels import p_success
+from cmqsearch.kernels import delta_angle, p_success
 from cmqsearch.optimizer import PhasePlan, SolverConfig, build_plan
 
 
 class PlanTable(namedtuple("PlanTable", "p_cri lambda0 plans cfg")):
     """Plans for every band intersecting [lambda0, 1), indexed by k = 1..k_max."""
 
-    # No __slots__: the instance dict holds the cached _segments.
+    __slots__ = ()
 
     @property
     def coverage_lo(self) -> float:
         return self.plans[-1].boundaries[0]
-
-    @cached_property
-    def _segments(self) -> tuple[list[float], list[tuple[int, int]]]:
-        """Ascending lower edges of all segments, and the (k, m) of each."""
-        edges, keys = [], []
-        for plan in reversed(self.plans):
-            edges += plan.boundaries[:-1]
-            keys += [(plan.k, m) for m in range(1, plan.n_k + 1)]
-        return edges, keys
 
     def plan(self, k: int) -> PhasePlan:
         if not 1 <= k <= len(self.plans):
@@ -67,13 +57,11 @@ class KigrQuery(namedtuple("KigrQuery", "exact_lambda range", defaults=(None, No
 
 
 def _segment_of(table: PlanTable, lam: float) -> tuple[int, int]:
-    # Bands tile the table's range, so the segment whose lower edge is the
-    # last one at or below lam holds it; band 1 runs up to 1.
-    edges, keys = table._segments
-    i = bisect_right(edges, lam) - 1
-    if i < 0:
-        raise RangeError(f"lambda={lam} below table coverage [{edges[0]}, 1)")
-    return keys[i]
+    # make_plan holds plan k to band k's float edges, which tile [coverage_lo, 1).
+    if lam < table.coverage_lo:
+        raise RangeError(f"lambda={lam} below table coverage [{table.coverage_lo}, 1)")
+    k = iterations_for(TargetFraction(lam))
+    return k, bisect_right(table.plan(k).boundaries, lam)
 
 
 def classify(query: KigrQuery, table: PlanTable) -> tuple[int, int]:
@@ -104,8 +92,8 @@ def plan_for(lam: TargetFraction, table: PlanTable) -> tuple[int, PhaseAngle]:
 
 def baseline_fixed_phase(phi: PhaseAngle, lam: TargetFraction) -> int:
     """Optimal iteration count for a phase fixed ahead of time; DomainError unless finite."""
-    half_delta = math.asin(math.sqrt(lam.lam) * math.sin(0.5 * phi.phi))
-    turns = (math.pi / 2.0) / half_delta if half_delta > 0.0 else math.inf  # about 2k + 1
+    delta = delta_angle(phi.phi, lam.lam)
+    turns = math.pi / delta if delta > 0.0 else math.inf  # about 2k + 1
     if turns == math.inf:  # 2k + 1 would not be a finite float
         raise DomainError(f"phi={phi.phi!r} too small: no finite fixed-phase count "
                           f"at lambda={lam.lam!r}")
@@ -135,6 +123,11 @@ def crossover_pcri() -> float:
     return 1.0 - 4.0 * math.exp(-math.pi)
 
 
+def success_after(k: int, phi: float, lam: float) -> float:
+    """Success probability after k iterations at phase phi; lam itself when k = 0."""
+    return p_success(k, phi, lam) if k > 0 else lam
+
+
 BaselineComparison = namedtuple(
     "BaselineComparison",
     "lam k_ours k_grover k_fixed k_long phi_long k_yoder_lb p_ours p_grover p_fixed")
@@ -155,7 +148,7 @@ def compare(lam: TargetFraction, table: PlanTable, p_cri: float,
         k_long=k_l,
         phi_long=phi_l,
         k_yoder_lb=baseline_yoder_bound(p_cri, lam),
-        p_ours=p_success(k_ours, phi.phi, lam.lam),
-        p_grover=p_success(k_g, math.pi, lam.lam) if k_g > 0 else lam.lam,
-        p_fixed=p_success(k_f, fixed_phi.phi, lam.lam) if k_f > 0 else lam.lam,
+        p_ours=success_after(k_ours, phi.phi, lam.lam),
+        p_grover=success_after(k_g, math.pi, lam.lam),
+        p_fixed=success_after(k_f, fixed_phi.phi, lam.lam),
     )

@@ -14,10 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmqsearch import cli
+from cmqsearch.analytic import TargetFraction
 from cmqsearch.cli import doc_to_table, main, serialize_table
 from cmqsearch.errors import DomainError
+from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import SolverConfig
-from cmqsearch.planner import build_table
+from cmqsearch.planner import build_table, plan_for
 
 
 def run(args, capfd):
@@ -117,6 +119,26 @@ def test_sweep_from_a_band_edge_lambda0(cache, capfd):
     lines = out.splitlines()
     assert lines[1].split(",")[:3] == [EDGE_LAMBDA, "ours", "3"]
     assert len(lines) == 1 + 10 * 2
+
+
+@pytest.mark.parametrize("lambda0", [None, EDGE_LAMBDA, "segment edge"])
+def test_sweep_rows_match_plan_for(cache, capfd, table90, lambda0):
+    # the sweep walks the table's segments with one cursor; plan_for looks each
+    # lambda up on its own, and both must name the same (k, phi) at every point
+    if lambda0 == "segment edge":  # grid point 0 starts band 2's second segment
+        lambda0 = repr(table90.plan(2).boundaries[1])
+    flags = [] if lambda0 is None else ["--lambda0", lambda0]
+    code, out, err = run(["sweep", "--grid", "2000", "--algorithms", "ours", *flags,
+                          "--cache", cache], capfd)
+    assert (code, err) == (0, "")
+    with open(cache) as fh:
+        table = doc_to_table(json.load(fh))
+    grid = cli._log_grid(table.lambda0, 2000)
+    rows = out.splitlines()
+    assert len(rows) == 1 + len(grid)
+    for row, lam in zip(rows[1:], grid):
+        k, phi = plan_for(TargetFraction(lam), table)
+        assert row == f"{lam!r},ours,{k},{p_success(k, phi.phi, lam)!r}"
 
 
 def test_table_level_reaches_pcri_just_above_a_level(cache, capfd):
@@ -240,18 +262,24 @@ def _value(spec):
     return st.text(max_size=8).map(lambda text: text.lstrip("-"))
 
 
+# command -> (flag list strategy, required flags, {flag: value strategy}), built
+# once: making the strategies on every draw trips Hypothesis's too_slow check
+_ARGV_PARTS = {command: (st.lists(st.sampled_from(list(flags)), max_size=12),
+                         [flag for flag, spec in flags.items() if spec.get("required")],
+                         {flag: _value(spec) for flag, spec in flags.items()})
+               for command, (_, flags) in cli._flag_table().items()}
+
+
 @st.composite
 def _valid_argv(draw):
-    table = cli._flag_table()
-    command = draw(st.sampled_from(list(table)))
-    flags = table[command][1]
-    pairs = draw(st.lists(st.sampled_from(list(flags)), max_size=12))
-    required = [flag for flag, spec in flags.items() if spec.get("required")]
+    command = draw(st.sampled_from(list(_ARGV_PARTS)))
+    flag_lists, required, values = _ARGV_PARTS[command]
+    pairs = draw(flag_lists)
     for flag in required:
         pairs.insert(draw(st.integers(0, len(pairs))), flag)
     argv = [command]
     for flag in pairs:  # repeated flags included: the last one wins
-        argv += [flag, draw(_value(flags[flag]))]
+        argv += [flag, draw(values[flag])]
     return argv
 
 
@@ -540,8 +568,9 @@ def test_compare_record(cache, capfd):
 # At phi = 2.2e-308 the count k is finite, but 2k + 1 is past the largest float.
 @pytest.mark.parametrize("phi", ["5e-324", "1e-310", "2.2e-308"])
 def test_phi_with_no_finite_fixed_count_is_one_error_line(cache, capfd, command, phi):
-    code, _, err = run([*command, "--phi", phi, "--cache", cache], capfd)
-    assert code == 1
+    # a failing sweep row fails at grid point 0, before the CSV header is written
+    code, out, err = run([*command, "--phi", phi, "--cache", cache], capfd)
+    assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "no finite fixed-phase count" in err
 

@@ -86,8 +86,12 @@ def test_march_rejects_bad_level(solver_cfg):
 
 def test_march_infeasible_at_cap():
     cfg = SolverConfig(max_nk=2)
-    phases, _, ok = march_level(1, 0.999, cfg)
+    phases, bounds, ok = march_level(1, 0.999, cfg)
     assert not ok and len(phases) == 2
+    # it stops at its cap: no boundary after the last phase, only the lower
+    # edges of its segments, as the uncapped march has them
+    full_phases, full_bounds, _ = march_level(1, 0.999, SolverConfig())
+    assert (phases, bounds) == (full_phases[:2], full_bounds[:2])
 
 
 # ----------------------------------------------------- largest minimum success

@@ -1,11 +1,14 @@
 """Range classification, plan lookup, and baseline comparisons."""
 
 import math
+import random
+import re
 
 import pytest
 
 from cmqsearch.analytic import PhaseAngle, TargetFraction, iterations_for
 from cmqsearch.errors import AmbiguityError, DomainError, RangeError
+from cmqsearch.kernels import p_success
 from cmqsearch.planner import (
     KigrQuery,
     baseline_fixed_phase,
@@ -16,6 +19,7 @@ from cmqsearch.planner import (
     compare,
     crossover_pcri,
     plan_for,
+    success_after,
 )
 
 PI = math.pi
@@ -29,6 +33,8 @@ def test_table_shape(table90):
     assert table90.coverage_lo < 1e-2
     with pytest.raises(RangeError):
         table90.plan(9)
+    with pytest.raises(AttributeError):  # slotted: no instance dict
+        table90.extra = 1
 
 
 def test_build_table_rejects_bad_lambda0():
@@ -93,6 +99,53 @@ def test_classify_total_on_coverage(table90):
         lam += 0.0013
 
 
+@pytest.fixture(scope="module", params=[(0.90, 1e-2), (0.99, 1e-3), (0.99, 1e-5)],
+                ids=lambda setting: "-".join(map(str, setting)))
+def lookup_table(request):
+    return build_table(*request.param)
+
+
+def _scan(table, lam):
+    """(k, m) of the one segment holding lam, by a linear scan over every plan."""
+    hits = [(plan.k, m) for plan in table.plans
+            for m, (lo, hi) in enumerate(zip(plan.boundaries, plan.boundaries[1:]), start=1)
+            if lo <= lam < hi]
+    assert len(hits) == 1, (lam, hits)
+    return hits[0]
+
+
+def test_lookup_agrees_with_a_linear_scan(lookup_table):
+    # band by iterations_for, then segment by one bisect in that band's plan
+    table = lookup_table
+    cov = table.coverage_lo
+    rng = random.Random(14)
+    lams = [cov ** (1.0 - rng.random()) for _ in range(1000)]  # log-uniform on [cov, 1)
+    for plan in table.plans:
+        for edge in plan.boundaries:
+            lams += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
+    lams = [lam for lam in lams if cov <= lam < 1.0]
+    for lam in lams:
+        k, m = _scan(table, lam)
+        assert classify(KigrQuery(exact_lambda=lam), table) == (k, m)
+        assert plan_for(TargetFraction(lam), table) == (k, PhaseAngle(table.plan(k).phases[m - 1]))
+    below = math.nextafter(cov, 0.0)
+    message = re.escape(f"lambda={below} below table coverage [{cov}, 1)")
+    with pytest.raises(RangeError, match=f"^{message}$"):
+        classify(KigrQuery(exact_lambda=below), table)
+    with pytest.raises(RangeError, match=f"^{message}$"):
+        plan_for(TargetFraction(below), table)
+
+
+def test_range_lookup_per_segment(lookup_table):
+    # a segment's own range resolves to it; one ulp more straddles the next
+    for plan in lookup_table.plans:
+        for m, (lo, hi) in enumerate(zip(plan.boundaries, plan.boundaries[1:]), start=1):
+            assert classify(KigrQuery(range=(lo, hi)), lookup_table) == (plan.k, m)
+            if hi < 1.0:
+                with pytest.raises(AmbiguityError, match=f"segment \\(k={plan.k}, m={m}\\)"):
+                    classify(KigrQuery(range=(lo, math.nextafter(hi, 1.0))), lookup_table)
+
+
 # --------------------------------------------------------------------- plan_for
 
 def test_plan_for_examples(table90):
@@ -121,7 +174,6 @@ def test_baseline_long_examples():
     assert k == 8
     assert phi == pytest.approx(2.3499676097565314, abs=1e-12)  # frozen
     # sanity: this (k, phi) is exact -- probability 1 in closed form
-    from cmqsearch.kernels import p_success
     assert p_success(k, phi, 0.01) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -175,3 +227,9 @@ def test_compare_zero_grover_iterations(table90):
     rec = compare(TargetFraction(0.6), table90, 0.90, PhaseAngle(0.1 * PI))
     assert rec.k_grover == 0 and rec.k_ours == 1
     assert rec.p_grover == 0.6  # no iterations: probability is lambda itself
+
+
+def test_success_after():
+    assert success_after(0, PI, 0.6) == 0.6
+    assert success_after(1, 0.3, 0.6) == p_success(1, 0.3, 0.6)
+    assert success_after(3, PI, 0.01) == p_success(3, PI, 0.01)
