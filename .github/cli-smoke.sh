@@ -11,7 +11,8 @@
 # with such a phase must print nothing on stdout.  Then --help for the program
 # and each command and two usage errors, which build the argparse parser that
 # a well-formed command line never loads, and a table, plan and verify down to
-# lambda0 = 1e-6 (785 bands).
+# lambda0 = 1e-6 (785 bands) and to lambda0 = 1e-8 (7,854 bands, nearly all with
+# one phase; the narrowest is 2.5e-12 wide, near lambda_tol = 1e-12).
 set -euo pipefail
 export PYTHONPATH=src
 tmp=$(mktemp -d)
@@ -48,3 +49,7 @@ deep=(--pcri 0.99 --lambda0 1e-6 --cache "$tmp/deep.json")
 cli table "${deep[@]}" > /dev/null
 cli plan --lambda 2e-6 "${deep[@]}"
 cli verify "${deep[@]}"
+deepest=(--pcri 0.99 --lambda0 1e-8 --cache "$tmp/deepest.json")
+cli table "${deepest[@]}" > /dev/null
+cli plan --lambda 2e-8 "${deepest[@]}"
+cli verify "${deepest[@]}"

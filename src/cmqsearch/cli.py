@@ -26,7 +26,7 @@ from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import SolverConfig, largest_min_success, make_plan
 from cmqsearch.planner import KigrQuery, PlanTable
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 DEFAULT_CACHE = "cmqsearch-plans.json"
 
 
@@ -74,8 +74,10 @@ def table_to_doc(table: PlanTable) -> dict:
 def doc_to_table(doc: dict) -> PlanTable:
     """Inverse of ``table_to_doc``.
 
-    Raises DomainError unless the plans are bands 1..k(lambda0), each with an
-    n_k field that counts its phases and a plan that ``make_plan`` accepts.
+    Raises DomainError unless the plans are bands 1..k(lambda0), each a plan
+    that ``make_plan`` accepts, stored with the n_k, band (its first and last
+    boundary) and level_residual that it derives from its phases and
+    boundaries.
     """
     if doc.get("version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported plan-table version {doc.get('version')}")
@@ -89,14 +91,19 @@ def doc_to_table(doc: dict) -> PlanTable:
         raise DomainError(f"plans do not hold bands 1..{k_max} for lambda0={lambda0}")
     plans = []
     for k, rec in enumerate(doc["plans"], start=1):
-        phases = [float(x) for x in rec["phases"]]
-        if int(rec["n_k"]) != len(phases):
-            raise DomainError(f"band {k}: n_k={rec['n_k']} with {len(phases)} phases")
         try:
-            plans.append(make_plan(k, p_cri, phases, [float(x) for x in rec["boundaries"]],
-                                   float(rec["q_k_pi"]), float(rec["level_residual"]), cfg))
+            plan = make_plan(k, p_cri, [float(x) for x in rec["phases"]],
+                             [float(x) for x in rec["boundaries"]], float(rec["q_k_pi"]), cfg)
         except VerificationError as exc:
             raise DomainError(f"band {k}: {exc}") from exc
+        for name, stored, own in (
+                ("n_k", rec["n_k"], plan.n_k),
+                ("band", rec["band"], [rec["boundaries"][0], rec["boundaries"][-1]]),
+                ("level_residual", float(rec["level_residual"]), plan.level_residual)):
+            if stored != own:
+                raise DomainError(f"band {k}: stored {name} {stored!r} "
+                                  f"is not the plan's own {own!r}")
+        plans.append(plan)
     return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=tuple(plans), cfg=cfg)
 
 

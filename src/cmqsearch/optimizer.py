@@ -1,20 +1,23 @@
 """Equal-level multiphase optimization on a single iteration band.
 
 The optimal-phase condition is a coupled system: all segment-boundary success
-probabilities and the tail value must share one common level.  We solve it by
-level-set marching -- given a candidate level q, segments are constructed
-left-to-right with two nested 1-D root solves (phase at the left boundary,
-next boundary after the peak).  The greedy march at q = P_cri uses the least
-number of phases n_k that reaches P_cri, so one march gives the phase count.
-The common level Q_k(n_k) is the root of the tail gap of the march capped at
-n_k phases, which is nonnegative exactly when that march covers the band.
-All three solves share one bracketed root-finder, ``_root``.
+probabilities and the tail value must share one common level.  The first
+phase alone fixes that level on the band's lower edge, q = P(band.lo; phi_1),
+so we solve it by marching from phi_1: segments are constructed left to right
+with two 1-D root solves each (the next boundary, where P falls back to q past
+the peak, then the phase that starts there at q).  The greedy march from the
+phase at level P_cri uses the least number of phases n_k that reaches P_cri,
+so one march gives the phase count.  The common level Q_k(n_k) comes from the
+root over phi_1 of the tail gap of the march capped at n_k phases, which is
+nonnegative exactly when that march covers the band.  All three solves share
+one bracketed root-finder, ``_root``.
 
 ``make_plan`` is the one constructor of a ``PhasePlan``, for fresh builds and
 for plans read back from a cache alike.  It enforces the plan contract: the
 segments tile the band exactly, the level reaches P_cri, and the guarantee
 P >= P_cri is certified segment by segment in closed form
-(``_check_guarantee``), not sampled on a grid.
+(``_check_guarantee``), not sampled on a grid.  The certificate's points also
+give the plan's equal-level residual.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 
-from cmqsearch.analytic import (IterationBand, PhaseAngle, iteration_band, min_point_k1, peak,
-                                peak_phase, phi_min)
+from cmqsearch.analytic import (PhaseAngle, iteration_band, min_point_k1, peak, peak_phase,
+                                phi_min)
 from cmqsearch.errors import BracketError, ConfigError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
 
@@ -94,13 +97,14 @@ def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
     return a
 
 
-def _solve_phase(k: int, a: float, q: float, lo: float, cfg: SolverConfig) -> float:
+def _solve_phase(k: int, a: float, q: float, cfg: SolverConfig) -> float:
     """Smallest phase with P(a) = q on the branch where a is left of the peak.
 
     P(a; phi) grows from its value at lo, just above phi_min(k), up to 1 at
     peak_phase(k, a), where the peak sits exactly on a.  If it never drops
     below q, the constraint is inactive and lo, the deepest phase, is returned.
     """
+    lo = peak_phase(k, iteration_band(k).hi) + 1e-12  # just above phi_min(k)
     hi = peak_phase(k, a)
     f_lo = p_success(k, lo, a) - q
     if f_lo >= 0.0:
@@ -114,60 +118,60 @@ def _solve_phase(k: int, a: float, q: float, lo: float, cfg: SolverConfig) -> fl
     return _root(lambda phi: p_success(k, phi, a) - q, lo, hi, f_lo, f_hi, cfg.phase_tol)
 
 
-def _tail_point(k: int, phi: float, band: IterationBand) -> float:
-    """Equal-level tail checkpoint: interior minimum for k=1, band end for k>=2."""
-    if k == 1:
-        return min_point_k1(PhaseAngle(phi))
-    return band.hi
+def march_level(k: int, phi: float, cfg: SolverConfig
+                ) -> tuple[float, list[float], list[float], float]:
+    """Greedy left-to-right segment construction from first phase phi.
 
-
-def march_level(k: int, q: float, cfg: SolverConfig
-                ) -> tuple[list[float], list[float], bool]:
-    """Greedy left-to-right segment construction at common level q.
-
-    Returns (phases, boundaries, feasible).  ``boundaries`` always starts at
-    the band's lower edge.  It ends at the band's upper edge when feasible, and
-    holds only the segments' lower edges when the phase cap came first.
+    The first phase sets the common level q = P(band.lo; phi), and each later
+    phase starts its segment at q.  Returns (q, phases, boundaries, gap), where
+    gap = P(tail; phi_last) - q at the tail point (the interior minimum for
+    k = 1, the band's upper edge for k >= 2): the march covers the band exactly
+    when gap >= 0.  ``boundaries`` always starts at the band's lower edge.  It
+    ends at the band's upper edge when covered, and holds only the segments'
+    lower edges when the phase cap came first.
     """
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"level q must be in (0, 1), got {q}")
     band = iteration_band(k)
     a = band.lo
-    phi_lo = peak_phase(k, band.hi) + 1e-12  # just above phi_min(k)
-    phases: list[float] = []
+    q = p_success(k, phi, a)
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"level q must be in (0, 1), got {q}")
+    phases: list[float] = [phi]
     boundaries: list[float] = [a]
     while True:
-        phi = _solve_phase(k, a, q, phi_lo, cfg)
-        if phases and phi >= phases[-1]:
-            raise BracketError(
-                f"phase ordering violated on band {k}: {phi} >= {phases[-1]}"
-            )
-        phases.append(phi)
-        tail = _tail_point(k, phi, band)
+        tail = min_point_k1(PhaseAngle(phi)) if k == 1 else band.hi
         gap = p_success(k, phi, tail) - q
         if gap >= 0.0:
             boundaries.append(band.hi)
-            return phases, boundaries, True
+            return q, phases, boundaries, gap
         if len(phases) == cfg.max_nk:
-            return phases, boundaries, False
+            return q, phases, boundaries, gap
         # P is 1 at the peak and below q at the tail: the next boundary is
         # where it falls back to q in between.
         a = _root(lambda lam: p_success(k, phi, lam) - q, peak(k, phi), tail, 1.0 - q, gap,
                   cfg.lambda_tol)
         boundaries.append(a)
+        phi = _solve_phase(k, a, q, cfg)
+        if phi >= phases[-1]:
+            raise BracketError(
+                f"phase ordering violated on band {k}: {phi} >= {phases[-1]}"
+            )
+        phases.append(phi)
 
 
 def largest_min_success(k: int, n_k: int, cfg: SolverConfig, floor: float = 0.5
                         ) -> tuple[float, list[float], list[float]]:
     """Largest level achievable with exactly n_k phases on band k.
 
-    The root of the signed tail gap g(q) = P(tail; phi_last) - q of the march
-    capped at n_k phases: g >= 0 exactly when that march covers the band, and
-    covering is monotone decreasing in q.  The search starts from ``floor``, a
-    level that march is known to cover (BracketError if it does not), and
-    keeps the g >= 0 end, so the level it returns is at least ``floor``.  It
-    stops on 0 <= g <= level_tol / 2, not on the width of the bracket in q,
-    because g moves many times faster than q when n_k is large.
+    The level is P(band.lo; phi_1), which rises with the first phase phi_1, so
+    the search runs over phi_1: it is the root of the tail gap of the march
+    from phi_1 capped at n_k phases, which is >= 0 exactly when that march
+    covers the band, and covering is monotone decreasing in phi_1.  The
+    bracket runs from the phase at level ``floor``, which that march is known
+    to cover (BracketError if it does not), to the phase at level 1 - 1e-12,
+    and the search keeps the covered end, so the level it returns is at least
+    ``floor``.  It stops on 0 <= gap <= level_tol / 2, not on the width of the
+    bracket, because the gap moves many times faster than the level when n_k
+    is large.
     """
     if not 1 <= n_k <= cfg.max_nk:
         raise ConfigError(f"n_k={n_k} outside [1, max_nk={cfg.max_nk}]")
@@ -175,21 +179,22 @@ def largest_min_success(k: int, n_k: int, cfg: SolverConfig, floor: float = 0.5
     # probes that would need more; covered means covered with <= n_k phases.
     # _replace skips SolverConfig's checks, which n_k has just passed.
     capped = cfg._replace(max_nk=n_k)
-    band = iteration_band(k)
+    lo = iteration_band(k).lo
     marches = {}
 
-    def gap(q: float) -> float:
-        marches[q] = march_level(k, q, capped)
-        phi = marches[q][0][-1]
-        return p_success(k, phi, _tail_point(k, phi, band)) - q
+    def gap(phi: float) -> float:
+        marches[phi] = march_level(k, phi, capped)
+        return marches[phi][3]
 
-    g_lo = gap(floor)
+    phi_lo = _solve_phase(k, lo, floor, cfg)
+    g_lo = gap(phi_lo)
     if g_lo < 0.0:
         raise BracketError(f"level {floor} not covered on band {k} with n_k={n_k}")
-    hi = 1.0 - 1e-12
-    g_hi = gap(hi)
-    q = hi if g_hi >= 0.0 else _root(gap, floor, hi, g_lo, g_hi, 0.0, 0.5 * cfg.level_tol)
-    phases, boundaries, _ = marches[q]
+    phi_hi = _solve_phase(k, lo, 1.0 - 1e-12, cfg)
+    g_hi = gap(phi_hi)
+    phi = phi_hi if g_hi >= 0.0 else _root(gap, phi_lo, phi_hi, g_lo, g_hi, 0.0,
+                                           0.5 * cfg.level_tol)
+    q, phases, boundaries, _ = marches[phi]
     # The march may cover the band with fewer phases than allowed only when
     # the level is far below Q_k(n_k); at the supremum it uses all of them.
     return q, phases, boundaries
@@ -198,15 +203,17 @@ def largest_min_success(k: int, n_k: int, cfg: SolverConfig, floor: float = 0.5
 def optimal_phase_count(k: int, p_cri: float, cfg: SolverConfig) -> int:
     """Least phase count whose largest minimum level reaches p_cri.
 
-    From each left boundary the march takes the deepest phase that still
-    starts at p_cri, whose curve stays at or above p_cri furthest to the
-    right, so the march at p_cri covers the band with the fewest phases that
-    can.  An uncovered band after max_nk phases is a ConfigError.
+    The march starts from the phase at level p_cri on the band's lower edge,
+    and from each left boundary it takes the deepest phase that still starts
+    at that level, whose curve stays at or above it furthest to the right, so
+    it covers the band with the fewest phases that can.  (When even the
+    deepest phase starts above p_cri, it covers the band alone.)  An
+    uncovered band after max_nk phases is a ConfigError.
     """
     if not 0.0 < p_cri < 1.0:
         raise DomainError(f"p_cri must be in (0, 1), got {p_cri}")
-    phases, _, ok = march_level(k, p_cri, cfg)
-    if ok:
+    _, phases, _, gap = march_level(k, _solve_phase(k, iteration_band(k).lo, p_cri, cfg), cfg)
+    if gap >= 0.0:
         return len(phases)
     raise ConfigError(f"p_cri={p_cri} not reachable on band {k} within max_nk={cfg.max_nk}")
 
@@ -216,12 +223,11 @@ def build_plan(k: int, p_cri: float, cfg: SolverConfig | None = None) -> PhasePl
     cfg = cfg or SolverConfig()
     n_k = optimal_phase_count(k, p_cri, cfg)
     q, phases, boundaries = largest_min_success(k, n_k, cfg, floor=p_cri)
-    return make_plan(k, p_cri, phases, boundaries, q, _level_residual(k, phases, boundaries),
-                     cfg)
+    return make_plan(k, p_cri, phases, boundaries, q, cfg)
 
 
 def make_plan(k: int, p_cri: float, phases: list[float], boundaries: list[float],
-              q_k_pi: float, level_residual: float, cfg: SolverConfig) -> PhasePlan:
+              q_k_pi: float, cfg: SolverConfig) -> PhasePlan:
     """The one constructor of a PhasePlan, for fresh builds and cache loads.
 
     Raises DomainError unless there are n_k >= 1 phases, each in (0, pi], and
@@ -229,7 +235,8 @@ def make_plan(k: int, p_cri: float, phases: list[float], boundaries: list[float]
     upper edge (that last is checked by ``_check_guarantee``), and the level
     q_k_pi is at least p_cri and at most the certified minimum plus level_tol.
     Raises VerificationError when ``_check_guarantee`` cannot certify
-    P >= p_cri - level_tol over the band.
+    P >= p_cri - level_tol over the band.  The plan's level_residual is the
+    one the certificate derives.
     """
     if not 1 <= len(phases) == len(boundaries) - 1:
         raise DomainError(f"band {k}: {len(phases)} phases and {len(boundaries)} boundaries")
@@ -240,20 +247,11 @@ def make_plan(k: int, p_cri: float, phases: list[float], boundaries: list[float]
     for phi in phases:
         if not 0.0 < phi <= math.pi:
             raise DomainError(f"band {k}: phi must be in (0, pi], got {phi}")
-    plan = PhasePlan(k=k, p_cri=p_cri, phases=tuple(phases), boundaries=tuple(boundaries),
-                     q_k_pi=q_k_pi, level_residual=level_residual)
-    worst = _check_guarantee(plan, cfg)
+    plan = PhasePlan(k, p_cri, tuple(phases), tuple(boundaries), q_k_pi, None)
+    worst, residual = _check_guarantee(plan, cfg)
     if q_k_pi > worst + cfg.level_tol:
         raise DomainError(f"band {k}: level {q_k_pi} above the certified minimum {worst}")
-    return plan
-
-
-def _level_residual(k: int, phases: list[float], boundaries: list[float]) -> float:
-    band = iteration_band(k)
-    levels = [p_success(k, phases[0], boundaries[0])]
-    levels += [p_success(k, phases[m], boundaries[m]) for m in range(1, len(phases))]
-    levels.append(p_success(k, phases[-1], _tail_point(k, phases[-1], band)))
-    return max(levels) - min(levels)
+    return PhasePlan(k, p_cri, plan.phases, plan.boundaries, q_k_pi, residual)
 
 
 def _falls_after_peak(k: int, phi: float, lam: float) -> bool:
@@ -266,11 +264,16 @@ def _falls_after_peak(k: int, phi: float, lam: float) -> bool:
     return lhs >= (1.0 - s) / ((1.0 - lam) * (1.0 - x))
 
 
-def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> float:
-    """Certified minimum of the planned success probability over band k.
+def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> tuple[float, float]:
+    """Certified minimum of the planned success probability over band k, and
+    the plan's equal-level residual.
 
     Raises DomainError unless the boundaries run from band.lo to band.hi, and
-    VerificationError when the minimum is below p_cri - level_tol.
+    VerificationError when the minimum is below p_cri - level_tol.  The
+    residual is max - min of P at each segment's lower end and at the tail
+    point: the last segment's minimum right of its lower end, which is P at
+    band.hi for k >= 2 and at the interior minimum min_point_k1 for k = 1
+    (P is 1 at band 1's upper edge).
 
     With n = 2k+1, s = sin^2(phi/2) and delta = 2*asin(sqrt(lam*s)), the
     kernel's A/B form gives
@@ -301,19 +304,23 @@ def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> float:
         raise DomainError(f"band {k}: segments do not tile [{band.lo}, {band.hi}] "
                           f"(boundaries span [{bounds[0]}, {bounds[-1]}])")
     worst = 1.0
+    levels = []
     for phi, lo, hi in zip(plan.phases, bounds, bounds[1:]):
-        worst = min(worst, p_success(k, phi, lo), p_success(k, phi, hi))
+        levels.append(p_success(k, phi, lo))
+        tail = p_success(k, phi, hi)
         if k == 1:
             if phi > phi_min(1).phi:  # else the interior minimum is at or past 1
                 m = min_point_k1(PhaseAngle(phi))
                 if lo < m < hi:
-                    worst = min(worst, p_success(1, phi, m))
+                    tail = min(tail, p_success(1, phi, m))
         elif peak(k, phi) < hi and not _falls_after_peak(k, phi, hi):
             raise VerificationError(
                 f"cannot certify plan for band {k} on [{lo}, {hi}] with phase {phi}"
             )
+        worst = min(worst, levels[-1], tail)
     if worst < plan.p_cri - cfg.level_tol:
         raise VerificationError(
             f"plan for band {k} dips to {worst} < p_cri - level_tol"
         )
-    return worst
+    levels.append(tail)
+    return worst, max(levels) - min(levels)

@@ -45,21 +45,21 @@ def test_table_rebuild_is_byte_identical(cache, capfd, tmp_path):
 
 # sha256 and size of the serialized table, pinned so that a solver change that
 # moves any cached bit shows up here (and calls for a new SCHEMA_VERSION).  The
-# plans' own sha256 is pinned apart; it last moved with schema version 5.
+# plans' own sha256 is pinned apart; it last moved with schema version 6.
 @pytest.mark.parametrize("p_cri,lambda0,size,digest,plans_digest", [
-    pytest.param(0.90, 1e-2, 3207,
-                 "28a36548bf827e2cbd3a34fadc7cf28691a5972a417a8d84b37426288020cc92",
-                 "50dffee191c470f14305b1db004622e2b006fd7dfa9f962c6be56c29672204f8",
+    pytest.param(0.90, 1e-2, 3153,
+                 "2f0c8377f013b64d4eedb5872b1b2059d74041e381631ccf646b0e44d1c0715d",
+                 "e0292488353fb2b7a0a9b9dc1669fae63231f4a7065cc68ccb361b757c6b2a68",
                  id="0.9-0.01"),
-    pytest.param(0.99, 1e-3, 10166,
-                 "fea80bdc8333f6a3c1472b18976a12117d276b4ac9c48966693f6ef7a36b159b",
-                 "3a7aecfde82a39d71b8600f64a46606b581262d672a70fdb6b213ba15f719105",
+    pytest.param(0.99, 1e-3, 9992,
+                 "a196ee78cec64ec815de8b985c84cee97c3c2cd0c8ba5c9891a306110edcfd8f",
+                 "d89d7ae35b3ed7e35afd771bd1e7309ac43f64ab55e362ff9f41b8acfa282bf8",
                  id="0.99-0.001"),
 ])
 def test_cache_bytes_pinned(p_cri, lambda0, size, digest, plans_digest):
     table = build_table(p_cri, lambda0)
     data = serialize_table(table).encode()
-    assert cli.SCHEMA_VERSION == 5
+    assert cli.SCHEMA_VERSION == 6
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
     plans = json.dumps(cli.table_to_doc(table)["plans"], indent=2, sort_keys=True).encode()
@@ -400,9 +400,9 @@ def test_cache_missing_phases_is_rebuilt(cache, capfd):
     assert "KeyError" in warning
 
 
-# Schema 1 held grid_points among the tolerances; schemas 2 to 4 have the
-# layout of schema 5, and only the solver that wrote the plans differs.
-@pytest.mark.parametrize("version", [0, 1, 2, 3, 4])
+# Schema 1 held grid_points among the tolerances; schemas 2 to 5 have the
+# layout of schema 6, and only the solver that wrote the plans differs.
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5])
 def test_cache_other_version_is_rebuilt(cache, capfd, version):
     main(["table", "--cache", cache])
     capfd.readouterr()
@@ -414,7 +414,7 @@ def test_cache_other_version_is_rebuilt(cache, capfd, version):
         doc_to_table(doc)  # direct callers still get the typed error
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
     assert f"version {version}" in warning
-    assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION == 5
+    assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION == 6
 
 
 def _damage_plans(doc, damage):
@@ -452,6 +452,12 @@ def _bend_plans(plans, edit):
         plans[-1]["q_k_pi"] = "0.999"
     elif edit == "phase_above_pi":
         plans[-1]["phases"][0] = "4.0"
+    elif edit == "zero_residual":  # verify would report band 2's 3.2e-11 as 0
+        plans[1]["level_residual"] = "0.0"
+    elif edit == "large_residual":  # verify would fail a sound table with exit 5
+        plans[-1]["level_residual"] = "0.5"
+    elif edit == "moved_band":  # the band no longer spans the plan's boundaries
+        plans[-1]["band"][0] = "0.009"
     else:  # "dipping_phase": band 1's first segment then dips below 0.90
         plans[0]["phases"][0] = repr(float(plans[0]["phases"][0]) - 0.3)
 
@@ -461,6 +467,9 @@ def _bend_plans(plans, edit):
                                           ("low_level", "below p_cri"),
                                           ("level_above_minimum", "above the certified"),
                                           ("phase_above_pi", "phi must be in"),
+                                          ("zero_residual", "stored level_residual 0.0 "),
+                                          ("large_residual", "stored level_residual 0.5 "),
+                                          ("moved_band", "stored band"),
                                           ("dipping_phase", "dips")])
 def test_cache_uncertified_plan_is_rebuilt(cache, capfd, edit, message):
     main(["table", "--cache", cache])

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from cmqsearch.analytic import iteration_band, phi_min
+from cmqsearch import optimizer
+from cmqsearch.analytic import iteration_band, peak_phase, phi_min
 from cmqsearch.errors import ConfigError, DomainError, VerificationError
 from cmqsearch.kernels import p_derivative, p_success
 from cmqsearch.optimizer import (
@@ -53,44 +54,45 @@ def test_config_is_frozen():
 
 # --------------------------------------------------------------------- marching
 
-def test_march_examples(solver_cfg):
-    phases, bounds, ok = march_level(1, 0.90, solver_cfg)
-    assert ok and len(phases) <= 2
-    phases, bounds, ok = march_level(3, 0.93, solver_cfg)
-    assert ok and len(phases) == 1
+def test_march_examples(solver_cfg, march_at):
+    _, phases, bounds, gap = march_at(1, 0.90, solver_cfg)
+    assert gap >= 0.0 and len(phases) <= 2
+    _, phases, bounds, gap = march_at(3, 0.93, solver_cfg)
+    assert gap >= 0.0 and len(phases) == 1
     assert bounds[0] == iteration_band(3).lo
     assert bounds[-1] == iteration_band(3).hi
 
 
-def test_march_feasible_count_monotone_in_level(solver_cfg):
+def test_march_feasible_count_monotone_in_level(solver_cfg, march_at):
     counts = []
     for q in (0.5, 0.8, 0.9, 0.96, 0.99, 0.999, 0.9999):
-        phases, _, ok = march_level(1, q, solver_cfg)
-        assert ok
+        _, phases, _, gap = march_at(1, q, solver_cfg)
+        assert gap >= 0.0
         counts.append(len(phases))
     assert counts == sorted(counts)
     assert counts == [1, 1, 2, 3, 5, 14, 45]  # frozen
 
 
-def test_march_phases_strictly_decreasing(solver_cfg):
-    phases, _, _ = march_level(2, 0.99, solver_cfg)
+def test_march_phases_strictly_decreasing(solver_cfg, march_at):
+    _, phases, _, _ = march_at(2, 0.99, solver_cfg)
     assert len(phases) > 2
     assert all(a > b for a, b in zip(phases, phases[1:]))
     assert phases[-1] > phi_min(2).phi
 
 
 def test_march_rejects_bad_level(solver_cfg):
-    with pytest.raises(DomainError):
-        march_level(1, 1.0, solver_cfg)
+    # phase pi peaks on band 1's lower edge, where it sets the level to 1
+    with pytest.raises(DomainError, match="level q must be in"):
+        march_level(1, peak_phase(1, 0.25), solver_cfg)
 
 
-def test_march_infeasible_at_cap():
+def test_march_infeasible_at_cap(march_at):
     cfg = SolverConfig(max_nk=2)
-    phases, bounds, ok = march_level(1, 0.999, cfg)
-    assert not ok and len(phases) == 2
+    _, phases, bounds, gap = march_at(1, 0.999, cfg)
+    assert gap < 0.0 and len(phases) == 2
     # it stops at its cap: no boundary after the last phase, only the lower
     # edges of its segments, as the uncapped march has them
-    full_phases, full_bounds, _ = march_level(1, 0.999, SolverConfig())
+    _, full_phases, full_bounds, _ = march_at(1, 0.999, SolverConfig())
     assert (phases, bounds) == (full_phases[:2], full_bounds[:2])
 
 
@@ -230,13 +232,44 @@ def test_plan_invariants(table90):
 
 
 # The level search must stop on the march's tail gap, not on the width of its
-# bracket in q: the gap moves about 50x faster than q when n_k is 38-45, so a
-# stop on the width in q leaves residuals up to 2.6e-8 at P_cri = 0.9999.
+# bracket: the gap moves about 50x faster than the level when n_k is 38-45, so
+# a stop on the width in the level left residuals up to 2.6e-8 at P_cri = 0.9999.
 @pytest.mark.parametrize("p_cri,lambda0", [(0.90, 1e-2), (0.99, 1e-2), (0.999, 1e-2),
                                            (0.9999, 1e-2), (0.99, 1e-3)])
 def test_level_residual_within_level_tol(p_cri, lambda0, solver_cfg):
     for plan in build_table(p_cri, lambda0, solver_cfg).plans:
         assert plan.level_residual <= solver_cfg.level_tol, (p_cri, plan.k, plan.n_k)
+
+
+# The first phase sets the level on the band's lower edge, so the level is
+# exactly P there, not a level the phase was solved to within phase_tol.
+@pytest.mark.parametrize("p_cri,lambda0", [(0.90, 1e-2), (0.99, 1e-3), (0.9999, 1e-2)])
+def test_level_is_exact_at_the_lower_edge(p_cri, lambda0, solver_cfg):
+    for plan in build_table(p_cri, lambda0, solver_cfg).plans:
+        assert plan.q_k_pi == p_success(plan.k, plan.phases[0], plan.boundaries[0]), plan.k
+
+
+# The solver's work as counts: the optimizer module's kernel calls and the
+# marches of one table build.  Re-pin these only when the solver changes on
+# purpose, and quote the values before and after in CHANGES.md.
+@pytest.mark.parametrize("p_cri,lambda0,kernel_calls,marches", [(0.90, 1e-2, 1065, 86),
+                                                                 (0.99, 1e-3, 5533, 270)])
+def test_solver_work_is_pinned(p_cri, lambda0, kernel_calls, marches, solver_cfg,
+                               monkeypatch):
+    calls = {"p_success": 0, "march_level": 0}
+
+    def counted(name):
+        fn = getattr(optimizer, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(optimizer, name, counted(name))
+    build_table(p_cri, lambda0, solver_cfg)
+    assert calls == {"p_success": kernel_calls, "march_level": marches}
 
 
 def test_plan_probability_at(table90):
@@ -346,7 +379,7 @@ def test_certificate_agrees_with_a_dense_scan(table90, solver_cfg):
                 _check_guarantee(bent, solver_cfg)
             rejected += 1
         else:
-            assert _check_guarantee(bent, solver_cfg) <= scan_min + 1e-12
+            assert _check_guarantee(bent, solver_cfg)[0] <= scan_min + 1e-12
     assert 20 < rejected < 80
 
 
@@ -362,7 +395,7 @@ def test_plan_guarantee_holds_down_to_small_lambda(k, p_cri, fracs, solver_cfg):
     except ConfigError:
         reject()
     floor = p_cri - solver_cfg.level_tol
-    assert _check_guarantee(plan, solver_cfg) >= floor
+    assert _check_guarantee(plan, solver_cfg)[0] >= floor
     for phi, lo, hi in zip(plan.phases, plan.boundaries, plan.boundaries[1:]):
         points = [lo, hi] + [lo + f * (hi - lo) for f in fracs]
         assert all(p_success(k, phi, lam) >= floor for lam in points), (k, p_cri)
