@@ -10,9 +10,14 @@
 # count is not finite, must exit 1 with an error line, no traceback; a sweep
 # with such a phase must print nothing on stdout.  Then --help for the program
 # and each command and two usage errors, which build the argparse parser that
-# a well-formed command line never loads, and a table, plan and verify down to
-# lambda0 = 1e-6 (785 bands) and to lambda0 = 1e-8 (7,854 bands, nearly all with
-# one phase; the narrowest is 2.5e-12 wide, near lambda_tol = 1e-12).
+# a well-formed command line never loads.  Two damaged headline caches must
+# each be a miss (exit 0, a warning line, no traceback): band 1 stored as the
+# one phase pi, whose certificate once divided by zero at lambda = 1, and band
+# 1's second boundary set to NaN with the residual the certificate derives for
+# it, which once loaded and served a phase whose P fell below P_cri.  Last, a
+# table, plan and verify down to lambda0 = 1e-6 (785 bands) and to lambda0 =
+# 1e-8 (7,854 bands, nearly all with one phase; the narrowest is 2.5e-12 wide,
+# near lambda_tol = 1e-12).
 set -euo pipefail
 export PYTHONPATH=src
 tmp=$(mktemp -d)
@@ -45,6 +50,28 @@ test ! -s "$tmp/sweep.out"
 grep -q "^error: " "$tmp/sweep.err"
 for cmd in "" table plan sweep verify compare; do cli $cmd --help > /dev/null; done
 for bad in "--lambda=abc" "--lam 0.1"; do exits 1 cli plan $bad --cache "$tmp/plans.json"; done
+cli table --cache "$tmp/headline.json" > /dev/null
+for case in band1_pi nan_boundary; do
+  python -c '
+import json, sys
+from cmqsearch.optimizer import PhasePlan, SolverConfig, _check_guarantee
+src, case, dst = sys.argv[1:]
+doc = json.load(open(src))
+band1 = doc["plans"][0]
+bounds = band1["boundaries"]
+if case == "band1_pi":
+    band1.update(n_k=1, phases=[repr(3.141592653589793)], boundaries=[bounds[0], bounds[-1]])
+else:
+    bounds[1] = "nan"
+    plan = PhasePlan(1, 0.9, tuple(map(float, band1["phases"])), tuple(map(float, bounds)),
+                     None, None)
+    band1["level_residual"] = repr(_check_guarantee(plan, SolverConfig())[-1])
+json.dump(doc, open(dst, "w"))
+' "$tmp/headline.json" "$case" "$tmp/$case.json"
+  cli plan --lambda 0.3 --cache "$tmp/$case.json" > /dev/null 2> "$tmp/$case.err"
+  grep -q "^warning: " "$tmp/$case.err"
+  if grep -q Traceback "$tmp/$case.err"; then exit 1; fi
+done
 deep=(--pcri 0.99 --lambda0 1e-6 --cache "$tmp/deep.json")
 cli table "${deep[@]}" > /dev/null
 cli plan --lambda 2e-6 "${deep[@]}"

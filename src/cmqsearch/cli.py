@@ -76,13 +76,14 @@ def doc_to_table(doc: dict) -> PlanTable:
 
     Raises DomainError unless the plans are bands 1..k(lambda0), each a plan
     that ``make_plan`` accepts, stored with the n_k, band (its first and last
-    boundary) and level_residual that it derives from its phases and
+    boundary), q_k_pi and level_residual that it derives from its phases and
     boundaries.
     """
     if doc.get("version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported plan-table version {doc.get('version')}")
     tol = doc["tolerances"]
-    cfg = SolverConfig(**{name: type(default)(tol[name])
+    # Through str, so that a non-finite max_nk is a ValueError, not int()'s OverflowError.
+    cfg = SolverConfig(**{name: type(default)(str(tol[name]))
                           for name, default in SolverConfig._field_defaults.items()})
     p_cri = float(doc["p_cri"])
     lambda0 = float(doc["lambda0"])
@@ -93,12 +94,13 @@ def doc_to_table(doc: dict) -> PlanTable:
     for k, rec in enumerate(doc["plans"], start=1):
         try:
             plan = make_plan(k, p_cri, [float(x) for x in rec["phases"]],
-                             [float(x) for x in rec["boundaries"]], float(rec["q_k_pi"]), cfg)
+                             [float(x) for x in rec["boundaries"]], cfg)
         except VerificationError as exc:
             raise DomainError(f"band {k}: {exc}") from exc
         for name, stored, own in (
                 ("n_k", rec["n_k"], plan.n_k),
                 ("band", rec["band"], [rec["boundaries"][0], rec["boundaries"][-1]]),
+                ("q_k_pi", float(rec["q_k_pi"]), plan.q_k_pi),
                 ("level_residual", float(rec["level_residual"]), plan.level_residual)):
             if stored != own:
                 raise DomainError(f"band {k}: stored {name} {stored!r} "

@@ -5,19 +5,21 @@ probabilities and the tail value must share one common level.  The first
 phase alone fixes that level on the band's lower edge, q = P(band.lo; phi_1),
 so we solve it by marching from phi_1: segments are constructed left to right
 with two 1-D root solves each (the next boundary, where P falls back to q past
-the peak, then the phase that starts there at q).  The greedy march from the
-phase at level P_cri uses the least number of phases n_k that reaches P_cri,
-so one march gives the phase count.  The common level Q_k(n_k) comes from the
-root over phi_1 of the tail gap of the march capped at n_k phases, which is
-nonnegative exactly when that march covers the band.  All three solves share
-one bracketed root-finder, ``_root``.
+the peak, then the phase that starts there at q).  The common level Q_k(n_k)
+is the root over phi_1 of the tail gap of the march capped at n_k phases,
+which is nonnegative exactly when that march covers the band.  One level
+search gives both n_k and Q_k(n_k): its floor probe, the greedy march from the
+phase at level P_cri, uses the least number of phases that reaches P_cri, so
+its length is n_k, and it is the covered end of the search's bracket.  All the
+solves share one bracketed root-finder, ``_root``.
 
 ``make_plan`` is the one constructor of a ``PhasePlan``, for fresh builds and
-for plans read back from a cache alike.  It enforces the plan contract: the
-segments tile the band exactly, the level reaches P_cri, and the guarantee
-P >= P_cri is certified segment by segment in closed form
-(``_check_guarantee``), not sampled on a grid.  The certificate's points also
-give the plan's equal-level residual.
+for plans read back from a cache alike.  It enforces the plan contract: each
+phase lies in (phi_min(k), pi], the segments tile the band exactly, the level
+reaches P_cri, and the guarantee P >= P_cri is certified segment by segment
+in closed form (``_check_guarantee``), not sampled on a grid.  The
+certificate's points also give the plan's level, P(band.lo; phi_1), and its
+equal-level residual, so neither is taken on trust.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _solve_phase(k: int, a: float, q: float, cfg: SolverConfig) -> float:
     peak_phase(k, a), where the peak sits exactly on a.  If it never drops
     below q, the constraint is inactive and lo, the deepest phase, is returned.
     """
-    lo = peak_phase(k, iteration_band(k).hi) + 1e-12  # just above phi_min(k)
+    lo = phi_min(k).phi + 1e-12
     hi = peak_phase(k, a)
     f_lo = p_success(k, lo, a) - q
     if f_lo >= 0.0:
@@ -158,7 +160,7 @@ def march_level(k: int, phi: float, cfg: SolverConfig
         phases.append(phi)
 
 
-def largest_min_success(k: int, n_k: int, cfg: SolverConfig, floor: float = 0.5
+def largest_min_success(k: int, n_k: int | None, cfg: SolverConfig, floor: float = 0.5
                         ) -> tuple[float, list[float], list[float]]:
     """Largest level achievable with exactly n_k phases on band k.
 
@@ -172,27 +174,42 @@ def largest_min_success(k: int, n_k: int, cfg: SolverConfig, floor: float = 0.5
     ``floor``.  It stops on 0 <= gap <= level_tol / 2, not on the width of the
     bracket, because the gap moves many times faster than the level when n_k
     is large.
+
+    With n_k None, the floor probe also gives the phase count: its march runs
+    under cfg.max_nk, and from each left boundary takes the deepest phase that
+    still starts at the floor, whose curve stays at or above it furthest to
+    the right, so it covers the band with the fewest phases that can.  n_k is
+    that march's length (one phase when even the deepest phase starts above
+    the floor), the least count whose largest level reaches the floor, and
+    the probe is the search's covered bracket end.  A floor outside (0, 1) is
+    a DomainError, and a band that march leaves uncovered is a ConfigError.
     """
-    if not 1 <= n_k <= cfg.max_nk:
+    if n_k is None:
+        if not 0.0 < floor < 1.0:
+            raise DomainError(f"p_cri must be in (0, 1), got {floor}")
+    elif not 1 <= n_k <= cfg.max_nk:
         raise ConfigError(f"n_k={n_k} outside [1, max_nk={cfg.max_nk}]")
-    # The march is greedy, so capping it at n_k phases only cuts short the
-    # probes that would need more; covered means covered with <= n_k phases.
-    # _replace skips SolverConfig's checks, which n_k has just passed.
-    capped = cfg._replace(max_nk=n_k)
     lo = iteration_band(k).lo
-    marches = {}
+    phi_lo = _solve_phase(k, lo, floor, cfg)
+    # The march is greedy, so capping it at n_k phases only cuts short the
+    # probes that would need more; covered means covered with <= n_k phases,
+    # and a covered floor probe is the same march under the cap.
+    # _replace skips SolverConfig's checks, which n_k has just passed.
+    probe = march_level(k, phi_lo, cfg._replace(max_nk=n_k or cfg.max_nk))
+    if probe[3] < 0.0:
+        if n_k is None:
+            raise ConfigError(f"p_cri={floor} not reachable on band {k} within max_nk={cfg.max_nk}")
+        raise BracketError(f"level {floor} not covered on band {k} with n_k={n_k}")
+    capped = cfg._replace(max_nk=n_k or len(probe[1]))
+    marches = {phi_lo: probe}
 
     def gap(phi: float) -> float:
         marches[phi] = march_level(k, phi, capped)
         return marches[phi][3]
 
-    phi_lo = _solve_phase(k, lo, floor, cfg)
-    g_lo = gap(phi_lo)
-    if g_lo < 0.0:
-        raise BracketError(f"level {floor} not covered on band {k} with n_k={n_k}")
     phi_hi = _solve_phase(k, lo, 1.0 - 1e-12, cfg)
     g_hi = gap(phi_hi)
-    phi = phi_hi if g_hi >= 0.0 else _root(gap, phi_lo, phi_hi, g_lo, g_hi, 0.0,
+    phi = phi_hi if g_hi >= 0.0 else _root(gap, phi_lo, phi_hi, probe[3], g_hi, 0.0,
                                            0.5 * cfg.level_tol)
     q, phases, boundaries, _ = marches[phi]
     # The march may cover the band with fewer phases than allowed only when
@@ -203,55 +220,51 @@ def largest_min_success(k: int, n_k: int, cfg: SolverConfig, floor: float = 0.5
 def optimal_phase_count(k: int, p_cri: float, cfg: SolverConfig) -> int:
     """Least phase count whose largest minimum level reaches p_cri.
 
-    The march starts from the phase at level p_cri on the band's lower edge,
-    and from each left boundary it takes the deepest phase that still starts
-    at that level, whose curve stays at or above it furthest to the right, so
-    it covers the band with the fewest phases that can.  (When even the
-    deepest phase starts above p_cri, it covers the band alone.)  An
-    uncovered band after max_nk phases is a ConfigError.
+    The level search's floor probe gives it (see ``largest_min_success``),
+    and at the supremum the search uses all n_k phases.
     """
-    if not 0.0 < p_cri < 1.0:
-        raise DomainError(f"p_cri must be in (0, 1), got {p_cri}")
-    _, phases, _, gap = march_level(k, _solve_phase(k, iteration_band(k).lo, p_cri, cfg), cfg)
-    if gap >= 0.0:
-        return len(phases)
-    raise ConfigError(f"p_cri={p_cri} not reachable on band {k} within max_nk={cfg.max_nk}")
+    return len(largest_min_success(k, None, cfg, floor=p_cri)[1])
 
 
 def build_plan(k: int, p_cri: float, cfg: SolverConfig | None = None) -> PhasePlan:
-    """Full plan for one band: phase count, phases, boundaries, achieved level."""
+    """Full plan for one band: one level search, whose floor probe at p_cri
+    gives the phase count, then the certified plan of its phases."""
     cfg = cfg or SolverConfig()
-    n_k = optimal_phase_count(k, p_cri, cfg)
-    q, phases, boundaries = largest_min_success(k, n_k, cfg, floor=p_cri)
-    return make_plan(k, p_cri, phases, boundaries, q, cfg)
+    _, phases, boundaries = largest_min_success(k, None, cfg, floor=p_cri)
+    return make_plan(k, p_cri, phases, boundaries, cfg)
 
 
 def make_plan(k: int, p_cri: float, phases: list[float], boundaries: list[float],
-              q_k_pi: float, cfg: SolverConfig) -> PhasePlan:
+              cfg: SolverConfig) -> PhasePlan:
     """The one constructor of a PhasePlan, for fresh builds and cache loads.
 
-    Raises DomainError unless there are n_k >= 1 phases, each in (0, pi], and
-    n_k + 1 strictly increasing boundaries from band k's lower edge to its
-    upper edge (that last is checked by ``_check_guarantee``), and the level
-    q_k_pi is at least p_cri and at most the certified minimum plus level_tol.
-    Raises VerificationError when ``_check_guarantee`` cannot certify
-    P >= p_cri - level_tol over the band.  The plan's level_residual is the
-    one the certificate derives.
+    Raises DomainError unless p_cri is in (0, 1), there are n_k >= 1 phases,
+    each in (phi_min(k), pi] (the solver's phases on band k, on which the
+    certificate's closed forms stay finite), and n_k + 1 strictly increasing
+    boundaries from band k's lower edge to its upper edge (that last is
+    checked by ``_check_guarantee``), and the level is at least p_cri and at
+    most the certified minimum plus level_tol.  Raises VerificationError when
+    ``_check_guarantee`` cannot certify P >= p_cri - level_tol over the band.
+    The plan's level q_k_pi = P(band.lo; phi_1) and its level_residual are
+    the ones the certificate derives, never taken on trust.
     """
+    if not 0.0 < p_cri < 1.0:
+        raise DomainError(f"p_cri must be in (0, 1), got {p_cri}")
     if not 1 <= len(phases) == len(boundaries) - 1:
         raise DomainError(f"band {k}: {len(phases)} phases and {len(boundaries)} boundaries")
-    if any(lo >= hi for lo, hi in zip(boundaries, boundaries[1:])):
+    if not all(lo < hi for lo, hi in zip(boundaries, boundaries[1:])):
         raise DomainError(f"band {k}: boundaries do not strictly increase")
-    if q_k_pi < p_cri:
-        raise DomainError(f"band {k}: level {q_k_pi} below p_cri={p_cri}")
+    deepest = phi_min(k).phi
     for phi in phases:
-        if not 0.0 < phi <= math.pi:
-            raise DomainError(f"band {k}: phi must be in (0, pi], got {phi}")
-    plan = PhasePlan(k, p_cri, tuple(phases), tuple(boundaries), q_k_pi, None)
-    worst, residual = _check_guarantee(plan, cfg)
-    if q_k_pi > worst + cfg.level_tol:
-        raise DomainError(f"band {k}: level {q_k_pi} above the certified minimum {worst}")
-    return PhasePlan(k, p_cri, plan.phases, plan.boundaries, q_k_pi, residual)
+        if not deepest < phi <= math.pi:
+            raise DomainError(f"band {k}: phi must be in ({deepest}, pi], got {phi}")
+    plan = PhasePlan(k, p_cri, tuple(phases), tuple(boundaries), None, None)
+    worst, q, residual = _check_guarantee(plan, cfg)
+    if q < p_cri:
+        raise DomainError(f"band {k}: level {q} below p_cri={p_cri}")
+    if q > worst + cfg.level_tol:
+        raise DomainError(f"band {k}: level {q} above the certified minimum {worst}")
+    return plan._replace(q_k_pi=q, level_residual=residual)
 
 
 def _falls_after_peak(k: int, phi: float, lam: float) -> bool:
@@ -264,16 +277,17 @@ def _falls_after_peak(k: int, phi: float, lam: float) -> bool:
     return lhs >= (1.0 - s) / ((1.0 - lam) * (1.0 - x))
 
 
-def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> tuple[float, float]:
-    """Certified minimum of the planned success probability over band k, and
-    the plan's equal-level residual.
+def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> tuple[float, float, float]:
+    """Certified minimum of the planned success probability over band k, the
+    plan's level P(band.lo; phi_1) and its equal-level residual.
 
     Raises DomainError unless the boundaries run from band.lo to band.hi, and
     VerificationError when the minimum is below p_cri - level_tol.  The
     residual is max - min of P at each segment's lower end and at the tail
     point: the last segment's minimum right of its lower end, which is P at
-    band.hi for k >= 2 and at the interior minimum min_point_k1 for k = 1
-    (P is 1 at band 1's upper edge).
+    band.hi for k >= 2 and at the interior minimum min_point_k1 for k = 1.
+    P is 1 at band 1's upper edge, lam = 1, for every phase, so that value is
+    taken there rather than computed.
 
     With n = 2k+1, s = sin^2(phi/2) and delta = 2*asin(sqrt(lam*s)), the
     kernel's A/B form gives
@@ -307,7 +321,7 @@ def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> tuple[float, float]:
     levels = []
     for phi, lo, hi in zip(plan.phases, bounds, bounds[1:]):
         levels.append(p_success(k, phi, lo))
-        tail = p_success(k, phi, hi)
+        tail = 1.0 if hi == 1.0 else p_success(k, phi, hi)
         if k == 1:
             if phi > phi_min(1).phi:  # else the interior minimum is at or past 1
                 m = min_point_k1(PhaseAngle(phi))
@@ -323,4 +337,4 @@ def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> tuple[float, float]:
             f"plan for band {k} dips to {worst} < p_cri - level_tol"
         )
     levels.append(tail)
-    return worst, max(levels) - min(levels)
+    return worst, levels[0], max(levels) - min(levels)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import stat
@@ -14,11 +15,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmqsearch import cli
-from cmqsearch.analytic import TargetFraction
+from cmqsearch.analytic import TargetFraction, iterations_for
 from cmqsearch.cli import doc_to_table, main, serialize_table
-from cmqsearch.errors import DomainError
+from cmqsearch.errors import CmqsearchError, DomainError
 from cmqsearch.kernels import p_success
-from cmqsearch.optimizer import SolverConfig
+from cmqsearch.optimizer import PhasePlan, SolverConfig, _check_guarantee
 from cmqsearch.planner import build_table, plan_for
 
 
@@ -182,9 +183,10 @@ def test_exit_code_below_coverage(cache, capfd):
 
 
 def test_exit_code_solver_config(cache, capfd):
-    code, _, err = run(["table", "--max-nk", "1", "--cache", cache], capfd)
+    code, out, err = run(["table", "--max-nk", "1", "--cache", cache], capfd)
     assert code == 4
-    assert "max_nk" in err
+    assert out == ""
+    assert err.splitlines() == ["error: p_cri=0.9 not reachable on band 1 within max_nk=1"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -373,7 +375,7 @@ def _plan_rebuilds_bad_cache(cache, capfd, text, lam="0.01"):
     code, out, err = run(["plan", "--lambda", lam, "--cache", cache], capfd)
     assert code == 0
     rec = json.loads(out)
-    assert rec["k"] == 8
+    assert rec["k"] == iterations_for(TargetFraction(float(lam)))
     assert float(rec["guaranteed_p"]) >= 0.90
     warnings = [line for line in err.splitlines() if line.startswith("warning:")]
     assert len(warnings) == 1 and cache in warnings[0]
@@ -464,8 +466,8 @@ def _bend_plans(plans, edit):
 
 @pytest.mark.parametrize("edit,message", [("late_start", "boundaries span"),
                                           ("early_start", "boundaries span"),
-                                          ("low_level", "below p_cri"),
-                                          ("level_above_minimum", "above the certified"),
+                                          ("low_level", "stored q_k_pi 0.5 "),
+                                          ("level_above_minimum", "stored q_k_pi 0.999 "),
                                           ("phase_above_pi", "phi must be in"),
                                           ("zero_residual", "stored level_residual 0.0 "),
                                           ("large_residual", "stored level_residual 0.5 "),
@@ -482,6 +484,90 @@ def test_cache_uncertified_plan_is_rebuilt(cache, capfd, edit, message):
     # "below table coverage" (exit 3), and a low level was served as guaranteed_p
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc), lam="0.0086")
     assert "DomainError" in warning
+
+
+# Damaged caches that parse, each a miss: make_plan holds each phase to
+# (phi_min(k), pi], p_cri to (0, 1) and NaN out of the boundaries, and derives
+# the level.  Each comment says what trusting that cache would do.
+def _unsound_cache(doc, case):
+    plans = doc["plans"]
+    if case == "band1_pi":  # the kernel's P(1, pi, 1.0) is 0/0: ZeroDivisionError
+        bounds = plans[0]["boundaries"]
+        plans[0].update(n_k=1, phases=[repr(math.pi)], boundaries=[bounds[0], bounds[-1]])
+    elif case == "tiny_phase":  # peak(3, 1e-300) overflows: OverflowError
+        plans[2]["phases"][0] = "1e-300"
+    elif case == "nan_level":  # served as "guaranteed_p": "nan"
+        plans[0]["q_k_pi"] = "nan"
+    elif case == "nan_boundary":  # with its residual: phi 1.465 served at 0.3, P 0.850
+        plans[0]["boundaries"][1] = "nan"
+        plan = PhasePlan(1, 0.90, tuple(float(x) for x in plans[0]["phases"]),
+                         tuple(float(x) for x in plans[0]["boundaries"]), None, None)
+        plans[0]["level_residual"] = repr(_check_guarantee(plan, SolverConfig())[-1])
+    elif case == "nan_pcri":  # loaded, then rebuilt as another setting with no warning
+        doc["p_cri"] = "nan"
+    else:  # "infinite_max_nk": int(inf) raises OverflowError
+        doc["tolerances"]["max_nk"] = math.inf
+
+
+@pytest.mark.parametrize("case", ["band1_pi", "tiny_phase", "nan_level", "nan_boundary",
+                                  "nan_pcri", "infinite_max_nk"])
+def test_cache_unsound_plan_is_a_miss(cache, capfd, case):
+    main(["table", "--cache", cache])
+    capfd.readouterr()
+    doc = json.loads(Path(cache).read_text())
+    _unsound_cache(doc, case)
+    warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc), lam="0.3")
+    assert "Error" in warning
+
+
+# What load_or_build_table catches: anything else would end in a traceback.
+CACHE_MISS = (OSError, CmqsearchError, ValueError, LookupError, TypeError, AttributeError)
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaf_paths(child, path + (key,))]
+
+
+_float_strings = st.sampled_from(["nan", "inf", "-0.0", "1e-300", "3.141592653589793"]) \
+    | st.floats().map(repr)
+_leaf_values = _float_strings | st.integers(-2**64, 2**64) | st.floats() | st.none() \
+    | st.lists(st.floats(), max_size=2) | st.dictionaries(st.text(max_size=3), st.floats(),
+                                                          max_size=2)
+
+
+# One to three leaves of the headline cache replaced: the document is either
+# not a table, with an error the loader catches, or it is a sound one.
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_damaged_cache_is_a_miss_or_sound(table90, data):
+    doc = cli.table_to_doc(table90)
+    paths = data.draw(st.lists(st.sampled_from(_leaf_paths(doc)), min_size=1, max_size=3,
+                               unique=True))
+    for path in paths:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(_leaf_values)
+    try:
+        table = doc_to_table(doc)
+    except CACHE_MISS:
+        return
+    floor = table.p_cri - table.cfg.level_tol
+    for plan in table.plans:
+        bounds = plan.boundaries
+        assert all(math.isfinite(b) for b in bounds)
+        assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+        assert math.isfinite(plan.q_k_pi) and plan.q_k_pi >= table.p_cri
+        for phi, lo, hi in zip(plan.phases, bounds, bounds[1:]):
+            assert p_success(plan.k, phi, lo) >= floor
+            if hi < 1.0:
+                assert p_success(plan.k, phi, hi) >= floor
 
 
 def test_solver_flags_round_trip_through_the_cache(cache, capfd, monkeypatch):

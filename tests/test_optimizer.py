@@ -19,6 +19,7 @@ from cmqsearch.optimizer import (
     _falls_after_peak,
     build_plan,
     largest_min_success,
+    make_plan,
     march_level,
     optimal_phase_count,
 )
@@ -171,6 +172,23 @@ def test_optimal_phase_count_unreachable():
         optimal_phase_count(1, 0.90, cfg)
 
 
+@pytest.mark.parametrize("p_cri", [0.0, 1.0, math.nan])
+def test_phase_count_rejects_pcri_outside_unit_interval(p_cri, solver_cfg):
+    with pytest.raises(DomainError, match=r"^p_cri must be in \(0, 1\)"):
+        largest_min_success(1, None, solver_cfg, floor=p_cri)
+
+
+# With n_k None the floor probe's march gives the phase count and is the
+# covered end of the bracket, so the search is the one an explicit n_k runs.
+@pytest.mark.parametrize("p_cri", [0.90, 0.9999])
+def test_floor_probe_count_matches_explicit_n_k(p_cri, solver_cfg, march_at):
+    for k in range(1, 6):
+        n_k = optimal_phase_count(k, p_cri, solver_cfg)
+        assert n_k == len(march_at(k, p_cri, solver_cfg)[1])
+        got = largest_min_success(k, None, solver_cfg, floor=p_cri)
+        assert got == largest_min_success(k, n_k, solver_cfg, floor=p_cri), (k, p_cri)
+
+
 # ------------------------------------------------- deep bands and high P_cri
 
 # Q_k(1) tends to 1 as k grows (0.99994 at k = 100), so deep bands need one
@@ -252,8 +270,8 @@ def test_level_is_exact_at_the_lower_edge(p_cri, lambda0, solver_cfg):
 # The solver's work as counts: the optimizer module's kernel calls and the
 # marches of one table build.  Re-pin these only when the solver changes on
 # purpose, and quote the values before and after in CHANGES.md.
-@pytest.mark.parametrize("p_cri,lambda0,kernel_calls,marches", [(0.90, 1e-2, 1065, 86),
-                                                                 (0.99, 1e-3, 5533, 270)])
+@pytest.mark.parametrize("p_cri,lambda0,kernel_calls,marches", [(0.90, 1e-2, 979, 78),
+                                                                 (0.99, 1e-3, 5028, 245)])
 def test_solver_work_is_pinned(p_cri, lambda0, kernel_calls, marches, solver_cfg,
                                monkeypatch):
     calls = {"p_success": 0, "march_level": 0}
@@ -280,7 +298,73 @@ def test_plan_probability_at(table90):
         plan.probability_at(0.1)
 
 
+# ------------------------------------------------------------------ plan contract
+
+def test_make_plan_derives_the_level_and_residual(table90, solver_cfg):
+    for plan in table90.plans:
+        assert make_plan(plan.k, plan.p_cri, list(plan.phases), list(plan.boundaries),
+                         solver_cfg) == plan
+
+
+def test_make_plan_rejects_a_level_below_pcri(solver_cfg):
+    # P_cri just above the plan's level, within level_tol: the certificate
+    # passes, and the derived level is below P_cri
+    plan = build_plan(1, 0.90, solver_cfg)
+    p_cri = plan.q_k_pi + 0.5 * solver_cfg.level_tol
+    with pytest.raises(DomainError, match="below p_cri"):
+        make_plan(1, p_cri, list(plan.phases), list(plan.boundaries), solver_cfg)
+
+
+def test_make_plan_rejects_a_level_above_the_certified_minimum(solver_cfg):
+    # a later phase nudged down: its segment's minimum falls about 1e-6 below
+    # the level set by the first phase, and stays above P_cri
+    plan = build_plan(1, 0.90, solver_cfg)
+    phases = [plan.phases[0], plan.phases[1] - 1e-5]
+    worst, q, _ = _check_guarantee(plan._replace(phases=tuple(phases)), solver_cfg)
+    assert q == plan.q_k_pi and 1e-7 < q - worst < 1e-5 and worst > 0.90
+    with pytest.raises(DomainError, match="above the certified"):
+        make_plan(1, 0.90, phases, list(plan.boundaries), solver_cfg)
+
+
+@pytest.mark.parametrize("p_cri", [0.0, 1.0, -0.5, math.nan])
+def test_make_plan_rejects_pcri_outside_unit_interval(p_cri, table90, solver_cfg):
+    plan = table90.plan(3)
+    with pytest.raises(DomainError, match=r"^p_cri must be in \(0, 1\)"):
+        make_plan(3, p_cri, list(plan.phases), list(plan.boundaries), solver_cfg)
+
+
+# The solver's phases on band k lie in (phi_min(k), pi]; at or below phi_min
+# the certificate's peak and interior-minimum forms leave the band or overflow.
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("phi", ["phi_min", 1e-300, 0.0, -0.0, math.nan, 4.0])
+def test_make_plan_rejects_phase_outside_its_domain(k, phi, table90, solver_cfg):
+    plan = table90.plan(k)
+    phases = list(plan.phases)
+    phases[-1] = phi_min(k).phi if phi == "phi_min" else phi
+    with pytest.raises(DomainError, match="phi must be in"):
+        make_plan(k, 0.90, phases, list(plan.boundaries), solver_cfg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_make_plan_rejects_a_non_finite_interior_boundary(bad, table90, solver_cfg):
+    plan = table90.plan(1)
+    bounds = list(plan.boundaries)
+    bounds[1] = bad
+    with pytest.raises(DomainError, match="do not strictly increase"):
+        make_plan(1, 0.90, list(plan.phases), bounds, solver_cfg)
+
+
 # ------------------------------------------------------------- guarantee check
+
+def test_guarantee_takes_p_one_at_band_one_upper_edge(solver_cfg):
+    # P(1, pi, 1.0) divides 0 by 0 in the kernel; P is 1 at lambda = 1 for any
+    # phase, so the certificate takes that value and rejects the plan for its
+    # dip at the interior minimum 0.75, where P(1, pi) is 0 up to rounding
+    plan = build_plan(1, 0.90, solver_cfg)._replace(phases=(PI,),
+                                                       boundaries=(iteration_band(1).lo, 1.0))
+    with pytest.raises(VerificationError, match="dips"):
+        _check_guarantee(plan, solver_cfg)
+
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_guarantee_rejects_dip(m, solver_cfg):
