@@ -18,6 +18,10 @@
 # table, plan and verify down to lambda0 = 1e-6 (785 bands) and to lambda0 =
 # 1e-8 (7,854 bands, nearly all with one phase; the narrowest is 2.5e-12 wide,
 # near lambda_tol = 1e-12).
+#
+# At the phase cap: a table and verify at P_cri = 0.99995, where band 1 needs
+# exactly max_nk = 64 phases, and a table at 0.99998, which band 1 cannot reach
+# within it: exit 4 with the one error line that says so.
 set -euo pipefail
 export PYTHONPATH=src
 tmp=$(mktemp -d)
@@ -80,3 +84,8 @@ deepest=(--pcri 0.99 --lambda0 1e-8 --cache "$tmp/deepest.json")
 cli table "${deepest[@]}" > /dev/null
 cli plan --lambda 2e-8 "${deepest[@]}"
 cli verify "${deepest[@]}"
+cap=(--pcri 0.99995 --lambda0 1e-2 --cache "$tmp/cap.json")
+cli table "${cap[@]}" > /dev/null
+cli verify "${cap[@]}"
+exits 4 cli table --pcri 0.99998 --lambda0 1e-2 --cache "$tmp/over-cap.json" 2> "$tmp/cap.err"
+test "$(cat "$tmp/cap.err")" = "error: p_cri=0.99998 not reachable on band 1 within max_nk=64"

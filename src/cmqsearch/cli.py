@@ -26,7 +26,7 @@ from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import SolverConfig, largest_min_success, make_plan
 from cmqsearch.planner import KigrQuery, PlanTable
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 DEFAULT_CACHE = "cmqsearch-plans.json"
 
 
@@ -71,6 +71,10 @@ def table_to_doc(table: PlanTable) -> dict:
     }
 
 
+def _float(x) -> float:
+    return float(str(x))
+
+
 def doc_to_table(doc: dict) -> PlanTable:
     """Inverse of ``table_to_doc``.
 
@@ -82,26 +86,27 @@ def doc_to_table(doc: dict) -> PlanTable:
     if doc.get("version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported plan-table version {doc.get('version')}")
     tol = doc["tolerances"]
-    # Through str, so that a non-finite max_nk is a ValueError, not int()'s OverflowError.
+    # Every number is read through str, so that a non-finite max_nk is a ValueError and
+    # a float field stored as an integer beyond float range is inf, not an OverflowError.
     cfg = SolverConfig(**{name: type(default)(str(tol[name]))
                           for name, default in SolverConfig._field_defaults.items()})
-    p_cri = float(doc["p_cri"])
-    lambda0 = float(doc["lambda0"])
+    p_cri = _float(doc["p_cri"])
+    lambda0 = _float(doc["lambda0"])
     k_max = analytic.iterations_for(TargetFraction(lambda0))
     if [rec["k"] for rec in doc["plans"]] != list(range(1, k_max + 1)):
         raise DomainError(f"plans do not hold bands 1..{k_max} for lambda0={lambda0}")
     plans = []
     for k, rec in enumerate(doc["plans"], start=1):
         try:
-            plan = make_plan(k, p_cri, [float(x) for x in rec["phases"]],
-                             [float(x) for x in rec["boundaries"]], cfg)
+            plan = make_plan(k, p_cri, [_float(x) for x in rec["phases"]],
+                             [_float(x) for x in rec["boundaries"]], cfg)
         except VerificationError as exc:
             raise DomainError(f"band {k}: {exc}") from exc
         for name, stored, own in (
                 ("n_k", rec["n_k"], plan.n_k),
                 ("band", rec["band"], [rec["boundaries"][0], rec["boundaries"][-1]]),
-                ("q_k_pi", float(rec["q_k_pi"]), plan.q_k_pi),
-                ("level_residual", float(rec["level_residual"]), plan.level_residual)):
+                ("q_k_pi", _float(rec["q_k_pi"]), plan.q_k_pi),
+                ("level_residual", _float(rec["level_residual"]), plan.level_residual)):
             if stored != own:
                 raise DomainError(f"band {k}: stored {name} {stored!r} "
                                   f"is not the plan's own {own!r}")

@@ -130,13 +130,16 @@ def march_level(k: int, phi: float, cfg: SolverConfig
     k = 1, the band's upper edge for k >= 2): the march covers the band exactly
     when gap >= 0.  ``boundaries`` always starts at the band's lower edge.  It
     ends at the band's upper edge when covered, and holds only the segments'
-    lower edges when the phase cap came first.
+    lower edges when the phase cap came first.  Level 1 is reached only at a
+    peak, where no later segment can start, so a march at q = 1 (phi = pi on
+    band.lo) stops after its first phase, uncovered, under any cap.  A level
+    outside (0, 1], NaN included, is a DomainError.
     """
     band = iteration_band(k)
     a = band.lo
     q = p_success(k, phi, a)
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"level q must be in (0, 1), got {q}")
+    if not 0.0 < q <= 1.0:
+        raise DomainError(f"level q must be in (0, 1], got {q}")
     phases: list[float] = [phi]
     boundaries: list[float] = [a]
     while True:
@@ -145,7 +148,8 @@ def march_level(k: int, phi: float, cfg: SolverConfig
         if gap >= 0.0:
             boundaries.append(band.hi)
             return q, phases, boundaries, gap
-        if len(phases) == cfg.max_nk:
+        # At q = 1 the curve meets the level only at its peak: no boundary past it.
+        if len(phases) == cfg.max_nk or q == 1.0:
             return q, phases, boundaries, gap
         # P is 1 at the peak and below q at the tail: the next boundary is
         # where it falls back to q in between.
@@ -169,11 +173,11 @@ def largest_min_success(k: int, n_k: int | None, cfg: SolverConfig, floor: float
     from phi_1 capped at n_k phases, which is >= 0 exactly when that march
     covers the band, and covering is monotone decreasing in phi_1.  The
     bracket runs from the phase at level ``floor``, which that march is known
-    to cover (BracketError if it does not), to the phase at level 1 - 1e-12,
-    and the search keeps the covered end, so the level it returns is at least
-    ``floor``.  It stops on 0 <= gap <= level_tol / 2, not on the width of the
-    bracket, because the gap moves many times faster than the level when n_k
-    is large.
+    to cover (BracketError if it does not), to pi, whose level is 1 and whose
+    march never covers (P(tail; pi) < 1), and the search keeps the covered
+    end, so the level it returns is at least ``floor``.  It stops on
+    0 <= gap <= level_tol / 2, not on the width of the bracket, because the
+    gap moves many times faster than the level when n_k is large.
 
     With n_k None, the floor probe also gives the phase count: its march runs
     under cfg.max_nk, and from each left boundary takes the deepest phase that
@@ -207,10 +211,7 @@ def largest_min_success(k: int, n_k: int | None, cfg: SolverConfig, floor: float
         marches[phi] = march_level(k, phi, capped)
         return marches[phi][3]
 
-    phi_hi = _solve_phase(k, lo, 1.0 - 1e-12, cfg)
-    g_hi = gap(phi_hi)
-    phi = phi_hi if g_hi >= 0.0 else _root(gap, phi_lo, phi_hi, probe[3], g_hi, 0.0,
-                                           0.5 * cfg.level_tol)
+    phi = _root(gap, phi_lo, math.pi, probe[3], gap(math.pi), 0.0, 0.5 * cfg.level_tol)
     q, phases, boundaries, _ = marches[phi]
     # The march may cover the band with fewer phases than allowed only when
     # the level is far below Q_k(n_k); at the supremum it uses all of them.

@@ -46,21 +46,21 @@ def test_table_rebuild_is_byte_identical(cache, capfd, tmp_path):
 
 # sha256 and size of the serialized table, pinned so that a solver change that
 # moves any cached bit shows up here (and calls for a new SCHEMA_VERSION).  The
-# plans' own sha256 is pinned apart; it last moved with schema version 6.
+# plans' own sha256 is pinned apart; it last moved with schema version 7.
 @pytest.mark.parametrize("p_cri,lambda0,size,digest,plans_digest", [
-    pytest.param(0.90, 1e-2, 3153,
-                 "2f0c8377f013b64d4eedb5872b1b2059d74041e381631ccf646b0e44d1c0715d",
-                 "e0292488353fb2b7a0a9b9dc1669fae63231f4a7065cc68ccb361b757c6b2a68",
+    pytest.param(0.90, 1e-2, 3133,
+                 "da726f2ef6c81d450f8ecda381ea88a2b04b0306f803477564cb5dc8be6c3e47",
+                 "209a1051606b502a22b43a86a064252e72cd2f18daaf9fe6ad941d66dffc3480",
                  id="0.9-0.01"),
-    pytest.param(0.99, 1e-3, 9992,
-                 "a196ee78cec64ec815de8b985c84cee97c3c2cd0c8ba5c9891a306110edcfd8f",
-                 "d89d7ae35b3ed7e35afd771bd1e7309ac43f64ab55e362ff9f41b8acfa282bf8",
+    pytest.param(0.99, 1e-3, 9968,
+                 "2e360976e4678e822deba018b61bd0eef99517025de864127df484207060b10e",
+                 "c9599ce6f985389f0e38b150b880288b9330d164f44b6a7d83162c23a645b019",
                  id="0.99-0.001"),
 ])
 def test_cache_bytes_pinned(p_cri, lambda0, size, digest, plans_digest):
     table = build_table(p_cri, lambda0)
     data = serialize_table(table).encode()
-    assert cli.SCHEMA_VERSION == 6
+    assert cli.SCHEMA_VERSION == 7
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
     plans = json.dumps(cli.table_to_doc(table)["plans"], indent=2, sort_keys=True).encode()
@@ -402,9 +402,9 @@ def test_cache_missing_phases_is_rebuilt(cache, capfd):
     assert "KeyError" in warning
 
 
-# Schema 1 held grid_points among the tolerances; schemas 2 to 5 have the
-# layout of schema 6, and only the solver that wrote the plans differs.
-@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5])
+# Schema 1 held grid_points among the tolerances; schemas 2 to 6 have the
+# layout of schema 7, and only the solver that wrote the plans differs.
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 6])
 def test_cache_other_version_is_rebuilt(cache, capfd, version):
     main(["table", "--cache", cache])
     capfd.readouterr()
@@ -416,7 +416,7 @@ def test_cache_other_version_is_rebuilt(cache, capfd, version):
         doc_to_table(doc)  # direct callers still get the typed error
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
     assert f"version {version}" in warning
-    assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION == 6
+    assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION == 7
 
 
 def _damage_plans(doc, damage):
@@ -505,12 +505,16 @@ def _unsound_cache(doc, case):
         plans[0]["level_residual"] = repr(_check_guarantee(plan, SolverConfig())[-1])
     elif case == "nan_pcri":  # loaded, then rebuilt as another setting with no warning
         doc["p_cri"] = "nan"
+    elif case == "huge_pcri":  # float(10**400): OverflowError
+        doc["p_cri"] = 10**400
+    elif case == "huge_phase":  # float(10**400): OverflowError
+        plans[1]["phases"][0] = 10**400
     else:  # "infinite_max_nk": int(inf) raises OverflowError
         doc["tolerances"]["max_nk"] = math.inf
 
 
 @pytest.mark.parametrize("case", ["band1_pi", "tiny_phase", "nan_level", "nan_boundary",
-                                  "nan_pcri", "infinite_max_nk"])
+                                  "nan_pcri", "huge_pcri", "huge_phase", "infinite_max_nk"])
 def test_cache_unsound_plan_is_a_miss(cache, capfd, case):
     main(["table", "--cache", cache])
     capfd.readouterr()
@@ -536,7 +540,9 @@ def _leaf_paths(node, path=()):
 
 _float_strings = st.sampled_from(["nan", "inf", "-0.0", "1e-300", "3.141592653589793"]) \
     | st.floats().map(repr)
+# Integers past 2**1024 are JSON numbers that no float holds.
 _leaf_values = _float_strings | st.integers(-2**64, 2**64) | st.floats() | st.none() \
+    | st.integers(2**1024, 10**400) | st.integers(-10**400, -2**1024) \
     | st.lists(st.floats(), max_size=2) | st.dictionaries(st.text(max_size=3), st.floats(),
                                                           max_size=2)
 

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from cmqsearch import optimizer
-from cmqsearch.analytic import iteration_band, peak_phase, phi_min
+from cmqsearch.analytic import K_MAX, PhaseAngle, iteration_band, min_point_k1, phi_min
 from cmqsearch.errors import ConfigError, DomainError, VerificationError
 from cmqsearch.kernels import p_derivative, p_success
 from cmqsearch.optimizer import (
@@ -81,10 +81,29 @@ def test_march_phases_strictly_decreasing(solver_cfg, march_at):
     assert phases[-1] > phi_min(2).phi
 
 
-def test_march_rejects_bad_level(solver_cfg):
-    # phase pi peaks on band 1's lower edge, where it sets the level to 1
+# Phase pi peaks on the band's lower edge, where it sets the level to 1: the
+# level search's uncovered bracket end, a march that stops after one phase.
+@pytest.mark.parametrize("k", [*range(1, 31), 100, 1000, 7854])
+def test_march_at_level_one_is_uncovered(k):
+    band = iteration_band(k)
+    for max_nk in (1, 2, 64):
+        q, phases, bounds, gap = march_level(k, PI, SolverConfig(max_nk=max_nk))
+        assert (q, phases, bounds) == (1.0, [PI], [band.lo]) and gap < 0.0, (k, max_nk)
+
+
+def test_march_rejects_nan_level(solver_cfg):
     with pytest.raises(DomainError, match="level q must be in"):
-        march_level(1, peak_phase(1, 0.25), solver_cfg)
+        march_level(1, math.nan, solver_cfg)
+
+
+# The fact the level search's bracket end rests on: P(band.lo; pi) is exactly
+# 1 and P(tail; pi) < 1, so the march at pi never covers its band.
+def test_phase_pi_has_level_one_and_misses_the_tail():
+    for k in [*range(1, 20001), K_MAX]:
+        band = iteration_band(k)
+        tail = min_point_k1(PhaseAngle(PI)) if k == 1 else band.hi
+        assert p_success(k, PI, band.lo) == 1.0, k
+        assert p_success(k, PI, tail) < 1.0, k
 
 
 def test_march_infeasible_at_cap(march_at):
@@ -270,8 +289,8 @@ def test_level_is_exact_at_the_lower_edge(p_cri, lambda0, solver_cfg):
 # The solver's work as counts: the optimizer module's kernel calls and the
 # marches of one table build.  Re-pin these only when the solver changes on
 # purpose, and quote the values before and after in CHANGES.md.
-@pytest.mark.parametrize("p_cri,lambda0,kernel_calls,marches", [(0.90, 1e-2, 979, 78),
-                                                                 (0.99, 1e-3, 5028, 245)])
+@pytest.mark.parametrize("p_cri,lambda0,kernel_calls,marches", [(0.90, 1e-2, 568, 78),
+                                                                 (0.99, 1e-3, 3403, 245)])
 def test_solver_work_is_pinned(p_cri, lambda0, kernel_calls, marches, solver_cfg,
                                monkeypatch):
     calls = {"p_success": 0, "march_level": 0}
