@@ -1,7 +1,6 @@
 """Complementary-multiphase quantum search: planning, optimization, verification."""
 
-# The kernels are pure Python; the name stays for tools that record which
-# implementation a run used.
+# The kernels are pure Python; perfbench/harness.py records this name.
 BACKEND = "python"
 
 __all__ = ["BACKEND"]

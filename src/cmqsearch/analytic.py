@@ -45,19 +45,6 @@ class IterationBand(namedtuple("IterationBand", "k lo hi")):
     __slots__ = ()
 
 
-def local_maxima(k: int, phi: PhaseAngle) -> list[float]:
-    """All probability-1 points of the k-iteration curve inside (0, 1), ascending."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    h = math.sin(0.5 * phi.phi)
-    points = []
-    for j in range(1, k + 1):
-        lam = (math.sin((2 * j - 1) * math.pi / (4 * k + 2)) / h) ** 2
-        if lam < 1.0:
-            points.append(lam)
-    return points
-
-
 def peak(k: int, phi: float) -> float:
     """Leftmost probability-1 point; it lies inside band k iff phi > phi_min(k)."""
     return (math.sin(math.pi / (4 * k + 2)) / math.sin(0.5 * phi)) ** 2

@@ -22,16 +22,17 @@ from collections import namedtuple
 from cmqsearch import analytic, planner
 from cmqsearch.analytic import PhaseAngle, TargetFraction
 from cmqsearch.errors import CmqsearchError, DomainError, VerificationError
+# perfbench/tracing.py patches cli's own p_success and largest_min_success bindings.
 from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import SolverConfig, largest_min_success, make_plan
 from cmqsearch.planner import KigrQuery, PlanTable
 
 SCHEMA_VERSION = 7
-DEFAULT_CACHE = "cmqsearch-plans.json"
 
 
 class RunConfig(namedtuple("RunConfig", "p_cri lambda0 solver fmt cache seed",
-                           defaults=(0.90, 1e-2, SolverConfig(), "json", DEFAULT_CACHE, 0))):
+                           defaults=(0.90, 1e-2, SolverConfig(), "json",
+                                     "cmqsearch-plans.json", 0))):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -118,8 +119,9 @@ def serialize_table(table: PlanTable) -> str:
     return json.dumps(table_to_doc(table), indent=2, sort_keys=True) + "\n"
 
 
-def write_table(table: PlanTable, path: str) -> None:
-    """Atomic write: temp file (mode 0o666 less the umask) next to the target, then rename.
+def write_table(text: str, path: str) -> None:
+    """Atomic write of a serialized table: temp file (mode 0o666 less the umask)
+    next to the target, then rename.
 
     On failure the temp file is removed, so no partial table is left behind.
     """
@@ -128,7 +130,7 @@ def write_table(table: PlanTable, path: str) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(serialize_table(table))
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -158,57 +160,54 @@ def load_or_build_table(cfg: RunConfig) -> PlanTable:
                     and table.cfg == cfg.solver):
                 return table
     table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.solver)
-    write_table(table, cfg.cache)
+    write_table(serialize_table(table), cfg.cache)
     return table
 
 
 # ---------------------------------------------------------------------- commands
 
-def cmd_table(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
+def cmd_table(cfg: RunConfig) -> int:
     table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.solver)
-    write_table(table, cfg.cache)
+    text = serialize_table(table)
+    write_table(text, cfg.cache)
     if cfg.fmt == "json":
-        out.write(serialize_table(table))
+        sys.stdout.write(text)
     else:
-        out.write("k,band_lo,band_hi,n_k,phases,q_k_pi\n")
+        sys.stdout.write("k,band_lo,band_hi,n_k,phases,q_k_pi\n")
         for p in table.plans:
             phases = ";".join(repr(x) for x in p.phases)
-            out.write(f"{p.k},{p.boundaries[0]!r},{p.boundaries[-1]!r},"
-                      f"{p.n_k},{phases},{p.q_k_pi!r}\n")
+            sys.stdout.write(f"{p.k},{p.boundaries[0]!r},{p.boundaries[-1]!r},"
+                             f"{p.n_k},{phases},{p.q_k_pi!r}\n")
     return 0
 
 
-def cmd_plan(cfg: RunConfig, query: KigrQuery, out=None) -> int:
-    out = out or sys.stdout
+def _write_record(fmt: str, record: dict, **json_only) -> None:
+    """One record on stdout: a JSON object with sorted keys, or a CSV header
+    and row of the record's fields in order; ``json_only`` fields join JSON alone."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps({**record, **json_only}, sort_keys=True) + "\n")
+    else:
+        sys.stdout.write(",".join(record) + "\n" + ",".join(map(str, record.values())) + "\n")
+
+
+def cmd_plan(cfg: RunConfig, query: KigrQuery) -> int:
     table = load_or_build_table(cfg)
     k, m = planner.classify(query, table)
     plan = table.plan(k)
-    phi = plan.phases[m - 1]
-    record = {
-        "k": k,
-        "m": m,
-        "phi": repr(phi),
-        "guaranteed_p": repr(plan.q_k_pi),
-        "segment": [repr(x) for x in plan.boundaries[m - 1:m + 1]],
-    }
-    if cfg.fmt == "json":
-        out.write(json.dumps(record, sort_keys=True) + "\n")
-    else:
-        out.write("k,m,phi,guaranteed_p\n")
-        out.write(f"{k},{m},{phi!r},{plan.q_k_pi!r}\n")
+    _write_record(cfg.fmt, {"k": k, "m": m, "phi": repr(plan.phases[m - 1]),
+                            "guaranteed_p": repr(plan.q_k_pi)},
+                  segment=[repr(x) for x in plan.boundaries[m - 1:m + 1]])
     return 0
 
 
-def _log_grid(lambda0: float, n: int) -> list[float]:
-    # Log-spaced over [lambda0, 1): small-lambda bands are geometrically thin.
+def _log_grid(lambda0: float, n: int):
+    # Yields n points log-spaced over [lambda0, 1): small-lambda bands are
+    # geometrically thin.  Lazy, so that a sweep holds only the row it writes.
     r = math.nextafter(1.0, 0.0) / lambda0
-    return [lambda0 * r ** (i / n) for i in range(n)]
+    return (lambda0 * r ** (i / n) for i in range(n))
 
 
-def cmd_sweep(cfg: RunConfig, algorithms: list[str], grid: int,
-              fixed_phi: float, out=None) -> int:
-    out = out or sys.stdout
+def cmd_sweep(cfg: RunConfig, algorithms: list[str], grid: int, fixed_phi: float) -> int:
     if grid < 2:
         raise DomainError(f"grid must be >= 2, got {grid}")
     known = {"ours", "grover", "fixed", "yoder_bound", "long"}
@@ -240,16 +239,15 @@ def cmd_sweep(cfg: RunConfig, algorithms: list[str], grid: int,
                 text += f"{lam_val!r},{alg},{planner.baseline_yoder_bound(cfg.p_cri, lam)},\n"
                 continue
             text += f"{lam_val!r},{alg},{k},{planner.success_after(k, phi, lam_val)!r}\n"
-        out.write(text)
+        sys.stdout.write(text)
         text = ""
     return 0
 
 
-def cmd_compare(cfg: RunConfig, lam_val: float, fixed_phi: float, out=None) -> int:
-    out = out or sys.stdout
+def cmd_compare(cfg: RunConfig, lam_val: float, fixed_phi: float) -> int:
     table = load_or_build_table(cfg)
     rec = planner.compare(TargetFraction(lam_val), table, cfg.p_cri, PhaseAngle(fixed_phi))
-    doc = {
+    _write_record(cfg.fmt, {
         "lambda": repr(rec.lam),
         "k_ours": rec.k_ours,
         "k_grover": rec.k_grover,
@@ -261,13 +259,7 @@ def cmd_compare(cfg: RunConfig, lam_val: float, fixed_phi: float, out=None) -> i
         "p_ours": repr(rec.p_ours),
         "p_grover": repr(rec.p_grover),
         "p_fixed": repr(rec.p_fixed),
-    }
-    if cfg.fmt == "json":
-        out.write(json.dumps(doc, sort_keys=True) + "\n")
-    else:
-        keys = list(doc)
-        out.write(",".join(keys) + "\n")
-        out.write(",".join(str(doc[x]) for x in keys) + "\n")
+    })
     return 0
 
 
@@ -347,10 +339,9 @@ def _suite_long_certainty(cfg: RunConfig) -> str:
     return f"max |P - 1| {worst:.1e} < 1e-09"
 
 
-def cmd_verify(cfg: RunConfig, out=None) -> int:
+def cmd_verify(cfg: RunConfig) -> int:
     """Run each suite and print ``<suite>: PASS (<worst value against its limit>)``
     or ``<suite>: FAIL (<reason>)``; any failure raises VerificationError."""
-    out = out or sys.stdout
     suites = [
         ("oracle_equivalence", _suite_oracle),
         ("equal_level", _suite_equal_level),
@@ -362,10 +353,10 @@ def cmd_verify(cfg: RunConfig, out=None) -> int:
         try:
             margin = suite(cfg)
         except CmqsearchError as exc:
-            out.write(f"{name}: FAIL ({exc})\n")
+            sys.stdout.write(f"{name}: FAIL ({exc})\n")
             failed = failed or exc
         else:
-            out.write(f"{name}: PASS ({margin})\n")
+            sys.stdout.write(f"{name}: PASS ({margin})\n")
     if failed is not None:
         raise VerificationError(str(failed))
     return 0
@@ -383,13 +374,15 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 def _flag_table() -> dict:
     """command -> (help, {long flag: add_argument keywords}), flags in --help order;
-    built per call, since the --cache default reads CMQSEARCH_CACHE."""
-    cache = os.environ.get("CMQSEARCH_CACHE", DEFAULT_CACHE)
-    common = {"--pcri": dict(dest="pcri", type=float, default=0.90),
-              "--lambda0": dict(dest="lambda0", type=float, default=1e-2),
-              "--format": dict(dest="format", choices=("json", "csv"), default="json"),
-              "--cache": dict(dest="cache", default=cache),
-              "--seed": dict(dest="seed", type=int, default=0),
+    the defaults are RunConfig's and SolverConfig's, and the table is built per
+    call, since the --cache default reads CMQSEARCH_CACHE."""
+    run = RunConfig._field_defaults
+    common = {"--pcri": dict(dest="pcri", type=float, default=run["p_cri"]),
+              "--lambda0": dict(dest="lambda0", type=float, default=run["lambda0"]),
+              "--format": dict(dest="format", choices=("json", "csv"), default=run["fmt"]),
+              "--cache": dict(dest="cache", default=os.environ.get("CMQSEARCH_CACHE",
+                                                                    run["cache"])),
+              "--seed": dict(dest="seed", type=int, default=run["seed"]),
               **{"--" + name.replace("_", "-"): dict(dest=name, type=type(default), default=default)
                  for name, default in SolverConfig._field_defaults.items()}}
     lam, phi = dict(dest="lam", type=float), dict(dest="phi", type=float, default=0.1 * math.pi)

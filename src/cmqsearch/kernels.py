@@ -37,6 +37,7 @@ def p_success(k: int, phi: float, lam: float) -> float:
     return p
 
 
+# No command calls it; perfbench/tracing.py times it beside the other kernels.
 def p_derivative(k: int, phi: float, lam: float) -> float:
     """dP/dlam of the success probability (unclamped)."""
     c = math.cos(phi)

@@ -56,6 +56,7 @@ class PhasePlan(namedtuple("PhasePlan", "k p_cri phases boundaries q_k_pi level_
     def n_k(self) -> int:
         return len(self.phases)
 
+    # No command calls it; perfbench/tracing.py patches it to count its calls.
     def probability_at(self, lam: float) -> float:
         """Planned piecewise success probability (half-open segment membership)."""
         bounds = self.boundaries
@@ -218,6 +219,7 @@ def largest_min_success(k: int, n_k: int | None, cfg: SolverConfig, floor: float
     return q, phases, boundaries
 
 
+# No command calls it; perfbench/tracing.py patches it to time its calls.
 def optimal_phase_count(k: int, p_cri: float, cfg: SolverConfig) -> int:
     """Least phase count whose largest minimum level reaches p_cri.
 

@@ -114,15 +114,6 @@ def baseline_yoder_bound(p_cri: float, lam: TargetFraction) -> int:
     return math.ceil(math.log(2.0 / delta) / (2.0 * math.sqrt(lam.lam)) - 0.5)
 
 
-def crossover_pcri() -> float:
-    """Threshold above which the fixed-point bound exceeds pi/(4*sqrt(lambda)).
-
-    Equality log(2/delta)/2 = pi/4 gives delta = 2*exp(-pi/2), i.e.
-    P* = 1 - 4*exp(-pi) ~ 0.8271.
-    """
-    return 1.0 - 4.0 * math.exp(-math.pi)
-
-
 def success_after(k: int, phi: float, lam: float) -> float:
     """Success probability after k iterations at phase phi; lam itself when k = 0."""
     return p_success(k, phi, lam) if k > 0 else lam

@@ -1,69 +1,23 @@
-"""Exact statevector and two-level oracles for the analytic layer.
+"""Exact statevector oracle for the analytic layer, run by ``verify``.
 
-Two independent realizations of the same dynamics:
-
-* a 2x2 evolution in the invariant subspace spanned by the marked / unmarked
-  superpositions, and
-* a full 2^n-amplitude statevector with an explicit marked set, where the
-  phase oracle and the zero-state reflection are applied as diagonal /
-  rank-one updates (O(N) per iteration, no gate decomposition).
-
-Both are pure Python (``cmath`` and lists); a 2x2 matrix is a nested tuple.
-Global phase is kept (including the leading minus sign of the iteration) so
-the closed-form amplitude can be checked verbatim.
+A full 2^n-amplitude statevector with an explicit marked set, where the
+phase oracle and the zero-state reflection are applied as diagonal /
+rank-one updates (O(N) per iteration, no gate decomposition), in pure Python
+(``cmath`` and lists).  Global phase is kept, including the leading minus
+sign of the iteration.  The 2x2 invariant-subspace evolution that the tests
+check it against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 
 from cmqsearch.analytic import PhaseAngle, TargetFraction
 from cmqsearch.errors import DomainError
-from cmqsearch.kernels import delta_angle
 from cmqsearch.planner import baseline_long
 
 MAX_QUBITS = 14
-
-
-def g_matrix(phi: PhaseAngle, theta: float) -> tuple[tuple[complex, complex], ...]:
-    """Matched-phase iteration matrix on the (marked, unmarked) subspace, as rows."""
-    if not 0.0 < theta < math.pi / 2.0:
-        raise DomainError(f"theta must be in (0, pi/2), got {theta}")
-    e = cmath.exp(1j * phi.phi)
-    s, c = math.sin(theta), math.cos(theta)
-    return ((-e * (e * s * s + c * c), (1.0 - e) * s * c),
-            (e * (1.0 - e) * s * c, -e * c * c - s * s))
-
-
-class TwoLevelState(namedtuple("TwoLevelState", "a b k")):
-    __slots__ = ()
-
-    @property
-    def success_probability(self) -> float:
-        return abs(self.a) ** 2
-
-
-def evolve_two_level(k: int, phi: PhaseAngle, lam: TargetFraction) -> TwoLevelState:
-    """Apply the 2x2 iteration k times to the equal-superposition start."""
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    (g00, g01), (g10, g11) = g_matrix(phi, lam.theta)
-    a, b = complex(math.sin(lam.theta)), complex(math.cos(lam.theta))
-    for _ in range(k):
-        a, b = g00 * a + g01 * b, g10 * a + g11 * b
-    return TwoLevelState(a=a, b=b, k=k)
-
-
-def two_level_closed_form(k: int, phi: PhaseAngle, lam: TargetFraction) -> complex:
-    """Closed-form marked amplitude after k iterations, global phase included."""
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    d = delta_angle(phi.phi, lam.lam)
-    e = cmath.exp(1j * phi.phi)
-    pref = (math.sin(lam.theta) / math.sin(d)) * (-1.0) ** k * cmath.exp(1j * (k - 1) * phi.phi)
-    return pref * (e * math.sin((k + 1) * d) - math.sin(k * d))
 
 
 class Statevector:

@@ -17,7 +17,6 @@ from cmqsearch.analytic import (
     TargetFraction,
     grover_iterations,
     iterations_for,
-    local_maxima,
     phi_min,
 )
 from cmqsearch.cli import _log_grid
@@ -26,10 +25,10 @@ from cmqsearch.optimizer import SolverConfig, largest_min_success
 from cmqsearch.planner import (
     baseline_yoder_bound,
     build_table,
-    crossover_pcri,
     plan_for,
 )
 from cmqsearch.simulator import run_long_exact, statevector_run
+from oracles import crossover_pcri, local_maxima
 
 PI = math.pi
 

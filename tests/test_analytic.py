@@ -14,13 +14,13 @@ from cmqsearch.analytic import (
     grover_iterations,
     iteration_band,
     iterations_for,
-    local_maxima,
     min_point_k1,
     peak,
     peak_phase,
     phi_min,
 )
 from cmqsearch.errors import DomainError
+from oracles import local_maxima
 
 PI = math.pi
 

@@ -36,6 +36,12 @@ def cache(tmp_path):
 
 # ----------------------------------------------------------------- determinism
 
+def test_table_json_stdout_is_the_cache_file(cache, capfd, tmp_path):
+    code, out, _ = run(["table", "--pcri", "0.99", "--lambda0", "1e-3", "--cache", cache], capfd)
+    assert code == 0
+    assert out.encode() == (tmp_path / "plans.json").read_bytes()
+
+
 def test_table_rebuild_is_byte_identical(cache, capfd, tmp_path):
     assert main(["table", "--cache", cache]) == 0
     first = (tmp_path / "plans.json").read_bytes()
@@ -134,12 +140,19 @@ def test_sweep_rows_match_plan_for(cache, capfd, table90, lambda0):
     assert (code, err) == (0, "")
     with open(cache) as fh:
         table = doc_to_table(json.load(fh))
-    grid = cli._log_grid(table.lambda0, 2000)
+    grid = list(cli._log_grid(table.lambda0, 2000))
     rows = out.splitlines()
     assert len(rows) == 1 + len(grid)
     for row, lam in zip(rows[1:], grid):
         k, phi = plan_for(TargetFraction(lam), table)
         assert row == f"{lam!r},ours,{k},{p_success(k, phi.phi, lam)!r}"
+
+
+def test_log_grid_is_lazy_and_log_spaced():
+    grid = cli._log_grid(1e-3, 7)
+    assert not isinstance(grid, (list, tuple)) and iter(grid) is grid
+    r = math.nextafter(1.0, 0.0) / 1e-3
+    assert list(grid) == [1e-3 * r ** (i / 7) for i in range(7)]
 
 
 def test_table_level_reaches_pcri_just_above_a_level(cache, capfd):
@@ -251,7 +264,11 @@ def test_tiny_lambda0_names_lambda_and_cap(cache, capfd):
 
 @pytest.fixture(scope="module")
 def argparser():
-    return cli.build_parser()
+    # One parse before the first example, so that argparse's lazy imports and
+    # first-use setup are not timed against Hypothesis's deadline.
+    parser = cli.build_parser()
+    parser.parse_args(["compare", "--lambda", "0.5"])
+    return parser
 
 
 def _value(spec):
@@ -283,6 +300,18 @@ def _valid_argv(draw):
     for flag in pairs:  # repeated flags included: the last one wins
         argv += [flag, draw(values[flag])]
     return argv
+
+
+@pytest.mark.parametrize("command", list(cli._flag_table()))
+def test_flag_defaults_are_run_config_defaults(command, monkeypatch):
+    monkeypatch.delenv("CMQSEARCH_CACHE", raising=False)
+    required = ["--lambda", "0.5"] if command == "compare" else []  # compare's one required flag
+    args = cli._parse([command, *required])
+    defaults = cli.RunConfig._field_defaults
+    assert (args["pcri"], args["lambda0"], args["format"], args["cache"], args["seed"]) == (
+        defaults["p_cri"], defaults["lambda0"], defaults["fmt"], defaults["cache"],
+        defaults["seed"])
+    assert SolverConfig(*[args[name] for name in SolverConfig._fields]) == defaults["solver"]
 
 
 @settings(max_examples=150)

@@ -17,10 +17,10 @@ from cmqsearch.planner import (
     build_table,
     classify,
     compare,
-    crossover_pcri,
     plan_for,
     success_after,
 )
+from oracles import crossover_pcri
 
 PI = math.pi
 

@@ -10,14 +10,8 @@ from hypothesis import strategies as st
 from cmqsearch.analytic import PhaseAngle, TargetFraction
 from cmqsearch.errors import DomainError
 from cmqsearch.kernels import p_success
-from cmqsearch.simulator import (
-    Statevector,
-    evolve_two_level,
-    g_matrix,
-    run_long_exact,
-    statevector_run,
-    two_level_closed_form,
-)
+from cmqsearch.simulator import Statevector, run_long_exact, statevector_run
+from oracles import evolve_two_level, g_matrix, two_level_closed_form
 
 PI = math.pi
 
