@@ -22,6 +22,11 @@
 # At the phase cap: a table and verify at P_cri = 0.99995, where band 1 needs
 # exactly max_nk = 64 phases, and a table at 0.99998, which band 1 cannot reach
 # within it: exit 4 with the one error line that says so.
+#
+# verify exits with its first failing suite's own code, not the exit 5 of a
+# failed check: 4 when --max-nk 1 cannot build the table, and 1 when the
+# table's directory is missing, so the table cannot be written.  Each prints
+# one error line and no traceback on stderr.
 set -euo pipefail
 export PYTHONPATH=src
 tmp=$(mktemp -d)
@@ -89,3 +94,9 @@ cli table "${cap[@]}" > /dev/null
 cli verify "${cap[@]}"
 exits 4 cli table --pcri 0.99998 --lambda0 1e-2 --cache "$tmp/over-cap.json" 2> "$tmp/cap.err"
 test "$(cat "$tmp/cap.err")" = "error: p_cri=0.99998 not reachable on band 1 within max_nk=64"
+exits 4 cli verify --max-nk 1 --cache "$tmp/nk1.json" > /dev/null 2> "$tmp/nk1.err"
+exits 1 cli verify --cache "$tmp/missing/plans.json" > /dev/null 2> "$tmp/missing.err"
+for err in "$tmp/nk1.err" "$tmp/missing.err"; do
+  test "$(grep -c "^error: " "$err")" -eq 1
+  if grep -q Traceback "$err"; then exit 1; fi
+done

@@ -3,11 +3,11 @@
 Exit codes: 0 success, 1 bad input (a malformed flag included), 2 ambiguous
 range query, 3 below coverage, 4 solver-config failure, 5 verification failure.
 
-Only ``verify`` imports the simulator, so the other commands start without
-it; no command imports numpy or ``dataclasses`` (the record types are
-namedtuples: importing ``dataclasses`` pulls in ``inspect``, ``ast`` and
-``dis``).  Only ``--help`` and malformed flags import ``argparse``, and no
-command imports ``pathlib``, ``tempfile`` or ``random`` at start-up.
+``verify``'s suites live in ``simulator``, beside the statevector they run, so
+the other commands neither import nor compile them.  No command imports numpy
+or ``dataclasses`` (the record types are namedtuples; ``dataclasses`` imports
+``inspect``, ``ast`` and ``dis``).  Only ``--help`` and malformed flags import
+``argparse``, and none imports ``pathlib``, ``tempfile`` or ``random`` at start-up.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import namedtuple
 from cmqsearch import analytic, planner
 from cmqsearch.analytic import PhaseAngle, TargetFraction
 from cmqsearch.errors import CmqsearchError, DomainError, VerificationError
-# perfbench/tracing.py patches cli's own p_success and largest_min_success bindings.
+# perfbench/tracing.py patches cli's own p_success and largest_min_success; nothing calls them.
 from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import SolverConfig, largest_min_success, make_plan
 from cmqsearch.planner import KigrQuery, PlanTable
@@ -263,105 +263,6 @@ def cmd_compare(cfg: RunConfig, lam_val: float, fixed_phi: float) -> int:
     return 0
 
 
-# ----------------------------------------------------------------- verification
-
-def _suite_oracle(cfg: RunConfig) -> str:
-    from cmqsearch.simulator import Statevector
-
-    # One trajectory per (n, M, phi), read after k = 0, 3, 6, 9, 12 iterations:
-    # each reading is bit-identical to a fresh statevector_run(n, M, k, phi).
-    worst = 0.0
-    for n in (2, 4, 6, 8, 10):
-        big = 1 << n
-        for m in sorted({1, 3, big // 4, big // 2}):
-            for phi in (math.pi, 2.432, 1.465, 0.7):
-                state = Statevector.uniform(n, range(m))
-                for k in range(13):
-                    if k:
-                        state.apply_iteration(PhaseAngle(phi))
-                    if k % 3:
-                        continue
-                    got = state.marked_probability()
-                    want = p_success(k, phi, m / big)
-                    err = abs(got - want)
-                    if err >= 1e-10:
-                        raise VerificationError(
-                            f"oracle mismatch at n={n} M={m} k={k} phi={phi}: "
-                            f"|{got} - {want}| >= 1e-10"
-                        )
-                    worst = max(worst, err)
-    return f"max |statevector - kernel| {worst:.1e} < 1e-10"
-
-
-def _suite_equal_level(cfg: RunConfig) -> str:
-    table = load_or_build_table(cfg)
-    limit = 10.0 * cfg.solver.level_tol
-    worst = max(table.plans, key=lambda p: p.level_residual)
-    if worst.level_residual >= limit:
-        raise VerificationError(
-            f"max residual {worst.level_residual:.3e} on band {worst.k} >= {limit:g}"
-        )
-    low = min(table.plans, key=lambda p: p.q_k_pi)
-    if low.q_k_pi < cfg.p_cri:
-        raise VerificationError(f"band {low.k} level {low.q_k_pi} below p_cri={cfg.p_cri}")
-    return f"max residual {worst.level_residual:.1e} < {limit:g}"
-
-
-def _suite_monotonicity(cfg: RunConfig) -> str:
-    least = math.inf
-    for k in (1, 2, 3):
-        prev = 0.0
-        for n in (1, 2, 3):
-            q, _, _ = largest_min_success(k, n, cfg.solver)
-            if q <= prev + 1e-6:
-                raise VerificationError(
-                    f"Q({k}, n={n})={q} not above Q({k}, n={n - 1})={prev}"
-                )
-            least = min(least, q - prev)
-            prev = q
-    return f"min Q(k, n) - Q(k, n-1) {least:.1e} > 1e-06"
-
-
-def _suite_long_certainty(cfg: RunConfig) -> str:
-    import random
-
-    from cmqsearch import simulator
-
-    rng = random.Random(cfg.seed)
-    worst = 0.0
-    for _ in range(20):
-        n = rng.randrange(2, 11)
-        m = rng.randrange(1, 1 << n)
-        err = abs(simulator.run_long_exact(n, range(m)) - 1.0)
-        if err >= 1e-9:
-            raise VerificationError(f"exact-search run at n={n} M={m} gave |P - 1| = {err}")
-        worst = max(worst, err)
-    return f"max |P - 1| {worst:.1e} < 1e-09"
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    """Run each suite and print ``<suite>: PASS (<worst value against its limit>)``
-    or ``<suite>: FAIL (<reason>)``; any failure raises VerificationError."""
-    suites = [
-        ("oracle_equivalence", _suite_oracle),
-        ("equal_level", _suite_equal_level),
-        ("monotonicity", _suite_monotonicity),
-        ("long_certainty", _suite_long_certainty),
-    ]
-    failed = None
-    for name, suite in suites:
-        try:
-            margin = suite(cfg)
-        except CmqsearchError as exc:
-            sys.stdout.write(f"{name}: FAIL ({exc})\n")
-            failed = failed or exc
-        else:
-            sys.stdout.write(f"{name}: PASS ({margin})\n")
-    if failed is not None:
-        raise VerificationError(str(failed))
-    return 0
-
-
 # ------------------------------------------------------------------ entry point
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -462,7 +363,8 @@ def main(argv=None) -> int:
             algorithms = [a.strip() for a in args["algorithms"].split(",") if a.strip()]
             return cmd_sweep(cfg, algorithms, args["grid"], args["phi"])
         if command == "verify":
-            return cmd_verify(cfg)
+            from cmqsearch import simulator
+            return simulator.verify(cfg, load_or_build_table)
         if command == "compare":
             return cmd_compare(cfg, args["lam"], args["phi"])
         raise AssertionError(command)  # pragma: no cover

@@ -1,48 +1,54 @@
-"""Exact statevector oracle for the analytic layer, run by ``verify``.
+"""Exact statevector oracle for the analytic layer, and the ``verify`` suites that run it.
 
 A full 2^n-amplitude statevector with an explicit marked set, where the
 phase oracle and the zero-state reflection are applied as diagonal /
 rank-one updates (O(N) per iteration, no gate decomposition), in pure Python
 (``cmath`` and lists).  Global phase is kept, including the leading minus
-sign of the iteration.  The 2x2 invariant-subspace evolution that the tests
-check it against lives in ``tests/oracles.py``.
+sign of the iteration.  The 2x2 evolution that the tests check it against lives
+in ``tests/oracles.py``.  Only ``verify`` imports this module, passing in its table
+loader: under ``python -m``, importing ``cmqsearch.cli`` would run it a second time.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
+import sys
 
+from cmqsearch import optimizer
 from cmqsearch.analytic import PhaseAngle, TargetFraction
-from cmqsearch.errors import DomainError
+from cmqsearch.errors import CmqsearchError, DomainError, VerificationError
+from cmqsearch.kernels import p_success
 from cmqsearch.planner import baseline_long
 
 MAX_QUBITS = 14
 
 
+def _register(n_qubits: int, marked) -> tuple[int, frozenset[int]]:
+    """N = 2^n and the marked set, checked to be a nonempty proper set of indices < N."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise DomainError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+    n = 1 << n_qubits
+    marked = frozenset(int(x) for x in marked)
+    if not marked or len(marked) >= n:
+        raise DomainError("marked set must be nonempty and proper")
+    if any(not 0 <= x < n for x in marked):
+        raise DomainError("marked index out of range")
+    return n, marked
+
+
 class Statevector:
     """2^n complex amplitudes plus the marked basis-index set."""
 
-    def __init__(self, n_qubits: int, amps: list[complex], marked: frozenset[int]):
-        self.n_qubits = n_qubits
+    def __init__(self, amps: list[complex], marked: frozenset[int]):
         self.amps = amps
         self.marked = marked
 
     @classmethod
     def uniform(cls, n_qubits: int, marked) -> "Statevector":
-        if not 1 <= n_qubits <= MAX_QUBITS:
-            raise DomainError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-        n = 1 << n_qubits
-        marked = frozenset(int(x) for x in marked)
-        if not marked or len(marked) >= n:
-            raise DomainError("marked set must be nonempty and proper")
-        if any(not 0 <= x < n for x in marked):
-            raise DomainError("marked index out of range")
-        return cls(n_qubits=n_qubits, amps=[complex(1.0 / math.sqrt(n))] * n, marked=marked)
-
-    @property
-    def lam(self) -> float:
-        return len(self.marked) / len(self.amps)
+        n, marked = _register(n_qubits, marked)
+        return cls(amps=[complex(1.0 / math.sqrt(n))] * n, marked=marked)
 
     def marked_probability(self) -> float:
         return sum(abs(self.amps[i]) ** 2 for i in self.marked)
@@ -69,6 +75,97 @@ def statevector_run(n_qubits: int, marked, k: int, phi: PhaseAngle) -> float:
 
 def run_long_exact(n_qubits: int, marked) -> float:
     """Run the exact-search baseline (its own k and phase) on the statevector."""
-    state = Statevector.uniform(n_qubits, marked)
-    k, phi = baseline_long(TargetFraction(state.lam))
-    return statevector_run(n_qubits, state.marked, k, PhaseAngle(phi))
+    n, marked = _register(n_qubits, marked)
+    k, phi = baseline_long(TargetFraction(len(marked) / n))
+    return statevector_run(n_qubits, marked, k, PhaseAngle(phi))
+
+
+# ----------------------------------------------------------------- verification
+
+def _suite_oracle() -> str:
+    # One trajectory per (n, M, phi), read after k = 0, 3, 6, 9, 12 iterations:
+    # each reading is bit-identical to a fresh statevector_run(n, M, k, phi).
+    worst = 0.0
+    for n in (2, 4, 6, 8, 10):
+        big = 1 << n
+        for m in sorted({1, 3, big // 4, big // 2}):
+            for phi in (math.pi, 2.432, 1.465, 0.7):
+                state = Statevector.uniform(n, range(m))
+                for k in range(13):
+                    if k:
+                        state.apply_iteration(PhaseAngle(phi))
+                    if k % 3:
+                        continue
+                    got = state.marked_probability()
+                    want = p_success(k, phi, m / big)
+                    err = abs(got - want)
+                    if err >= 1e-10:
+                        raise VerificationError(
+                            f"oracle mismatch at n={n} M={m} k={k} phi={phi}: "
+                            f"|{got} - {want}| >= 1e-10"
+                        )
+                    worst = max(worst, err)
+    return f"max |statevector - kernel| {worst:.1e} < 1e-10"
+
+
+def _suite_equal_level(cfg, load_table) -> str:
+    table = load_table(cfg)
+    limit = 10.0 * cfg.solver.level_tol
+    worst = max(table.plans, key=lambda p: p.level_residual)
+    if worst.level_residual >= limit:
+        raise VerificationError(
+            f"max residual {worst.level_residual:.3e} on band {worst.k} >= {limit:g}"
+        )
+    low = min(table.plans, key=lambda p: p.q_k_pi)
+    if low.q_k_pi < cfg.p_cri:
+        raise VerificationError(f"band {low.k} level {low.q_k_pi} below p_cri={cfg.p_cri}")
+    return f"max residual {worst.level_residual:.1e} < {limit:g}"
+
+
+def _suite_monotonicity(solver: optimizer.SolverConfig) -> str:
+    least = math.inf
+    for k in (1, 2, 3):
+        prev = 0.0
+        for n in (1, 2, 3):
+            q, _, _ = optimizer.largest_min_success(k, n, solver)
+            if q <= prev + 1e-6:
+                raise VerificationError(
+                    f"Q({k}, n={n})={q} not above Q({k}, n={n - 1})={prev}"
+                )
+            least = min(least, q - prev)
+            prev = q
+    return f"min Q(k, n) - Q(k, n-1) {least:.1e} > 1e-06"
+
+
+def _suite_long_certainty(seed: int) -> str:
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(20):
+        n = rng.randrange(2, 11)
+        m = rng.randrange(1, 1 << n)
+        err = abs(run_long_exact(n, range(m)) - 1.0)
+        if err >= 1e-9:
+            raise VerificationError(f"exact-search run at n={n} M={m} gave |P - 1| = {err}")
+        worst = max(worst, err)
+    return f"max |P - 1| {worst:.1e} < 1e-09"
+
+
+def verify(cfg, load_table) -> int:
+    """Run each suite and print ``<suite>: PASS (<worst value against its limit>)``
+    or ``<suite>: FAIL (<reason>)``, then raise the first failing suite's own error;
+    the equal-level suite calls ``load_table(cfg)``, so a failed build fails it alone."""
+    failed = None
+    for name, suite in (("oracle_equivalence", _suite_oracle),
+                        ("equal_level", lambda: _suite_equal_level(cfg, load_table)),
+                        ("monotonicity", lambda: _suite_monotonicity(cfg.solver)),
+                        ("long_certainty", lambda: _suite_long_certainty(cfg.seed))):
+        try:
+            margin = suite()
+        except CmqsearchError as exc:
+            sys.stdout.write(f"{name}: FAIL ({exc})\n")
+            failed = failed or exc
+        else:
+            sys.stdout.write(f"{name}: PASS ({margin})\n")
+    if failed is not None:
+        raise failed
+    return 0

@@ -390,11 +390,42 @@ def test_verify_passes_at_high_pcri_with_margins(cache, capfd):
     assert float(match[1]) <= 1e-9  # level_tol, well inside the suite's limit
 
 
-def test_exit_code_verification_negative_control(cache, capfd):
-    # an absurdly tight level tolerance must make the equal-level suite fail
-    code, out, _ = run(["verify", "--level-tol", "1e-30", "--cache", cache], capfd)
-    assert code == 5
-    assert "equal_level: FAIL" in out
+@pytest.mark.parametrize("flags,cache_name,exit_code,error", [
+    (["--max-nk", "1"], "plans.json", 4,
+     "error: p_cri=0.9 not reachable on band 1 within max_nk=1"),
+    (["--pcri", "0.99998"], "plans.json", 4,
+     "error: p_cri=0.99998 not reachable on band 1 within max_nk=64"),
+    ([], "missing/plans.json", 1, "error: cannot write plan table to "),
+    # the negative control: an absurdly tight level tolerance fails the check itself
+    (["--level-tol", "1e-30"], "plans.json", 5, "error: max residual "),
+], ids=["max_nk", "over_cap", "missing_dir", "level_tol"])
+def test_verify_exits_with_the_failing_suites_code(tmp_path, capfd, flags, cache_name,
+                                                   exit_code, error):
+    # every suite prints its line; then verify exits as the first failing suite's
+    # own error would, so a table that cannot be built or written is not exit 5
+    code, out, err = run(["verify", *flags, "--cache", str(tmp_path / cache_name)], capfd)
+    assert code == exit_code
+    assert [line.split(": ")[0] for line in out.splitlines()] == [
+        "oracle_equivalence", "equal_level", "monotonicity", "long_certainty"]
+    assert out.splitlines()[1].startswith("equal_level: FAIL (")
+    assert err.count("\n") == 1 and err.startswith(error)
+
+
+def test_verify_as_main_loads_no_second_cli_module(tmp_path):
+    # under python -m the CLI runs as __main__; were the suites' module to import
+    # cmqsearch.cli, the CLI's source would compile and run a second time
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import contextlib, io, runpy, sys\n"
+            f"sys.argv = ['cmqsearch', 'verify', '--cache', {str(tmp_path / 'plans.json')!r}]\n"
+            "try:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        runpy.run_module('cmqsearch.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, sorted(m for m in ('cmqsearch.cli', 'cmqsearch.simulator')\n"
+            "                           if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=src, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "0 ['cmqsearch.simulator']\n"
 
 
 # ------------------------------------------------------------- unreadable cache
