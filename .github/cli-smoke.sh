@@ -17,7 +17,7 @@
 # it, which once loaded and served a phase whose P fell below P_cri.  Last, a
 # table, plan and verify down to lambda0 = 1e-6 (785 bands) and to lambda0 =
 # 1e-8 (7,854 bands, nearly all with one phase; the narrowest is 2.5e-12 wide,
-# near lambda_tol = 1e-12).
+# which each boundary solve resolves to the last float).
 #
 # At the phase cap: a table and verify at P_cri = 0.99995, where band 1 needs
 # exactly max_nk = 64 phases, and a table at 0.99998, which band 1 cannot reach
@@ -26,7 +26,9 @@
 # verify exits with its first failing suite's own code, not the exit 5 of a
 # failed check: 4 when --max-nk 1 cannot build the table, and 1 when the
 # table's directory is missing, so the table cannot be written.  Each prints
-# one error line and no traceback on stderr.
+# one error line and no traceback on stderr, and the second names the cache
+# path, not the random name of its temp file.  The bracket-width flags
+# --lambda-tol and --phase-tol are gone (schema 8): each is a usage error.
 set -euo pipefail
 export PYTHONPATH=src
 tmp=$(mktemp -d)
@@ -42,6 +44,9 @@ cli plan --lambda 0.002 "${stress[@]}"
 cli compare --lambda 0.002 "${stress[@]}"
 cli plan --range 0.002..0.0020001 --format csv "${stress[@]}"
 exits 1 cli plan --lambda abc --cache "$tmp/plans.json"
+exits 1 cli table --lambda-tol 1e-12 --cache "$tmp/tol.json" 2> /dev/null
+exits 1 cli table --phase-tol 1e-12 --cache "$tmp/tol.json" 2> /dev/null
+test ! -e "$tmp/tol.json"
 cli sweep --grid 1000 --algorithms ours,grover,fixed,long,yoder_bound "${stress[@]}" > /dev/null
 cli verify "${stress[@]}"
 cli verify --pcri 0.9999 --lambda0 1e-2 --cache "$tmp/p9999.json"
@@ -100,3 +105,4 @@ for err in "$tmp/nk1.err" "$tmp/missing.err"; do
   test "$(grep -c "^error: " "$err")" -eq 1
   if grep -q Traceback "$err"; then exit 1; fi
 done
+if grep -q '\.tmp' "$tmp/missing.err"; then exit 1; fi

@@ -27,7 +27,7 @@ from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import SolverConfig, largest_min_success, make_plan
 from cmqsearch.planner import KigrQuery, PlanTable
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 class RunConfig(namedtuple("RunConfig", "p_cri lambda0 solver fmt cache seed",
@@ -123,7 +123,8 @@ def write_table(text: str, path: str) -> None:
     """Atomic write of a serialized table: temp file (mode 0o666 less the umask)
     next to the target, then rename.
 
-    On failure the temp file is removed, so no partial table is left behind.
+    On failure the temp file is removed, so no partial table is left behind,
+    and the error names the target path, never the temp file's random name.
     """
     tmp = os.path.join(os.path.dirname(path), f"tmp{os.urandom(6).hex()}.tmp")
     try:
@@ -137,7 +138,7 @@ def write_table(text: str, path: str) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise CmqsearchError(f"cannot write plan table to {path}: {exc}") from exc
+        raise CmqsearchError(f"cannot write plan table to {path}: {exc.strerror}") from exc
 
 
 def load_or_build_table(cfg: RunConfig) -> PlanTable:

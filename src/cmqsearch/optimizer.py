@@ -34,13 +34,16 @@ from cmqsearch.errors import BracketError, ConfigError, DomainError, Verificatio
 from cmqsearch.kernels import p_success
 
 
-class SolverConfig(namedtuple("SolverConfig", "lambda_tol phase_tol level_tol max_nk",
-                                defaults=(1e-12, 1e-12, 1e-9, 64))):
+class SolverConfig(namedtuple("SolverConfig", "level_tol max_nk", defaults=(1e-9, 64))):
+    """level_tol is the solver's one tolerance: the level search's stop and the
+    certificate's slack.  Each phase and boundary solve runs to float
+    resolution.  max_nk caps the phases of a band."""
+
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not all(0.0 < t < math.inf for t in (self.lambda_tol, self.phase_tol, self.level_tol)):
+        if not 0.0 < self.level_tol < math.inf:
             raise ConfigError("tolerances must be positive and finite")
         if self.max_nk < 1:
             raise ConfigError("max_nk must be >= 1")
@@ -66,21 +69,20 @@ class PhasePlan(namedtuple("PhasePlan", "k p_cri phases boundaries q_k_pi level_
         return p_success(self.k, self.phases[i], lam)
 
 
-def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
-          ftol: float = 0.0) -> float:
+def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, ftol: float = 0.0) -> float:
     """The f >= 0 end of a bracket shrunk around a sign change of f.
 
     Illinois regula falsi (Dowell & Jarratt 1971), bisecting when the secant
-    point is not strictly inside the bracket.  Stops when the bracket is at
-    most xtol wide, when the exact f at its f >= 0 end is at most ftol, or
-    when no float is left between the ends.
+    point is not strictly inside the bracket.  Stops when the exact f at its
+    f >= 0 end is at most ftol (with the default 0, an exact zero) or when no
+    float is left between the ends, so a 1-D solve runs to float resolution.
     """
     # a is the f >= 0 end and b the f < 0 end; wa and wb are their secant
     # weights, and the Illinois step halves the weight of an end that stays.
     a, fa, b, wb = (lo, f_lo, hi, f_hi) if f_lo >= 0.0 else (hi, f_hi, lo, f_lo)
     wa = fa
     moved = 0  # +1 when a moved last, -1 when b did
-    while abs(b - a) > xtol and fa > ftol:
+    while fa > ftol:
         x = a - wa * (b - a) / (wb - wa)
         if not min(a, b) < x < max(a, b):
             x = 0.5 * (a + b)
@@ -100,7 +102,7 @@ def _root(f, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float,
     return a
 
 
-def _solve_phase(k: int, a: float, q: float, cfg: SolverConfig) -> float:
+def _solve_phase(k: int, a: float, q: float) -> float:
     """Smallest phase with P(a) = q on the branch where a is left of the peak.
 
     P(a; phi) grows from its value at lo, just above phi_min(k), up to 1 at
@@ -118,7 +120,7 @@ def _solve_phase(k: int, a: float, q: float, cfg: SolverConfig) -> float:
             f"no sign change solving phase on band {k} at lambda={a}, level={q}"
         )
     # The >= q side, so the boundary value never undershoots q.
-    return _root(lambda phi: p_success(k, phi, a) - q, lo, hi, f_lo, f_hi, cfg.phase_tol)
+    return _root(lambda phi: p_success(k, phi, a) - q, lo, hi, f_lo, f_hi)
 
 
 def march_level(k: int, phi: float, cfg: SolverConfig
@@ -154,10 +156,9 @@ def march_level(k: int, phi: float, cfg: SolverConfig
             return q, phases, boundaries, gap
         # P is 1 at the peak and below q at the tail: the next boundary is
         # where it falls back to q in between.
-        a = _root(lambda lam: p_success(k, phi, lam) - q, peak(k, phi), tail, 1.0 - q, gap,
-                  cfg.lambda_tol)
+        a = _root(lambda lam: p_success(k, phi, lam) - q, peak(k, phi), tail, 1.0 - q, gap)
         boundaries.append(a)
-        phi = _solve_phase(k, a, q, cfg)
+        phi = _solve_phase(k, a, q)
         if phi >= phases[-1]:
             raise BracketError(
                 f"phase ordering violated on band {k}: {phi} >= {phases[-1]}"
@@ -195,7 +196,7 @@ def largest_min_success(k: int, n_k: int | None, cfg: SolverConfig, floor: float
     elif not 1 <= n_k <= cfg.max_nk:
         raise ConfigError(f"n_k={n_k} outside [1, max_nk={cfg.max_nk}]")
     lo = iteration_band(k).lo
-    phi_lo = _solve_phase(k, lo, floor, cfg)
+    phi_lo = _solve_phase(k, lo, floor)
     # The march is greedy, so capping it at n_k phases only cuts short the
     # probes that would need more; covered means covered with <= n_k phases,
     # and a covered floor probe is the same march under the cap.
@@ -212,7 +213,7 @@ def largest_min_success(k: int, n_k: int | None, cfg: SolverConfig, floor: float
         marches[phi] = march_level(k, phi, capped)
         return marches[phi][3]
 
-    phi = _root(gap, phi_lo, math.pi, probe[3], gap(math.pi), 0.0, 0.5 * cfg.level_tol)
+    phi = _root(gap, phi_lo, math.pi, probe[3], gap(math.pi), 0.5 * cfg.level_tol)
     q, phases, boundaries, _ = marches[phi]
     # The march may cover the band with fewer phases than allowed only when
     # the level is far below Q_k(n_k); at the supremum it uses all of them.

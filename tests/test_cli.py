@@ -52,21 +52,21 @@ def test_table_rebuild_is_byte_identical(cache, capfd, tmp_path):
 
 # sha256 and size of the serialized table, pinned so that a solver change that
 # moves any cached bit shows up here (and calls for a new SCHEMA_VERSION).  The
-# plans' own sha256 is pinned apart; it last moved with schema version 7.
+# plans' own sha256 is pinned apart; it last moved with schema version 8.
 @pytest.mark.parametrize("p_cri,lambda0,size,digest,plans_digest", [
-    pytest.param(0.90, 1e-2, 3133,
-                 "da726f2ef6c81d450f8ecda381ea88a2b04b0306f803477564cb5dc8be6c3e47",
-                 "209a1051606b502a22b43a86a064252e72cd2f18daaf9fe6ad941d66dffc3480",
+    pytest.param(0.90, 1e-2, 3079,
+                 "61e2a12e273bb6b6bc6f0840d4ae431f0e719094da1b1facfc3d03bf81700cfe",
+                 "71cf3e15ab705c9989e3ffab940fee74ec4e46c4031fad7e4208ebdcb2641863",
                  id="0.9-0.01"),
-    pytest.param(0.99, 1e-3, 9968,
-                 "2e360976e4678e822deba018b61bd0eef99517025de864127df484207060b10e",
-                 "c9599ce6f985389f0e38b150b880288b9330d164f44b6a7d83162c23a645b019",
+    pytest.param(0.99, 1e-3, 9934,
+                 "05173b08e5b3731edfe3d8d7862bcae573c54733f01b31b773891d23dca384fb",
+                 "38b0b7f5ee68fc437f51ee31662b8fa882b7f72b8e898a988afb5c4064a7002b",
                  id="0.99-0.001"),
 ])
 def test_cache_bytes_pinned(p_cri, lambda0, size, digest, plans_digest):
     table = build_table(p_cri, lambda0)
     data = serialize_table(table).encode()
-    assert cli.SCHEMA_VERSION == 7
+    assert cli.SCHEMA_VERSION == 8
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
     plans = json.dumps(cli.table_to_doc(table)["plans"], indent=2, sort_keys=True).encode()
@@ -203,7 +203,7 @@ def test_exit_code_solver_config(cache, capfd):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("flag", ["--lambda-tol", "--phase-tol", "--level-tol"])
+@pytest.mark.parametrize("flag", ["--level-tol"])
 def test_non_finite_tolerance_is_a_config_error(cache, capfd, flag, value):
     # a NaN tolerance compares false everywhere and would wave through a plan
     # that dips below P_cri; inf accepts any residual
@@ -242,6 +242,9 @@ def test_run_config_is_frozen():
     ["plan", "--lambda", "0.2", "--bogus"],
     ["plan", "--format", "xml", "--lambda", "0.2"],
     ["nosuch"],
+    # the bracket widths that schema 8 dropped: each 1-D solve runs to float resolution
+    ["table", "--lambda-tol", "1e-12"],
+    ["table", "--phase-tol", "1e-12"],
 ])
 def test_usage_error_exits_1(cache, capfd, argv):
     # exit 2 is reserved for a range query that straddles two segments
@@ -249,6 +252,7 @@ def test_usage_error_exits_1(cache, capfd, argv):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and not Path(cache).exists()
     code, _, err = run(["plan", "--range", "0.2..0.3", "--cache", cache], capfd)
     assert code == 2
     assert "straddles" in err
@@ -396,8 +400,11 @@ def test_verify_passes_at_high_pcri_with_margins(cache, capfd):
     (["--pcri", "0.99998"], "plans.json", 4,
      "error: p_cri=0.99998 not reachable on band 1 within max_nk=64"),
     ([], "missing/plans.json", 1, "error: cannot write plan table to "),
-    # the negative control: an absurdly tight level tolerance fails the check itself
-    (["--level-tol", "1e-30"], "plans.json", 5, "error: max residual "),
+    # the negative control: an absurdly tight level tolerance fails the check itself.
+    # At the headline setting every residual is exactly 0.0 under it; at this one
+    # band 1's is 5.6e-16.
+    (["--pcri", "0.99", "--lambda0", "1e-3", "--level-tol", "1e-30"], "plans.json", 5,
+     "error: max residual "),
 ], ids=["max_nk", "over_cap", "missing_dir", "level_tol"])
 def test_verify_exits_with_the_failing_suites_code(tmp_path, capfd, flags, cache_name,
                                                    exit_code, error):
@@ -462,21 +469,24 @@ def test_cache_missing_phases_is_rebuilt(cache, capfd):
     assert "KeyError" in warning
 
 
-# Schema 1 held grid_points among the tolerances; schemas 2 to 6 have the
-# layout of schema 7, and only the solver that wrote the plans differs.
-@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 6])
+# Schemas 1 to 7 held lambda_tol and phase_tol among the tolerances, and
+# schema 1 grid_points too; otherwise schemas 2 to 7 have the layout of
+# schema 8, and only the solver that wrote the plans differs.
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 6, 7])
 def test_cache_other_version_is_rebuilt(cache, capfd, version):
     main(["table", "--cache", cache])
     capfd.readouterr()
     doc = json.loads(Path(cache).read_text())
     doc["version"] = version
+    if version >= 1:
+        doc["tolerances"].update(lambda_tol="1e-12", phase_tol="1e-12")
     if version == 1:
         doc["tolerances"]["grid_points"] = 10000
     with pytest.raises(DomainError):
         doc_to_table(doc)  # direct callers still get the typed error
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
     assert f"version {version}" in warning
-    assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION == 7
+    assert json.loads(Path(cache).read_text())["version"] == cli.SCHEMA_VERSION == 8
 
 
 def _damage_plans(doc, damage):
@@ -637,12 +647,11 @@ def test_damaged_cache_is_a_miss_or_sound(table90, data):
 
 
 def test_solver_flags_round_trip_through_the_cache(cache, capfd, monkeypatch):
-    flags = {"lambda_tol": 1e-11, "phase_tol": 2e-12, "level_tol": 1e-8, "max_nk": 32}
+    flags = {"level_tol": 1e-8, "max_nk": 32}
     argv = [f"--{name.replace('_', '-')}={value!r}" for name, value in flags.items()]
     assert main(["table", "--cache", cache, *argv]) == 0
     doc = json.loads(Path(cache).read_text())
-    assert doc["tolerances"] == {"lambda_tol": "1e-11", "phase_tol": "2e-12",
-                                 "level_tol": "1e-08", "max_nk": 32}
+    assert doc["tolerances"] == {"level_tol": "1e-08", "max_nk": 32}
     assert doc_to_table(doc).cfg == SolverConfig(**flags)
     # the same flags find the cached table instead of building another
     monkeypatch.setattr(cli.planner, "build_table", None)
@@ -683,6 +692,14 @@ def test_failed_cache_write_leaves_no_temp_file(tmp_path, capfd):
     assert code == 1
     assert "cannot write plan table" in err
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_failed_cache_write_names_the_target(tmp_path, capfd):
+    # the error names the cache path and the OS's reason, not the random temp file
+    cache = str(tmp_path / "missing" / "plans.json")
+    errs = [run(["table", "--cache", cache], capfd)[2] for _ in range(2)]
+    assert errs[0] == errs[1] == f"error: cannot write plan table to {cache}: {os.strerror(2)}\n"
+    assert ".tmp" not in errs[0]
 
 
 # ---------------------------------------------------------------------- formats

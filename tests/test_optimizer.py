@@ -17,6 +17,7 @@ from cmqsearch.optimizer import (
     SolverConfig,
     _check_guarantee,
     _falls_after_peak,
+    _root,
     build_plan,
     largest_min_success,
     make_plan,
@@ -32,7 +33,7 @@ PI = math.pi
 
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
-        SolverConfig(lambda_tol=0.0)
+        SolverConfig(level_tol=0.0)
     with pytest.raises(ConfigError):
         SolverConfig(level_tol=-1e-9)
     with pytest.raises(ConfigError):
@@ -41,16 +42,47 @@ def test_config_rejects_bad_values():
 
 def test_config_is_frozen():
     with pytest.raises(ConfigError, match="^tolerances must be positive and finite$"):
-        SolverConfig(1e-12, math.nan)
+        SolverConfig(math.nan)
     with pytest.raises(ConfigError, match="^max_nk must be >= 1$"):
         SolverConfig(max_nk=-3)
     cfg = SolverConfig()
     for name in ("max_nk", "level_tol", "extra"):
         with pytest.raises(AttributeError):
             setattr(cfg, name, 2)
-    assert cfg == SolverConfig(1e-12, 1e-12, 1e-9, 64) and hash(cfg) == hash(SolverConfig())
-    assert repr(cfg) == ("SolverConfig(lambda_tol=1e-12, phase_tol=1e-12, level_tol=1e-09, "
-                         "max_nk=64)")
+    assert cfg == SolverConfig(1e-9, 64) and hash(cfg) == hash(SolverConfig())
+    assert repr(cfg) == "SolverConfig(level_tol=1e-09, max_nk=64)"
+
+
+# ------------------------------------------------------------------ root-finder
+
+# A 1-D solve stops on an exact zero or when no float is left between the
+# bracket's ends, so where it lands does not depend on where it started.
+def test_root_runs_to_float_resolution():
+    c = 1.0 / 3.0
+
+    def f(x):
+        return c - x
+
+    a = _root(f, 0.0, 1.0, f(0.0), f(1.0))
+    assert _root(f, 0.3, 0.4, f(0.3), f(0.4)) == a
+    assert f(a) >= 0.0 and f(math.nextafter(a, 1.0)) < 0.0
+
+
+# Each boundary and each phase above the floor is the P >= q end of a solve
+# with no float left past it.  Brackets stopped at an absolute 1e-12 left
+# errors that a march of up to 64 phases amplified to 7e-11 rad.
+@pytest.mark.parametrize("p_cri,lambda0", [(0.99, 1e-3), (0.99995, 1e-2)])
+def test_plan_solves_run_to_float_resolution(p_cri, lambda0, solver_cfg):
+    for plan in build_table(p_cri, lambda0, solver_cfg).plans:
+        k, q = plan.k, plan.q_k_pi
+        floor = phi_min(k).phi + 1e-12
+        for prev, phi, a in zip(plan.phases, plan.phases[1:], plan.boundaries[1:]):
+            assert p_success(k, prev, a) >= q, (k, a)
+            assert p_success(k, prev, a) == q or p_success(k, prev, math.nextafter(a, 1.0)) < q
+            if phi != floor:
+                assert p_success(k, phi, a) >= q, (k, phi)
+                assert (p_success(k, phi, a) == q
+                        or p_success(k, math.nextafter(phi, 0.0), a) < q), (k, phi)
 
 
 # --------------------------------------------------------------------- marching
@@ -211,21 +243,15 @@ def test_floor_probe_count_matches_explicit_n_k(p_cri, solver_cfg, march_at):
 # ------------------------------------------------- deep bands and high P_cri
 
 # Q_k(1) tends to 1 as k grows (0.99994 at k = 100), so deep bands need one
-# phase for any P_cri up to 0.9999.
-@pytest.mark.parametrize("k", [100, 1000, 7854])
-def test_deep_bands_have_one_phase(k, solver_cfg):
-    plan = build_plan(k, 0.9999, solver_cfg)
+# phase for any P_cri up to 0.9999.  Band 7854, the deepest of a lambda0 = 1e-8
+# table, is 2.5e-12 wide.
+@pytest.mark.parametrize("k,p_cri", [(100, 0.9999), (1000, 0.9999), (7854, 0.9999),
+                                     (7854, 0.9), (7854, 0.99)],
+                         ids=["100", "1000", "7854", "7854-0.9", "7854-0.99"])
+def test_deep_bands_have_one_phase(k, p_cri, solver_cfg):
+    plan = build_plan(k, p_cri, solver_cfg)
     assert plan.n_k == 1
-    assert plan.q_k_pi >= 0.9999
-
-
-# Band 7854 is 2.5e-12 wide, so lambda_tol = 1e-12 is 39 % of it: a second
-# phase would need a boundary that the solver cannot resolve.
-@pytest.mark.parametrize("p_cri", [0.9, 0.99, 0.9999])
-def test_band_near_lambda_tol_has_one_phase(p_cri, solver_cfg):
-    band = iteration_band(7854)
-    assert solver_cfg.lambda_tol > 0.01 * (band.hi - band.lo)
-    assert build_plan(7854, p_cri, solver_cfg).n_k == 1
+    assert plan.q_k_pi >= p_cri
 
 
 # Band 2 takes up to 40 ms a plan at P_cri = 0.9999 (38 phases), but most
@@ -279,7 +305,7 @@ def test_level_residual_within_level_tol(p_cri, lambda0, solver_cfg):
 
 
 # The first phase sets the level on the band's lower edge, so the level is
-# exactly P there, not a level the phase was solved to within phase_tol.
+# exactly P there, not the level that the phase was solved for.
 @pytest.mark.parametrize("p_cri,lambda0", [(0.90, 1e-2), (0.99, 1e-3), (0.9999, 1e-2)])
 def test_level_is_exact_at_the_lower_edge(p_cri, lambda0, solver_cfg):
     for plan in build_table(p_cri, lambda0, solver_cfg).plans:
@@ -289,8 +315,10 @@ def test_level_is_exact_at_the_lower_edge(p_cri, lambda0, solver_cfg):
 # The solver's work as counts: the optimizer module's kernel calls and the
 # marches of one table build.  Re-pin these only when the solver changes on
 # purpose, and quote the values before and after in CHANGES.md.
-@pytest.mark.parametrize("p_cri,lambda0,kernel_calls,marches", [(0.90, 1e-2, 568, 78),
-                                                                 (0.99, 1e-3, 3403, 245)])
+@pytest.mark.parametrize("p_cri,lambda0,kernel_calls,marches", [
+    pytest.param(0.90, 1e-2, 621, 78, id="0.9-0.01"),
+    pytest.param(0.99, 1e-3, 3608, 246, id="0.99-0.001"),
+])
 def test_solver_work_is_pinned(p_cri, lambda0, kernel_calls, marches, solver_cfg,
                                monkeypatch):
     calls = {"p_success": 0, "march_level": 0}
