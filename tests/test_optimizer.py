@@ -70,7 +70,7 @@ def test_root_runs_to_float_resolution():
 
 # Each boundary and each phase above the floor is the P >= q end of a solve
 # with no float left past it.  Brackets stopped at an absolute 1e-12 left
-# errors that a march of up to 64 phases amplified to 7e-11 rad.
+# errors that band 4's 28-phase march at P_cri = 0.99995 amplified to 7e-11 rad.
 @pytest.mark.parametrize("p_cri,lambda0", [(0.99, 1e-3), (0.99995, 1e-2)])
 def test_plan_solves_run_to_float_resolution(p_cri, lambda0, solver_cfg):
     for plan in build_table(p_cri, lambda0, solver_cfg).plans:
