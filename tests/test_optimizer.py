@@ -243,13 +243,23 @@ def test_floor_probe_count_matches_explicit_n_k(p_cri, solver_cfg, march_at):
 # ------------------------------------------------- deep bands and high P_cri
 
 # Q_k(1) tends to 1 as k grows (0.99994 at k = 100), so deep bands need one
-# phase for any P_cri up to 0.9999.  Band 7854, the deepest of a lambda0 = 1e-8
-# table, is 2.5e-12 wide.
-@pytest.mark.parametrize("k,p_cri", [(100, 0.9999), (1000, 0.9999), (7854, 0.9999),
-                                     (7854, 0.9), (7854, 0.99)],
-                         ids=["100", "1000", "7854", "7854-0.9", "7854-0.99"])
-def test_deep_bands_have_one_phase(k, p_cri, solver_cfg):
-    plan = build_plan(k, p_cri, solver_cfg)
+# phase for any P_cri up to 0.9999.
+@pytest.mark.parametrize("k", [100, 1000, 7854])
+def test_deep_bands_have_one_phase(k, solver_cfg):
+    plan = build_plan(k, 0.9999, solver_cfg)
+    assert plan.n_k == 1
+    assert plan.q_k_pi >= 0.9999
+
+
+# Band 7854, the deepest of a lambda0 = 1e-8 table, is 2.5e-12 wide: narrower
+# than the lambda_tol = 1e-12 that schemas 1 to 7 stopped at was to resolve a
+# boundary in it.  Solves now run to float resolution, and the band still needs
+# one phase at every P_cri.
+@pytest.mark.parametrize("p_cri", [0.9, 0.99, 0.9999])
+def test_band_near_lambda_tol_has_one_phase(p_cri, solver_cfg):
+    band = iteration_band(7854)
+    assert 0.0 < band.hi - band.lo < 1e-11
+    plan = build_plan(7854, p_cri, solver_cfg)
     assert plan.n_k == 1
     assert plan.q_k_pi >= p_cri
 
