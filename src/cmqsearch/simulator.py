@@ -12,7 +12,9 @@ loader: under ``python -m``, importing ``cmqsearch.cli`` would run it a second t
 from __future__ import annotations
 
 import cmath
+import gc
 import math
+import os
 import random
 import sys
 
@@ -82,30 +84,81 @@ def run_long_exact(n_qubits: int, marked) -> float:
 
 # ----------------------------------------------------------------- verification
 
-def _suite_oracle() -> str:
-    # One trajectory per (n, M, phi), read after k = 0, 3, 6, 9, 12 iterations:
-    # each reading is bit-identical to a fresh statevector_run(n, M, k, phi).
+# One trajectory per (n, M, phi), read after k = 0, 3, 6, 9, 12 iterations, in the
+# order the oracle suite reports them; n ascends, so the costliest come last.
+ORACLE_CASES = [(n, m, phi) for n in (2, 4, 6, 8, 10) for m in sorted({1, 3, 2**n // 4, 2**n // 2})
+                for phi in (math.pi, 2.432, 1.465, 0.7)]
+# verify forks a child that evolves the tail ORACLE_CASES[ORACLE_SPLIT:], the longest
+# one holding at most 60 % of the oracle's amplitude updates (2^n per iteration; it is
+# 12 of the n = 10 trajectories, 56 %), while the parent evolves the head and runs the
+# other three suites: measured in fresh processes, the two sides then take about as long.
+_COSTS = [1 << n for n, _, _ in ORACLE_CASES]
+ORACLE_SPLIT = min(i for i in range(len(_COSTS)) if sum(_COSTS[i:]) <= 0.6 * sum(_COSTS))
+
+
+def _run_oracle(cases) -> float:
+    """Worst |statevector - kernel| over the cases; each reading is bit-identical to a
+    fresh statevector_run(n, M, k, phi).  Raises at the first case out of tolerance."""
     worst = 0.0
-    for n in (2, 4, 6, 8, 10):
-        big = 1 << n
-        for m in sorted({1, 3, big // 4, big // 2}):
-            for phi in (math.pi, 2.432, 1.465, 0.7):
-                state = Statevector.uniform(n, range(m))
-                for k in range(13):
-                    if k:
-                        state.apply_iteration(PhaseAngle(phi))
-                    if k % 3:
-                        continue
-                    got = state.marked_probability()
-                    want = p_success(k, phi, m / big)
-                    err = abs(got - want)
-                    if err >= 1e-10:
-                        raise VerificationError(
-                            f"oracle mismatch at n={n} M={m} k={k} phi={phi}: "
-                            f"|{got} - {want}| >= 1e-10"
-                        )
-                    worst = max(worst, err)
-    return f"max |statevector - kernel| {worst:.1e} < 1e-10"
+    for n, m, phi in cases:
+        angle = PhaseAngle(phi)
+        state = Statevector.uniform(n, range(m))
+        for k in range(13):
+            if k:
+                state.apply_iteration(angle)
+            if k % 3:
+                continue
+            got = state.marked_probability()
+            want = p_success(k, phi, m / (1 << n))
+            err = abs(got - want)
+            if err >= 1e-10:
+                raise VerificationError(f"oracle mismatch at n={n} M={m} k={k} phi={phi}: "
+                                        f"|{got} - {want}| >= 1e-10")
+            worst = max(worst, err)
+    return worst
+
+
+def _outcome(suite):
+    """The suite's result, or the CmqsearchError it raised."""
+    try:
+        return suite()
+    except CmqsearchError as exc:
+        return exc
+
+
+def _start_oracle(cases):
+    """Run ``_run_oracle(cases)`` in a forked child, or in-process where ``os.fork`` is
+    missing or fails.  Returns a function that waits for the child, reaps it and
+    returns its outcome: the worst error, or the error that stopped it (a
+    ``CmqsearchError`` naming how the child ended if it sent nothing)."""
+    read_fd, write_fd = os.pipe()
+    # Frozen objects are skipped by every later collection, so neither process's
+    # collections copy the pages the two share, and the parent's at exit scan less.
+    gc.freeze()
+    try:
+        pid = os.fork()
+    except (AttributeError, OSError):   # no os.fork here, or no process to be had
+        os.close(read_fd)
+        os.close(write_fd)
+        return lambda: _outcome(lambda: _run_oracle(cases))
+    if pid == 0:   # the child writes only to the pipe and leaves only through _exit
+        try:
+            worst = _outcome(lambda: _run_oracle(cases))   # a float's str round-trips
+            os.write(write_fd, f"{'P' if isinstance(worst, float) else 'F'}{worst}".encode())
+            os._exit(0)
+        finally:
+            os._exit(1)   # reached only if the child raised
+    os.close(write_fd)
+
+    def wait():
+        with os.fdopen(read_fd, "rb") as pipe:
+            reply = pipe.read().decode()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if reply:
+            return float(reply[1:]) if reply[0] == "P" else VerificationError(reply[1:])
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+        return CmqsearchError(f"oracle worker {how} before sending its result")
+    return wait
 
 
 def _suite_equal_level(cfg, load_table) -> str:
@@ -153,19 +206,27 @@ def _suite_long_certainty(seed: int) -> str:
 def verify(cfg, load_table) -> int:
     """Run each suite and print ``<suite>: PASS (<worst value against its limit>)``
     or ``<suite>: FAIL (<reason>)``, then raise the first failing suite's own error;
-    the equal-level suite calls ``load_table(cfg)``, so a failed build fails it alone."""
-    failed = None
-    for name, suite in (("oracle_equivalence", _suite_oracle),
-                        ("equal_level", lambda: _suite_equal_level(cfg, load_table)),
-                        ("monotonicity", lambda: _suite_monotonicity(cfg.solver)),
-                        ("long_certainty", lambda: _suite_long_certainty(cfg.seed))):
-        try:
-            margin = suite()
-        except CmqsearchError as exc:
-            sys.stdout.write(f"{name}: FAIL ({exc})\n")
-            failed = failed or exc
-        else:
-            sys.stdout.write(f"{name}: PASS ({margin})\n")
-    if failed is not None:
-        raise failed
+    the equal-level suite calls ``load_table(cfg)``, so a failed build fails it alone.
+    A forked child evolves the oracle's tail cases while this process runs the rest;
+    the lines print, in this order, once both are done."""
+    wait = _start_oracle(ORACLE_CASES[ORACLE_SPLIT:])
+    try:
+        outcomes = [_outcome(suite) for suite in (
+            lambda: _run_oracle(ORACLE_CASES[:ORACLE_SPLIT]),
+            lambda: _suite_equal_level(cfg, load_table),
+            lambda: _suite_monotonicity(cfg.solver),
+            lambda: _suite_long_certainty(cfg.seed))]
+    finally:
+        theirs = wait()
+    # the head's cases come first, so a failure there is the one a single pass reports
+    if not isinstance(outcomes[0], CmqsearchError):
+        outcomes[0] = theirs if isinstance(theirs, CmqsearchError) else (
+            f"max |statevector - kernel| {max(outcomes[0], theirs):.1e} < 1e-10")
+    errors = [outcome for outcome in outcomes if isinstance(outcome, CmqsearchError)]
+    for name, outcome in zip(("oracle_equivalence", "equal_level", "monotonicity",
+                              "long_certainty"), outcomes):
+        status = "FAIL" if isinstance(outcome, CmqsearchError) else "PASS"
+        sys.stdout.write(f"{name}: {status} ({outcome})\n")
+    if errors:
+        raise errors[0]
     return 0

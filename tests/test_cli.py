@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmqsearch import cli
+from cmqsearch import cli, simulator
 from cmqsearch.analytic import TargetFraction, iterations_for
 from cmqsearch.cli import doc_to_table, main, serialize_table
 from cmqsearch.errors import CmqsearchError, DomainError
@@ -416,6 +416,94 @@ def test_verify_exits_with_the_failing_suites_code(tmp_path, capfd, flags, cache
         "oracle_equivalence", "equal_level", "monotonicity", "long_certainty"]
     assert out.splitlines()[1].startswith("equal_level: FAIL (")
     assert err.count("\n") == 1 and err.startswith(error)
+    with pytest.raises(ChildProcessError):  # the oracle's child is reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Readings (n, M, k, phi) in the parent's share of the oracle cases and in the forked
+# child's; with both off, the parent's comes first in the suite's order and is reported.
+PARENT_READING, CHILD_READING = (6, 3, 9, 1.465), (10, 3, 6, 0.7)
+
+
+@pytest.mark.parametrize("readings", [[PARENT_READING], [CHILD_READING],
+                                      [CHILD_READING, PARENT_READING]],
+                         ids=["parent", "child", "both"])
+def test_verify_fails_on_an_oracle_mismatch(monkeypatch, cache, capfd, readings):
+    # the oracle suite's negative control: a kernel off by 1e-9 at one reading fails it
+    # with exit 5, on either side of the fork, as the same line an unforked run prints
+    split = simulator.ORACLE_SPLIT
+    for (n, m, _, phi), share in ((PARENT_READING, simulator.ORACLE_CASES[:split]),
+                                  (CHILD_READING, simulator.ORACLE_CASES[split:])):
+        assert (n, m, phi) in share
+    off = {(k, phi, m / (1 << n)) for n, m, k, phi in readings}
+    monkeypatch.setattr(simulator, "p_success", lambda k, phi, lam: p_success(k, phi, lam)
+                        + (1e-9 if (k, phi, lam) in off else 0.0))
+    code, out, err = run(["verify", "--cache", cache], capfd)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert code == 5
+    lines = out.splitlines()
+    reason = re.fullmatch(r"oracle_equivalence: FAIL \((.*)\)", lines[0])[1]
+    n, m, k, phi = readings[-1]
+    assert re.fullmatch(rf"oracle mismatch at n={n} M={m} k={k} phi={phi}: "
+                        r"\|\S+ - \S+\| >= 1e-10", reason)
+    assert [line.split(" (")[0] for line in lines[1:]] == [
+        "equal_level: PASS", "monotonicity: PASS", "long_certainty: PASS"]
+    assert err == f"error: {reason}\n"
+    monkeypatch.delattr(os, "fork")
+    assert run(["verify", "--cache", cache], capfd) == (code, out, err)
+
+
+def _fork_fails():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("fork", ["missing", "failing"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_without_fork_prints_the_same(monkeypatch, cache, capfd, seed, fork):
+    # where os.fork is missing or fails, the child's share of the oracle runs in-process
+    argv = ["verify", "--seed", str(seed), "--cache", cache]
+    forked = run(argv, capfd)
+    assert forked[0] == 0
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", _fork_fails)
+    fds = len(os.listdir("/dev/fd"))
+    assert run(argv, capfd) == forked
+    assert len(os.listdir("/dev/fd")) == fds  # the pipe made for the child is closed
+
+
+@pytest.mark.parametrize("death,how", [
+    ("os._exit(3)", "exited with code 3"),
+    ("os._exit(0)", "exited with code 0"),
+    ("os.kill(os.getpid(), signal.SIGKILL)", "was killed by signal 9"),
+])
+def test_verify_fails_typed_when_the_oracle_child_dies(tmp_path, death, how):
+    # a child that ends without sending its result fails the oracle suite with one
+    # error line: no traceback, no hang, and no process left to reap
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import os, signal, sys\n"
+            "from cmqsearch import cli, simulator\n"
+            "parent, run_oracle = os.getpid(), simulator._run_oracle\n"
+            "def dying(cases):\n"
+            f"    if os.getpid() != parent: {death}\n"
+            "    return run_oracle(cases)\n"
+            "simulator._run_oracle = dying\n"
+            f"code = cli.main(['verify', '--cache', {str(tmp_path / 'plans.json')!r}])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    sys.exit(code)\n"
+            "sys.exit(99)\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                          text=True, timeout=60)
+    reason = f"oracle worker {how} before sending its result"
+    assert (proc.returncode, proc.stderr) == (1, f"error: {reason}\n")
+    assert [line.split(" (")[0] for line in proc.stdout.splitlines()] == [
+        "oracle_equivalence: FAIL", "equal_level: PASS", "monotonicity: PASS",
+        "long_certainty: PASS"]
+    assert proc.stdout.startswith(f"oracle_equivalence: FAIL ({reason})\n")
 
 
 def test_verify_as_main_loads_no_second_cli_module(tmp_path):
