@@ -5,7 +5,10 @@
 # every algorithm, verify; a malformed flag must exit 1, not the exit 2 of a
 # straddling range; verify piped into `head -n 1`, which must print the oracle
 # line alone, with no traceback once verify has reaped the child that runs part
-# of the oracle; then verify at P_cri = 0.9999, where band 1 needs 45
+# of the oracle.  That verify exits 0 when its output reached the pipe before
+# head left and 1 when head had already gone (a closed stdout), so the script
+# records its code and accepts 0 or 1, never 120 or any other; pipefail would
+# fail the script on the race.  Then verify at P_cri = 0.9999, where band 1 needs 45
 # phases.  The next three lines sit on band edges: a lambda one ulp below
 # band 2, a table for that lambda0, and a P_cri just above Q_8(1).  A fixed
 # phase of 1e-9 must still reach P > 0.99, and one of 5e-324, whose iteration
@@ -51,7 +54,9 @@ exits 1 cli table --phase-tol 1e-12 --cache "$tmp/tol.json" 2> /dev/null
 test ! -e "$tmp/tol.json"
 cli sweep --grid 1000 --algorithms ours,grover,fixed,long,yoder_bound "${stress[@]}" > /dev/null
 cli verify "${stress[@]}"
-cli verify "${stress[@]}" 2> "$tmp/head.err" | head -n 1 > "$tmp/head.out"
+{ code=0; cli verify "${stress[@]}" 2> "$tmp/head.err" || code=$?; echo "$code" > "$tmp/head.code"; } \
+  | head -n 1 > "$tmp/head.out"
+grep -qx "[01]" "$tmp/head.code"
 grep -q "^oracle_equivalence: PASS (" "$tmp/head.out"
 test "$(wc -l < "$tmp/head.out")" -eq 1
 if grep -q Traceback "$tmp/head.err"; then exit 1; fi

@@ -13,6 +13,7 @@ or ``dataclasses`` (the record types are namedtuples; ``dataclasses`` imports
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import math
 import os
@@ -346,6 +347,9 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code; a ``CmqsearchError`` becomes
+    its one ``error:`` line on stderr and its code.  A library call: the heap, stdout
+    and a ``BrokenPipeError`` are left to the caller, which is ``run`` in a process."""
     try:
         argv = sys.argv[1:] if argv is None else argv
         args = _parse(argv) or vars(build_parser().parse_args(argv))
@@ -372,12 +376,28 @@ def main(argv=None) -> int:
     except CmqsearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+
+
+def run() -> int:
+    """The process entry, ``python -m cmqsearch.cli`` and the installed ``cmqsearch``:
+    ``main`` with the process-wide policy that a library call leaves to its caller.
+
+    It freezes the start-up heap, so that no later collection scans it (those at
+    exit and those of ``verify``'s forked child included), and flushes stdout
+    before it returns, ``--help``'s ``SystemExit`` included.  A closed stdout
+    (``| head``), whether a write or that flush finds it, exits 1.
+    """
+    gc.freeze()
+    try:
+        try:
+            return main()
+        finally:
+            sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout (e.g. `| head`); send what is still
-        # buffered to devnull so that flushing it at exit raises nothing.
+        # send what is still buffered to devnull, so that flushing it at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

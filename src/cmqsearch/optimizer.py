@@ -123,9 +123,10 @@ def _solve_phase(k: int, a: float, q: float) -> float:
     return _root(lambda phi: p_success(k, phi, a) - q, lo, hi, f_lo, f_hi)
 
 
-def march_level(k: int, phi: float, cfg: SolverConfig
+def march_level(k: int, phi: float, max_nk: int
                 ) -> tuple[float, list[float], list[float], float]:
-    """Greedy left-to-right segment construction from first phase phi.
+    """Greedy left-to-right segment construction from first phase phi, with at
+    most max_nk phases.
 
     The first phase sets the common level q = P(band.lo; phi), and each later
     phase starts its segment at q.  Returns (q, phases, boundaries, gap), where
@@ -152,7 +153,7 @@ def march_level(k: int, phi: float, cfg: SolverConfig
             boundaries.append(band.hi)
             return q, phases, boundaries, gap
         # At q = 1 the curve meets the level only at its peak: no boundary past it.
-        if len(phases) == cfg.max_nk or q == 1.0:
+        if len(phases) == max_nk or q == 1.0:
             return q, phases, boundaries, gap
         # P is 1 at the peak and below q at the tail: the next boundary is
         # where it falls back to q in between.
@@ -200,17 +201,16 @@ def largest_min_success(k: int, n_k: int | None, cfg: SolverConfig, floor: float
     # The march is greedy, so capping it at n_k phases only cuts short the
     # probes that would need more; covered means covered with <= n_k phases,
     # and a covered floor probe is the same march under the cap.
-    # _replace skips SolverConfig's checks, which n_k has just passed.
-    probe = march_level(k, phi_lo, cfg._replace(max_nk=n_k or cfg.max_nk))
+    probe = march_level(k, phi_lo, n_k or cfg.max_nk)
     if probe[3] < 0.0:
         if n_k is None:
             raise ConfigError(f"p_cri={floor} not reachable on band {k} within max_nk={cfg.max_nk}")
         raise BracketError(f"level {floor} not covered on band {k} with n_k={n_k}")
-    capped = cfg._replace(max_nk=n_k or len(probe[1]))
+    cap = n_k or len(probe[1])
     marches = {phi_lo: probe}
 
     def gap(phi: float) -> float:
-        marches[phi] = march_level(k, phi, capped)
+        marches[phi] = march_level(k, phi, cap)
         return marches[phi][3]
 
     phi = _root(gap, phi_lo, math.pi, probe[3], gap(math.pi), 0.5 * cfg.level_tol)

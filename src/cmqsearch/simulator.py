@@ -7,12 +7,13 @@ rank-one updates (O(N) per iteration, no gate decomposition), in pure Python
 sign of the iteration.  The 2x2 evolution that the tests check it against lives
 in ``tests/oracles.py``.  Only ``verify`` imports this module, passing in its table
 loader: under ``python -m``, importing ``cmqsearch.cli`` would run it a second time.
+``verify`` forks once to run part of the oracle; it leaves freezing the heap before
+that fork to the process entry, ``cli.run``.
 """
 
 from __future__ import annotations
 
 import cmath
-import gc
 import math
 import os
 import random
@@ -130,11 +131,10 @@ def _start_oracle(cases):
     """Run ``_run_oracle(cases)`` in a forked child, or in-process where ``os.fork`` is
     missing or fails.  Returns a function that waits for the child, reaps it and
     returns its outcome: the worst error, or the error that stopped it (a
-    ``CmqsearchError`` naming how the child ended if it sent nothing)."""
+    ``CmqsearchError`` naming how the child ended if it sent nothing).  The process
+    entry, ``cli.run``, froze the start-up heap, so neither process's collections
+    scan it or copy the pages the two share; a library caller's heap stays unfrozen."""
     read_fd, write_fd = os.pipe()
-    # Frozen objects are skipped by every later collection, so neither process's
-    # collections copy the pages the two share, and the parent's at exit scan less.
-    gc.freeze()
     try:
         pid = os.fork()
     except (AttributeError, OSError):   # no os.fork here, or no process to be had

@@ -14,7 +14,7 @@ def solver_cfg():
 def march_at():
     """March band k from the phase that puts level q on its lower edge."""
     def march(k, q, cfg):
-        return march_level(k, _solve_phase(k, iteration_band(k).lo, q), cfg)
+        return march_level(k, _solve_phase(k, iteration_band(k).lo, q), cfg.max_nk)
     return march
 
 

@@ -166,19 +166,42 @@ def test_table_level_reaches_pcri_just_above_a_level(cache, capfd):
     assert all(float(plan["q_k_pi"]) >= p_cri for plan in plans)
 
 
-def test_closed_stdout_is_not_a_traceback(tmp_path):
-    # the sweep writes far more than a pipe holds, so the writes fail once the
-    # reader has gone
+def _entry(script: bool) -> list[str]:
+    """Interpreter arguments that start the CLI: ``-m cmqsearch.cli``, or the installed
+    ``cmqsearch`` command's target, called as the wrapper that pip writes calls it."""
+    if not script:
+        return ["-m", "cmqsearch.cli"]
+    # read without tomllib, which Python 3.10 lacks
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^cmqsearch = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
+@pytest.mark.parametrize("script,argv", [
+    pytest.param(False, ["plan", "--lambda", "0.02"], id="plan"),
+    pytest.param(False, ["compare", "--lambda", "0.02"], id="compare"),
+    pytest.param(False, ["table"], id="table"),
+    pytest.param(False, ["verify"], id="verify"),
+    pytest.param(False, ["sweep", "--grid", "20000"], id="sweep"),
+    pytest.param(False, ["plan", "--help"], id="plan-help"),
+    pytest.param(True, ["plan", "--lambda", "0.02"], id="script-plan"),
+])
+def test_closed_stdout_is_not_a_traceback(tmp_path, script, argv):
+    # stdout is a pipe whose reader has gone before the start, and it is buffered:
+    # the sweep's writes fail on the way, the others' output fits in the buffer
+    # and first meets the closed pipe at the flush on the way out
     src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.Popen([sys.executable, "-m", "cmqsearch.cli", "sweep", "--grid", "20000",
-                             "--cache", str(tmp_path / "plans.json")],
-                            cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"lambda,algorithm,k,p\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == 1
-    assert err == b""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = subprocess.run([sys.executable, *_entry(script), *argv,
+                               "--cache", str(tmp_path / "plans.json")],
+                              cwd=src, env=env, stdout=write_fd, stderr=subprocess.PIPE,
+                              timeout=60)
+    finally:
+        os.close(write_fd)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 # ------------------------------------------------------------------- exit codes
@@ -857,16 +880,35 @@ def test_cli_import_leaves_numpy_out(tmp_path):
         ["sweep", "--grid", "50", "--algorithms", "ours,grover,fixed,long,yoder_bound", *cache],
         ["verify", *cache],
     ]
-    code = ("import contextlib, io, sys, cmqsearch.cli\n"
+    code = ("import contextlib, gc, io, sys, cmqsearch.cli\n"
             "def loaded(argv):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cmqsearch.cli.main(argv) == 0\n"
             "    return sorted(m for m in ('numpy', 'cmqsearch.simulator', 'dataclasses',\n"
-            "                              'inspect', 'typing') if m in sys.modules)\n"
+            "                              'inspect', 'typing') if m in sys.modules), \\\n"
+            "        gc.get_freeze_count()\n"
             f"print(*[loaded(argv) for argv in {commands!r}])")
     proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=src, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[] [] [] [] ['cmqsearch.simulator']"
+    # main is a library call: it leaves its caller's heap unfrozen, verify's fork included
+    assert proc.stdout.strip() == "([], 0) ([], 0) ([], 0) ([], 0) (['cmqsearch.simulator'], 0)"
+
+
+def test_process_entry_freezes_the_heap(tmp_path):
+    # under python -m the CLI runs as __main__, through cli.run, which freezes the
+    # heap before the command runs
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import contextlib, gc, io, runpy, sys\n"
+            "sys.argv = ['cmqsearch', 'plan', '--lambda', '0.02', '--cache',\n"
+            f"            {str(tmp_path / 'plans.json')!r}]\n"
+            "try:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        runpy.run_module('cmqsearch.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count() > 0)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=src, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "0 True\n"
 
 
 def test_cache_env_override(tmp_path, capfd, monkeypatch):

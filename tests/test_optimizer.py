@@ -119,13 +119,13 @@ def test_march_phases_strictly_decreasing(solver_cfg, march_at):
 def test_march_at_level_one_is_uncovered(k):
     band = iteration_band(k)
     for max_nk in (1, 2, 64):
-        q, phases, bounds, gap = march_level(k, PI, SolverConfig(max_nk=max_nk))
+        q, phases, bounds, gap = march_level(k, PI, max_nk)
         assert (q, phases, bounds) == (1.0, [PI], [band.lo]) and gap < 0.0, (k, max_nk)
 
 
 def test_march_rejects_nan_level(solver_cfg):
     with pytest.raises(DomainError, match="level q must be in"):
-        march_level(1, math.nan, solver_cfg)
+        march_level(1, math.nan, solver_cfg.max_nk)
 
 
 # The fact the level search's bracket end rests on: P(band.lo; pi) is exactly
