@@ -8,8 +8,8 @@
 # of the oracle.  That verify exits 0 when its output reached the pipe before
 # head left and 1 when head had already gone (a closed stdout), so the script
 # records its code and accepts 0 or 1, never 120 or any other; pipefail would
-# fail the script on the race.  Then verify at P_cri = 0.9999, where band 1 needs 45
-# phases.  The next three lines sit on band edges: a lambda one ulp below
+# fail the script on the race.  Then verify at P_cri = 0.9999, where band 1
+# needs 45 phases.  The next three lines sit on band edges: a lambda one ulp below
 # band 2, a table for that lambda0, and a P_cri just above Q_8(1).  A fixed
 # phase of 1e-9 must still reach P > 0.99, and one of 5e-324, whose iteration
 # count is not finite, must exit 1 with an error line, no traceback; a sweep

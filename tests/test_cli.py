@@ -529,21 +529,27 @@ def test_verify_fails_typed_when_the_oracle_child_dies(tmp_path, death, how):
     assert proc.stdout.startswith(f"oracle_equivalence: FAIL ({reason})\n")
 
 
-def test_verify_as_main_loads_no_second_cli_module(tmp_path):
-    # under python -m the CLI runs as __main__; were the suites' module to import
-    # cmqsearch.cli, the CLI's source would compile and run a second time
+def _as_main(tmp_path, argv: list[str], report: str) -> str:
+    """Run the CLI as ``python -m`` does, as ``__main__``, in a ``-S`` subprocess
+    started from the package's parent directory; print the exit code and the
+    expression ``report``, evaluated once the command is done."""
     src = Path(cli.__file__).resolve().parents[1]
-    code = ("import contextlib, io, runpy, sys\n"
-            f"sys.argv = ['cmqsearch', 'verify', '--cache', {str(tmp_path / 'plans.json')!r}]\n"
+    code = ("import contextlib, gc, io, runpy, sys\n"
+            f"sys.argv = ['cmqsearch', *{argv!r}, '--cache', {str(tmp_path / 'plans.json')!r}]\n"
             "try:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        runpy.run_module('cmqsearch.cli', run_name='__main__', alter_sys=True)\n"
             "except SystemExit as exc:\n"
-            "    print(exc.code, sorted(m for m in ('cmqsearch.cli', 'cmqsearch.simulator')\n"
-            "                           if m in sys.modules))\n")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=src, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout == "0 ['cmqsearch.simulator']\n"
+            f"    print(exc.code, {report})\n")
+    return subprocess.run([sys.executable, "-S", "-c", code], cwd=src, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_verify_as_main_loads_no_second_cli_module(tmp_path):
+    # under python -m the CLI runs as __main__; were the suites' module to import
+    # cmqsearch.cli, the CLI's source would compile and run a second time
+    report = "sorted(m for m in ('cmqsearch.cli', 'cmqsearch.simulator') if m in sys.modules)"
+    assert _as_main(tmp_path, ["verify"], report) == "0 ['cmqsearch.simulator']\n"
 
 
 # ------------------------------------------------------------- unreadable cache
@@ -897,18 +903,8 @@ def test_cli_import_leaves_numpy_out(tmp_path):
 def test_process_entry_freezes_the_heap(tmp_path):
     # under python -m the CLI runs as __main__, through cli.run, which freezes the
     # heap before the command runs
-    src = Path(cli.__file__).resolve().parents[1]
-    code = ("import contextlib, gc, io, runpy, sys\n"
-            "sys.argv = ['cmqsearch', 'plan', '--lambda', '0.02', '--cache',\n"
-            f"            {str(tmp_path / 'plans.json')!r}]\n"
-            "try:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        runpy.run_module('cmqsearch.cli', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    print(exc.code, gc.get_freeze_count() > 0)\n")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=src, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout == "0 True\n"
+    report = "gc.get_freeze_count() > 0"
+    assert _as_main(tmp_path, ["plan", "--lambda", "0.02"], report) == "0 True\n"
 
 
 def test_cache_env_override(tmp_path, capfd, monkeypatch):
