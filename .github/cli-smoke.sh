@@ -4,12 +4,11 @@
 # The end-to-end path at the stress setting: build, query the cache, sweep
 # every algorithm, verify; a malformed flag must exit 1, not the exit 2 of a
 # straddling range; verify piped into `head -n 1`, which must print the oracle
-# line alone, with no traceback once verify has reaped the child that runs part
-# of the oracle.  That verify exits 0 when its output reached the pipe before
-# head left and 1 when head had already gone (a closed stdout), so the script
-# records its code and accepts 0 or 1, never 120 or any other; pipefail would
-# fail the script on the race.  Then verify at P_cri = 0.9999, where band 1
-# needs 45 phases.  The next three lines sit on band edges: a lambda one ulp below
+# line alone, with no traceback.  That verify exits 0 when its output reached
+# the pipe before head left and 1 when head had already gone (a closed
+# stdout), so the script records its code and accepts 0 or 1, never 120 or any
+# other; pipefail would fail the script on the race.  Then verify at P_cri =
+# 0.9999, where band 1 needs 45 phases.  The next three lines sit on band edges: a lambda one ulp below
 # band 2, a table for that lambda0, and a P_cri just above Q_8(1).  A fixed
 # phase of 1e-9 must still reach P > 0.99, and one of 5e-324, whose iteration
 # count is not finite, must exit 1 with an error line, no traceback; a sweep
@@ -22,7 +21,9 @@
 # it, which once loaded and served a phase whose P fell below P_cri.  Last, a
 # table, plan and verify down to lambda0 = 1e-6 (785 bands) and to lambda0 =
 # 1e-8 (7,854 bands, nearly all with one phase; the narrowest is 2.5e-12 wide,
-# which each boundary solve resolves to the last float).
+# which each boundary solve resolves to the last float).  There the oracle runs
+# the plans of 28 of the 7,867 segments: those a register of at most 10 qubits
+# reaches, which verify's oracle line reports as 28/7867.
 #
 # At the phase cap: a table and verify at P_cri = 0.99995, where band 1 needs
 # exactly max_nk = 64 phases, and a table at 0.99998, which band 1 cannot reach
@@ -79,7 +80,7 @@ cli table --cache "$tmp/headline.json" > /dev/null
 for case in band1_pi nan_boundary; do
   python -c '
 import json, sys
-from cmqsearch.optimizer import PhasePlan, SolverConfig, _check_guarantee
+from cmqsearch.optimizer import PhasePlan, _check_guarantee
 src, case, dst = sys.argv[1:]
 doc = json.load(open(src))
 band1 = doc["plans"][0]
@@ -90,7 +91,7 @@ else:
     bounds[1] = "nan"
     plan = PhasePlan(1, 0.9, tuple(map(float, band1["phases"])), tuple(map(float, bounds)),
                      None, None)
-    band1["level_residual"] = repr(_check_guarantee(plan, SolverConfig())[-1])
+    band1["level_residual"] = repr(_check_guarantee(plan)[-1])
 json.dump(doc, open(dst, "w"))
 ' "$tmp/headline.json" "$case" "$tmp/$case.json"
   cli plan --lambda 0.3 --cache "$tmp/$case.json" > /dev/null 2> "$tmp/$case.err"
@@ -104,7 +105,8 @@ cli verify "${deep[@]}"
 deepest=(--pcri 0.99 --lambda0 1e-8 --cache "$tmp/deepest.json")
 cli table "${deepest[@]}" > /dev/null
 cli plan --lambda 2e-8 "${deepest[@]}"
-cli verify "${deepest[@]}"
+cli verify "${deepest[@]}" > "$tmp/deepest.out"
+grep -q "^oracle_equivalence: PASS (.*, 28/7867 segments reached)$" "$tmp/deepest.out"
 cap=(--pcri 0.99995 --lambda0 1e-2 --cache "$tmp/cap.json")
 cli table "${cap[@]}" > /dev/null
 cli verify "${cap[@]}"

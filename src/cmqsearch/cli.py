@@ -101,7 +101,7 @@ def doc_to_table(doc: dict) -> PlanTable:
     for k, rec in enumerate(doc["plans"], start=1):
         try:
             plan = make_plan(k, p_cri, [_float(x) for x in rec["phases"]],
-                             [_float(x) for x in rec["boundaries"]], cfg)
+                             [_float(x) for x in rec["boundaries"]])
         except VerificationError as exc:
             raise DomainError(f"band {k}: {exc}") from exc
         for name, stored, own in (
@@ -382,10 +382,10 @@ def run() -> int:
     """The process entry, ``python -m cmqsearch.cli`` and the installed ``cmqsearch``:
     ``main`` with the process-wide policy that a library call leaves to its caller.
 
-    It freezes the start-up heap, so that no later collection scans it (those at
-    exit and those of ``verify``'s forked child included), and flushes stdout
-    before it returns, ``--help``'s ``SystemExit`` included.  A closed stdout
-    (``| head``), whether a write or that flush finds it, exits 1.
+    It freezes the start-up heap, so that no later collection scans it, those
+    at exit included, and flushes stdout before it returns, ``--help``'s
+    ``SystemExit`` included.  A closed stdout (``| head``), whether a write or
+    that flush finds it, exits 1.
     """
     gc.freeze()
     try:

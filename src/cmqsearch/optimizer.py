@@ -35,9 +35,9 @@ from cmqsearch.kernels import p_success
 
 
 class SolverConfig(namedtuple("SolverConfig", "level_tol max_nk", defaults=(1e-9, 64))):
-    """level_tol is the solver's one tolerance: the level search's stop and the
-    certificate's slack.  Each phase and boundary solve runs to float
-    resolution.  max_nk caps the phases of a band."""
+    """level_tol is the solver's one tolerance: the level search's stop.  Each
+    phase and boundary solve runs to float resolution, and the certificate has
+    no slack.  max_nk caps the phases of a band."""
 
     __slots__ = ()
 
@@ -235,20 +235,20 @@ def build_plan(k: int, p_cri: float, cfg: SolverConfig | None = None) -> PhasePl
     gives the phase count, then the certified plan of its phases."""
     cfg = cfg or SolverConfig()
     _, phases, boundaries = largest_min_success(k, None, cfg, floor=p_cri)
-    return make_plan(k, p_cri, phases, boundaries, cfg)
+    return make_plan(k, p_cri, phases, boundaries)
 
 
-def make_plan(k: int, p_cri: float, phases: list[float], boundaries: list[float],
-              cfg: SolverConfig) -> PhasePlan:
+def make_plan(k: int, p_cri: float, phases: list[float], boundaries: list[float]
+              ) -> PhasePlan:
     """The one constructor of a PhasePlan, for fresh builds and cache loads.
 
     Raises DomainError unless p_cri is in (0, 1), there are n_k >= 1 phases,
     each in (phi_min(k), pi] (the solver's phases on band k, on which the
     certificate's closed forms stay finite), and n_k + 1 strictly increasing
     boundaries from band k's lower edge to its upper edge (that last is
-    checked by ``_check_guarantee``), and the level is at least p_cri and at
-    most the certified minimum plus level_tol.  Raises VerificationError when
-    ``_check_guarantee`` cannot certify P >= p_cri - level_tol over the band.
+    checked by ``_check_guarantee``), and the level is the certified minimum.
+    Raises VerificationError when ``_check_guarantee`` cannot certify
+    P >= p_cri over the band, so the level, P at band.lo, is at least p_cri.
     The plan's level q_k_pi = P(band.lo; phi_1) and its level_residual are
     the ones the certificate derives, never taken on trust.
     """
@@ -263,10 +263,8 @@ def make_plan(k: int, p_cri: float, phases: list[float], boundaries: list[float]
         if not deepest < phi <= math.pi:
             raise DomainError(f"band {k}: phi must be in ({deepest}, pi], got {phi}")
     plan = PhasePlan(k, p_cri, tuple(phases), tuple(boundaries), None, None)
-    worst, q, residual = _check_guarantee(plan, cfg)
-    if q < p_cri:
-        raise DomainError(f"band {k}: level {q} below p_cri={p_cri}")
-    if q > worst + cfg.level_tol:
+    worst, q, residual = _check_guarantee(plan)
+    if q > worst:
         raise DomainError(f"band {k}: level {q} above the certified minimum {worst}")
     return plan._replace(q_k_pi=q, level_residual=residual)
 
@@ -281,12 +279,12 @@ def _falls_after_peak(k: int, phi: float, lam: float) -> bool:
     return lhs >= (1.0 - s) / ((1.0 - lam) * (1.0 - x))
 
 
-def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> tuple[float, float, float]:
+def _check_guarantee(plan: PhasePlan) -> tuple[float, float, float]:
     """Certified minimum of the planned success probability over band k, the
     plan's level P(band.lo; phi_1) and its equal-level residual.
 
     Raises DomainError unless the boundaries run from band.lo to band.hi, and
-    VerificationError when the minimum is below p_cri - level_tol.  The
+    VerificationError when the minimum is below p_cri.  The
     residual is max - min of P at each segment's lower end and at the tail
     point: the last segment's minimum right of its lower end, which is P at
     band.hi for k >= 2 and at the interior minimum min_point_k1 for k = 1.
@@ -336,9 +334,7 @@ def _check_guarantee(plan: PhasePlan, cfg: SolverConfig) -> tuple[float, float, 
                 f"cannot certify plan for band {k} on [{lo}, {hi}] with phase {phi}"
             )
         worst = min(worst, levels[-1], tail)
-    if worst < plan.p_cri - cfg.level_tol:
-        raise VerificationError(
-            f"plan for band {k} dips to {worst} < p_cri - level_tol"
-        )
+    if worst < plan.p_cri:
+        raise VerificationError(f"plan for band {k} dips to {worst} < p_cri")
     levels.append(tail)
     return worst, levels[0], max(levels) - min(levels)

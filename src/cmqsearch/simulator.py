@@ -7,15 +7,16 @@ rank-one updates (O(N) per iteration, no gate decomposition), in pure Python
 sign of the iteration.  The 2x2 evolution that the tests check it against lives
 in ``tests/oracles.py``.  Only ``verify`` imports this module, passing in its table
 loader: under ``python -m``, importing ``cmqsearch.cli`` would run it a second time.
-``verify`` forks once to run part of the oracle; it leaves freezing the heap before
-that fork to the process entry, ``cli.run``.
+``verify`` runs in one process.  Its oracle suite runs the table's own plans, one
+dyadic lambda per segment that a register of at most 10 qubits reaches, through
+``statevector_run``; the fixed (n, M, k, phi) grid is acceptance criterion 4's,
+in the tests.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 import random
 import sys
 
@@ -85,40 +86,6 @@ def run_long_exact(n_qubits: int, marked) -> float:
 
 # ----------------------------------------------------------------- verification
 
-# One trajectory per (n, M, phi), read after k = 0, 3, 6, 9, 12 iterations, in the
-# order the oracle suite reports them; n ascends, so the costliest come last.
-ORACLE_CASES = [(n, m, phi) for n in (2, 4, 6, 8, 10) for m in sorted({1, 3, 2**n // 4, 2**n // 2})
-                for phi in (math.pi, 2.432, 1.465, 0.7)]
-# verify forks a child that evolves the tail ORACLE_CASES[ORACLE_SPLIT:], the longest
-# one holding at most 60 % of the oracle's amplitude updates (2^n per iteration; it is
-# 12 of the n = 10 trajectories, 56 %), while the parent evolves the head and runs the
-# other three suites: measured in fresh processes, the two sides then take about as long.
-_COSTS = [1 << n for n, _, _ in ORACLE_CASES]
-ORACLE_SPLIT = min(i for i in range(len(_COSTS)) if sum(_COSTS[i:]) <= 0.6 * sum(_COSTS))
-
-
-def _run_oracle(cases) -> float:
-    """Worst |statevector - kernel| over the cases; each reading is bit-identical to a
-    fresh statevector_run(n, M, k, phi).  Raises at the first case out of tolerance."""
-    worst = 0.0
-    for n, m, phi in cases:
-        angle = PhaseAngle(phi)
-        state = Statevector.uniform(n, range(m))
-        for k in range(13):
-            if k:
-                state.apply_iteration(angle)
-            if k % 3:
-                continue
-            got = state.marked_probability()
-            want = p_success(k, phi, m / (1 << n))
-            err = abs(got - want)
-            if err >= 1e-10:
-                raise VerificationError(f"oracle mismatch at n={n} M={m} k={k} phi={phi}: "
-                                        f"|{got} - {want}| >= 1e-10")
-            worst = max(worst, err)
-    return worst
-
-
 def _outcome(suite):
     """The suite's result, or the CmqsearchError it raised."""
     try:
@@ -127,51 +94,49 @@ def _outcome(suite):
         return exc
 
 
-def _start_oracle(cases):
-    """Run ``_run_oracle(cases)`` in a forked child, or in-process where ``os.fork`` is
-    missing or fails.  Returns a function that waits for the child, reaps it and
-    returns its outcome: the worst error, or the error that stopped it (a
-    ``CmqsearchError`` naming how the child ended if it sent nothing).  The process
-    entry, ``cli.run``, froze the start-up heap, so neither process's collections
-    scan it or copy the pages the two share; a library caller's heap stays unfrozen."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except (AttributeError, OSError):   # no os.fork here, or no process to be had
-        os.close(read_fd)
-        os.close(write_fd)
-        return lambda: _outcome(lambda: _run_oracle(cases))
-    if pid == 0:   # the child writes only to the pipe and leaves only through _exit
-        try:
-            worst = _outcome(lambda: _run_oracle(cases))   # a float's str round-trips
-            os.write(write_fd, f"{'P' if isinstance(worst, float) else 'F'}{worst}".encode())
-            os._exit(0)
-        finally:
-            os._exit(1)   # reached only if the child raised
-    os.close(write_fd)
+def _suite_oracle(table) -> str:
+    """Run the table's plans on the statevector, one point per segment: the dyadic
+    lambda = M/2^n in the segment on the smallest register (n <= 10) that holds one,
+    with the plan's own k and phase.  That register holds only one, since of two
+    adjacent dyadics at n one is a dyadic at n - 1.  A segment no such register
+    reaches is counted, not run.  Each reading must match the kernel and reach
+    p_cri, both to the oracle's float tolerance of 1e-10."""
+    worst, least, reached = 0.0, math.inf, 0
+    for plan in table.plans:
+        if plan.boundaries[-1] <= 2.0 ** -10:
+            break   # this band and all after it lie below the least dyadic, 2^-10
+        for phi, lo, hi in zip(plan.phases, plan.boundaries, plan.boundaries[1:]):
+            for n in range(1, 11):
+                m = math.ceil(lo * (1 << n))   # exact: scaling by 2^n rounds nothing
+                if m < hi * (1 << n):
+                    break
+            else:
+                continue
+            reached += 1
+            got = statevector_run(n, range(m), plan.k, PhaseAngle(phi))
+            want = p_success(plan.k, phi, m / (1 << n))
+            err, margin = abs(got - want), got - table.p_cri
+            at = f"n={n} M={m} k={plan.k} phi={phi}"
+            if err >= 1e-10:
+                raise VerificationError(f"oracle mismatch at {at}: |{got} - {want}| >= 1e-10")
+            if margin < -1e-10:
+                raise VerificationError(f"P at {at} is {got}: P - p_cri {margin:.1e} < -1e-10")
+            worst, least = max(worst, err), min(least, margin)
+    return (f"max |statevector - kernel| {worst:.1e} < 1e-10, "
+            f"min P - p_cri {least:.1e} >= -1e-10, "
+            f"{reached}/{sum(plan.n_k for plan in table.plans)} segments reached")
 
-    def wait():
-        with os.fdopen(read_fd, "rb") as pipe:
-            reply = pipe.read().decode()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if reply:
-            return float(reply[1:]) if reply[0] == "P" else VerificationError(reply[1:])
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-        return CmqsearchError(f"oracle worker {how} before sending its result")
-    return wait
 
-
-def _suite_equal_level(cfg, load_table) -> str:
-    table = load_table(cfg)
-    limit = 10.0 * cfg.solver.level_tol
+def _suite_equal_level(table) -> str:
+    limit = 10.0 * table.cfg.level_tol
     worst = max(table.plans, key=lambda p: p.level_residual)
     if worst.level_residual >= limit:
         raise VerificationError(
             f"max residual {worst.level_residual:.3e} on band {worst.k} >= {limit:g}"
         )
     low = min(table.plans, key=lambda p: p.q_k_pi)
-    if low.q_k_pi < cfg.p_cri:
-        raise VerificationError(f"band {low.k} level {low.q_k_pi} below p_cri={cfg.p_cri}")
+    if low.q_k_pi < table.p_cri:
+        raise VerificationError(f"band {low.k} level {low.q_k_pi} below p_cri={table.p_cri}")
     return f"max residual {worst.level_residual:.1e} < {limit:g}"
 
 
@@ -205,28 +170,19 @@ def _suite_long_certainty(seed: int) -> str:
 
 def verify(cfg, load_table) -> int:
     """Run each suite and print ``<suite>: PASS (<worst value against its limit>)``
-    or ``<suite>: FAIL (<reason>)``, then raise the first failing suite's own error;
-    the equal-level suite calls ``load_table(cfg)``, so a failed build fails it alone.
-    A forked child evolves the oracle's tail cases while this process runs the rest;
-    the lines print, in this order, once both are done."""
-    wait = _start_oracle(ORACLE_CASES[ORACLE_SPLIT:])
-    try:
-        outcomes = [_outcome(suite) for suite in (
-            lambda: _run_oracle(ORACLE_CASES[:ORACLE_SPLIT]),
-            lambda: _suite_equal_level(cfg, load_table),
-            lambda: _suite_monotonicity(cfg.solver),
-            lambda: _suite_long_certainty(cfg.seed))]
-    finally:
-        theirs = wait()
-    # the head's cases come first, so a failure there is the one a single pass reports
-    if not isinstance(outcomes[0], CmqsearchError):
-        outcomes[0] = theirs if isinstance(theirs, CmqsearchError) else (
-            f"max |statevector - kernel| {max(outcomes[0], theirs):.1e} < 1e-10")
-    errors = [outcome for outcome in outcomes if isinstance(outcome, CmqsearchError)]
+    or ``<suite>: FAIL (<reason>)``, then raise the first failing suite's own error.
+    The oracle and equal-level suites read the table of ``load_table(cfg)``, loaded
+    once, so a failed build fails those two alone, with its own error."""
+    table = _outcome(lambda: load_table(cfg))
+    outcomes = [table if isinstance(table, CmqsearchError) else _outcome(lambda: suite(table))
+                for suite in (_suite_oracle, _suite_equal_level)]
+    outcomes += [_outcome(lambda: _suite_monotonicity(cfg.solver)),
+                 _outcome(lambda: _suite_long_certainty(cfg.seed))]
     for name, outcome in zip(("oracle_equivalence", "equal_level", "monotonicity",
                               "long_certainty"), outcomes):
         status = "FAIL" if isinstance(outcome, CmqsearchError) else "PASS"
         sys.stdout.write(f"{name}: {status} ({outcome})\n")
-    if errors:
-        raise errors[0]
+    for outcome in outcomes:
+        if isinstance(outcome, CmqsearchError):
+            raise outcome
     return 0

@@ -15,12 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmqsearch import cli, simulator
-from cmqsearch.analytic import TargetFraction, iterations_for
+from cmqsearch.analytic import PhaseAngle, TargetFraction, iterations_for
 from cmqsearch.cli import doc_to_table, main, serialize_table
-from cmqsearch.errors import CmqsearchError, DomainError
+from cmqsearch.errors import CmqsearchError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import PhasePlan, SolverConfig, _check_guarantee
 from cmqsearch.planner import build_table, plan_for
+from cmqsearch.simulator import statevector_run
 
 
 def run(args, capfd):
@@ -403,6 +404,28 @@ def test_help_still_exits_0(capfd):
     assert capfd.readouterr().out.startswith("usage: cmqsearch plan ")
 
 
+def _plan_points(table) -> list[tuple[int, int, int, float]]:
+    """(n, M, k, phi) of each segment's oracle point, by brute force: the first
+    dyadic lambda = M/2^n in the segment on the smallest register n <= 10 that has one."""
+    points = []
+    for plan in table.plans:
+        for phi, lo, hi in zip(plan.phases, plan.boundaries, plan.boundaries[1:]):
+            for n in range(1, 11):
+                inside = [m for m in range(1, 1 << n) if lo <= m / (1 << n) < hi]
+                if inside:
+                    points.append((n, inside[0], plan.k, phi))
+                    break
+    return points
+
+
+def _oracle_line(line: str) -> tuple[float, float, str]:
+    match = re.fullmatch(r"oracle_equivalence: PASS \(max \|statevector - kernel\| (\S+) "
+                         r"< 1e-10, min P - p_cri (\S+) >= -1e-10, (\d+/\d+) segments "
+                         r"reached\)", line)
+    assert match, line
+    return float(match[1]), float(match[2]), match[3]
+
+
 def test_verify_passes_at_high_pcri_with_margins(cache, capfd):
     code, out, _ = run(["verify", "--pcri", "0.9999", "--lambda0", "1e-2", "--cache", cache],
                        capfd)
@@ -411,6 +434,8 @@ def test_verify_passes_at_high_pcri_with_margins(cache, capfd):
     assert [line.split(": ")[0] for line in lines] == [
         "oracle_equivalence", "equal_level", "monotonicity", "long_certainty"]
     assert all(line.split(": ")[1].startswith("PASS (") for line in lines)
+    err, margin, segments = _oracle_line(lines[0])
+    assert err < 1e-12 and margin > 0.0 and segments == "150/181"
     match = re.fullmatch(r"equal_level: PASS \(max residual (\S+) < (\S+)\)", lines[1])
     assert match, lines[1]
     assert float(match[2]) == 1e-8
@@ -432,101 +457,61 @@ def test_verify_passes_at_high_pcri_with_margins(cache, capfd):
 def test_verify_exits_with_the_failing_suites_code(tmp_path, capfd, flags, cache_name,
                                                    exit_code, error):
     # every suite prints its line; then verify exits as the first failing suite's
-    # own error would, so a table that cannot be built or written is not exit 5
+    # own error would, so a table that cannot be built or written is not exit 5.
+    # The oracle and equal-level suites share one table load, and its failure.
     code, out, err = run(["verify", *flags, "--cache", str(tmp_path / cache_name)], capfd)
     assert code == exit_code
-    assert [line.split(": ")[0] for line in out.splitlines()] == [
+    lines = out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == [
         "oracle_equivalence", "equal_level", "monotonicity", "long_certainty"]
-    assert out.splitlines()[1].startswith("equal_level: FAIL (")
+    assert lines[1].startswith("equal_level: FAIL (")
     assert err.count("\n") == 1 and err.startswith(error)
-    with pytest.raises(ChildProcessError):  # the oracle's child is reaped
-        os.waitpid(-1, os.WNOHANG)
+    if exit_code == 5:
+        assert _oracle_line(lines[0])[2] == "28/38"
+    else:
+        assert lines[0] == f"oracle_equivalence: FAIL ({err[len('error: '):-1]})"
 
 
-# Readings (n, M, k, phi) in the parent's share of the oracle cases and in the forked
-# child's; with both off, the parent's comes first in the suite's order and is reported.
-PARENT_READING, CHILD_READING = (6, 3, 9, 1.465), (10, 3, 6, 0.7)
-
-
-@pytest.mark.parametrize("readings", [[PARENT_READING], [CHILD_READING],
-                                      [CHILD_READING, PARENT_READING]],
-                         ids=["parent", "child", "both"])
-def test_verify_fails_on_an_oracle_mismatch(monkeypatch, cache, capfd, readings):
-    # the oracle suite's negative control: a kernel off by 1e-9 at one reading fails it
-    # with exit 5, on either side of the fork, as the same line an unforked run prints
-    split = simulator.ORACLE_SPLIT
-    for (n, m, _, phi), share in ((PARENT_READING, simulator.ORACLE_CASES[:split]),
-                                  (CHILD_READING, simulator.ORACLE_CASES[split:])):
-        assert (n, m, phi) in share
-    off = {(k, phi, m / (1 << n)) for n, m, k, phi in readings}
-    monkeypatch.setattr(simulator, "p_success", lambda k, phi, lam: p_success(k, phi, lam)
-                        + (1e-9 if (k, phi, lam) in off else 0.0))
+def test_verify_fails_on_an_oracle_mismatch(monkeypatch, cache, capfd, table90):
+    # the oracle suite's negative control: a kernel off by 1e-9 at one plan point
+    # fails it with exit 5, naming that point; the same run on the kernel passes
+    n, m, k, phi = _plan_points(table90)[-1]
+    monkeypatch.setattr(simulator, "p_success", lambda k_, phi_, lam: p_success(k_, phi_, lam)
+                        + (1e-9 if (k_, phi_, lam) == (k, phi, m / (1 << n)) else 0.0))
     code, out, err = run(["verify", "--cache", cache], capfd)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
     assert code == 5
     lines = out.splitlines()
     reason = re.fullmatch(r"oracle_equivalence: FAIL \((.*)\)", lines[0])[1]
-    n, m, k, phi = readings[-1]
     assert re.fullmatch(rf"oracle mismatch at n={n} M={m} k={k} phi={phi}: "
                         r"\|\S+ - \S+\| >= 1e-10", reason)
     assert [line.split(" (")[0] for line in lines[1:]] == [
         "equal_level: PASS", "monotonicity: PASS", "long_certainty: PASS"]
     assert err == f"error: {reason}\n"
-    monkeypatch.delattr(os, "fork")
-    assert run(["verify", "--cache", cache], capfd) == (code, out, err)
+    monkeypatch.undo()
+    code, out, _ = run(["verify", "--cache", cache], capfd)
+    assert code == 0 and _oracle_line(out.splitlines()[0])[2] == "10/10"
 
 
-def _fork_fails():
-    raise BlockingIOError(11, "Resource temporarily unavailable")
-
-
-@pytest.mark.parametrize("fork", ["missing", "failing"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_verify_without_fork_prints_the_same(monkeypatch, cache, capfd, seed, fork):
-    # where os.fork is missing or fails, the child's share of the oracle runs in-process
-    argv = ["verify", "--seed", str(seed), "--cache", cache]
-    forked = run(argv, capfd)
-    assert forked[0] == 0
-    if fork == "missing":
-        monkeypatch.delattr(os, "fork")
-    else:
-        monkeypatch.setattr(os, "fork", _fork_fails)
-    fds = len(os.listdir("/dev/fd"))
-    assert run(argv, capfd) == forked
-    assert len(os.listdir("/dev/fd")) == fds  # the pipe made for the child is closed
-
-
-@pytest.mark.parametrize("death,how", [
-    ("os._exit(3)", "exited with code 3"),
-    ("os._exit(0)", "exited with code 0"),
-    ("os.kill(os.getpid(), signal.SIGKILL)", "was killed by signal 9"),
-])
-def test_verify_fails_typed_when_the_oracle_child_dies(tmp_path, death, how):
-    # a child that ends without sending its result fails the oracle suite with one
-    # error line: no traceback, no hang, and no process left to reap
-    src = Path(cli.__file__).resolve().parents[1]
-    code = ("import os, signal, sys\n"
-            "from cmqsearch import cli, simulator\n"
-            "parent, run_oracle = os.getpid(), simulator._run_oracle\n"
-            "def dying(cases):\n"
-            f"    if os.getpid() != parent: {death}\n"
-            "    return run_oracle(cases)\n"
-            "simulator._run_oracle = dying\n"
-            f"code = cli.main(['verify', '--cache', {str(tmp_path / 'plans.json')!r}])\n"
-            "try:\n"
-            "    os.waitpid(-1, os.WNOHANG)\n"
-            "except ChildProcessError:\n"
-            "    sys.exit(code)\n"
-            "sys.exit(99)\n")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
-                          text=True, timeout=60)
-    reason = f"oracle worker {how} before sending its result"
-    assert (proc.returncode, proc.stderr) == (1, f"error: {reason}\n")
-    assert [line.split(" (")[0] for line in proc.stdout.splitlines()] == [
-        "oracle_equivalence: FAIL", "equal_level: PASS", "monotonicity: PASS",
-        "long_certainty: PASS"]
-    assert proc.stdout.startswith(f"oracle_equivalence: FAIL ({reason})\n")
+def test_verify_fails_on_a_plan_below_pcri(capfd, table90):
+    # a table the loader would reject, fed past it: one phase nudged until the
+    # statevector's P at its segment's plan point falls below P_cri
+    n, m, k, phi = _plan_points(table90)[0]
+    while statevector_run(n, range(m), k, PhaseAngle(phi)) >= table90.p_cri:
+        phi -= 0.01
+    plans = list(table90.plans)
+    plan = plans[k - 1]
+    plans[k - 1] = plan._replace(phases=(phi,) + plan.phases[1:])
+    assert plan.phases[0] - phi < 0.5
+    with pytest.raises(VerificationError) as exc:
+        simulator.verify(cli.RunConfig(), lambda cfg: table90._replace(plans=tuple(plans)))
+    got = statevector_run(n, range(m), k, PhaseAngle(phi))
+    reason = (f"P at n={n} M={m} k={k} phi={phi} is {got}: "
+              f"P - p_cri {got - table90.p_cri:.1e} < -1e-10")
+    assert str(exc.value) == reason
+    lines = capfd.readouterr().out.splitlines()
+    assert lines[0] == f"oracle_equivalence: FAIL ({reason})"
+    assert [line.split(" (")[0] for line in lines[1:]] == [
+        "equal_level: PASS", "monotonicity: PASS", "long_certainty: PASS"]
 
 
 def _as_main(tmp_path, argv: list[str], report: str) -> str:
@@ -689,7 +674,7 @@ def _unsound_cache(doc, case):
         plans[0]["boundaries"][1] = "nan"
         plan = PhasePlan(1, 0.90, tuple(float(x) for x in plans[0]["phases"]),
                          tuple(float(x) for x in plans[0]["boundaries"]), None, None)
-        plans[0]["level_residual"] = repr(_check_guarantee(plan, SolverConfig())[-1])
+        plans[0]["level_residual"] = repr(_check_guarantee(plan)[-1])
     elif case == "nan_pcri":  # loaded, then rebuilt as another setting with no warning
         doc["p_cri"] = "nan"
     elif case == "huge_pcri":  # float(10**400): OverflowError
@@ -751,7 +736,7 @@ def test_damaged_cache_is_a_miss_or_sound(table90, data):
         table = doc_to_table(doc)
     except CACHE_MISS:
         return
-    floor = table.p_cri - table.cfg.level_tol
+    floor = table.p_cri
     for plan in table.plans:
         bounds = plan.boundaries
         assert all(math.isfinite(b) for b in bounds)
@@ -896,7 +881,7 @@ def test_cli_import_leaves_numpy_out(tmp_path):
             f"print(*[loaded(argv) for argv in {commands!r}])")
     proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=src, capture_output=True,
                           text=True, check=True)
-    # main is a library call: it leaves its caller's heap unfrozen, verify's fork included
+    # main is a library call: it leaves its caller's heap unfrozen, verify's included
     assert proc.stdout.strip() == "([], 0) ([], 0) ([], 0) ([], 0) (['cmqsearch.simulator'], 0)"
 
 

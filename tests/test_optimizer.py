@@ -357,19 +357,18 @@ def test_plan_probability_at(table90):
 
 # ------------------------------------------------------------------ plan contract
 
-def test_make_plan_derives_the_level_and_residual(table90, solver_cfg):
+def test_make_plan_derives_the_level_and_residual(table90):
     for plan in table90.plans:
-        assert make_plan(plan.k, plan.p_cri, list(plan.phases), list(plan.boundaries),
-                         solver_cfg) == plan
+        assert make_plan(plan.k, plan.p_cri, list(plan.phases), list(plan.boundaries)) == plan
 
 
 def test_make_plan_rejects_a_level_below_pcri(solver_cfg):
-    # P_cri just above the plan's level, within level_tol: the certificate
-    # passes, and the derived level is below P_cri
+    # P_cri just above the plan's level: the certificate has no slack, so the
+    # level, P at band.lo, is a point it finds below P_cri
     plan = build_plan(1, 0.90, solver_cfg)
     p_cri = plan.q_k_pi + 0.5 * solver_cfg.level_tol
-    with pytest.raises(DomainError, match="below p_cri"):
-        make_plan(1, p_cri, list(plan.phases), list(plan.boundaries), solver_cfg)
+    with pytest.raises(VerificationError, match=rf"dips to {plan.q_k_pi} < p_cri"):
+        make_plan(1, p_cri, list(plan.phases), list(plan.boundaries))
 
 
 def test_make_plan_rejects_a_level_above_the_certified_minimum(solver_cfg):
@@ -377,38 +376,38 @@ def test_make_plan_rejects_a_level_above_the_certified_minimum(solver_cfg):
     # the level set by the first phase, and stays above P_cri
     plan = build_plan(1, 0.90, solver_cfg)
     phases = [plan.phases[0], plan.phases[1] - 1e-5]
-    worst, q, _ = _check_guarantee(plan._replace(phases=tuple(phases)), solver_cfg)
+    worst, q, _ = _check_guarantee(plan._replace(phases=tuple(phases)))
     assert q == plan.q_k_pi and 1e-7 < q - worst < 1e-5 and worst > 0.90
     with pytest.raises(DomainError, match="above the certified"):
-        make_plan(1, 0.90, phases, list(plan.boundaries), solver_cfg)
+        make_plan(1, 0.90, phases, list(plan.boundaries))
 
 
 @pytest.mark.parametrize("p_cri", [0.0, 1.0, -0.5, math.nan])
-def test_make_plan_rejects_pcri_outside_unit_interval(p_cri, table90, solver_cfg):
+def test_make_plan_rejects_pcri_outside_unit_interval(p_cri, table90):
     plan = table90.plan(3)
     with pytest.raises(DomainError, match=r"^p_cri must be in \(0, 1\)"):
-        make_plan(3, p_cri, list(plan.phases), list(plan.boundaries), solver_cfg)
+        make_plan(3, p_cri, list(plan.phases), list(plan.boundaries))
 
 
 # The solver's phases on band k lie in (phi_min(k), pi]; at or below phi_min
 # the certificate's peak and interior-minimum forms leave the band or overflow.
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("phi", ["phi_min", 1e-300, 0.0, -0.0, math.nan, 4.0])
-def test_make_plan_rejects_phase_outside_its_domain(k, phi, table90, solver_cfg):
+def test_make_plan_rejects_phase_outside_its_domain(k, phi, table90):
     plan = table90.plan(k)
     phases = list(plan.phases)
     phases[-1] = phi_min(k).phi if phi == "phi_min" else phi
     with pytest.raises(DomainError, match="phi must be in"):
-        make_plan(k, 0.90, phases, list(plan.boundaries), solver_cfg)
+        make_plan(k, 0.90, phases, list(plan.boundaries))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_make_plan_rejects_a_non_finite_interior_boundary(bad, table90, solver_cfg):
+def test_make_plan_rejects_a_non_finite_interior_boundary(bad, table90):
     plan = table90.plan(1)
     bounds = list(plan.boundaries)
     bounds[1] = bad
     with pytest.raises(DomainError, match="do not strictly increase"):
-        make_plan(1, 0.90, list(plan.phases), bounds, solver_cfg)
+        make_plan(1, 0.90, list(plan.phases), bounds)
 
 
 # ------------------------------------------------------------- guarantee check
@@ -420,19 +419,19 @@ def test_guarantee_takes_p_one_at_band_one_upper_edge(solver_cfg):
     plan = build_plan(1, 0.90, solver_cfg)._replace(phases=(PI,),
                                                        boundaries=(iteration_band(1).lo, 1.0))
     with pytest.raises(VerificationError, match="dips"):
-        _check_guarantee(plan, solver_cfg)
+        _check_guarantee(plan)
 
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_guarantee_rejects_dip(m, solver_cfg):
     plan = build_plan(1, 0.90, solver_cfg)
     assert plan.n_k == 2
-    _check_guarantee(plan, solver_cfg)
+    _check_guarantee(plan)
     phases = list(plan.phases)
     phases[m] -= 0.3
     bad = plan._replace(phases=tuple(phases))
     with pytest.raises(VerificationError, match="dips"):
-        _check_guarantee(bad, solver_cfg)
+        _check_guarantee(bad)
 
 
 def test_guarantee_rejects_short_cover(solver_cfg):
@@ -441,7 +440,7 @@ def test_guarantee_rejects_short_cover(solver_cfg):
     short = band.hi - 0.01 * (band.hi - band.lo)
     bad = plan._replace(boundaries=plan.boundaries[:-1] + (short,))
     with pytest.raises(DomainError):
-        _check_guarantee(bad, solver_cfg)
+        _check_guarantee(bad)
 
 
 def test_guarantee_rejects_early_start(solver_cfg):
@@ -451,7 +450,7 @@ def test_guarantee_rejects_early_start(solver_cfg):
     early = band.lo - 0.01 * (band.hi - band.lo)
     bad = plan._replace(boundaries=(early,) + plan.boundaries[1:])
     with pytest.raises(DomainError, match="boundaries span"):
-        _check_guarantee(bad, solver_cfg)
+        _check_guarantee(bad)
 
 
 # The certificate rests on 1 - P = (1 - lam) cos^2(n delta/2) / cos^2(delta/2),
@@ -515,12 +514,12 @@ def test_certificate_agrees_with_a_dense_scan(table90, solver_cfg):
         phases[m] = min(PI, phases[m] + rng.uniform(-0.5, 0.5))
         bent = plan._replace(phases=tuple(phases))
         scan_min = _dense_scan_min(bent)
-        if scan_min < plan.p_cri - solver_cfg.level_tol:
+        if scan_min < plan.p_cri:
             with pytest.raises(VerificationError, match="dips"):
-                _check_guarantee(bent, solver_cfg)
+                _check_guarantee(bent)
             rejected += 1
         else:
-            assert _check_guarantee(bent, solver_cfg)[0] <= scan_min + 1e-12
+            assert _check_guarantee(bent)[0] <= scan_min + 1e-12
     assert 20 < rejected < 80
 
 
@@ -535,8 +534,8 @@ def test_plan_guarantee_holds_down_to_small_lambda(k, p_cri, fracs, solver_cfg):
         plan = build_plan(k, p_cri, solver_cfg)
     except ConfigError:
         reject()
+    assert _check_guarantee(plan)[0] >= p_cri
     floor = p_cri - solver_cfg.level_tol
-    assert _check_guarantee(plan, solver_cfg)[0] >= floor
     for phi, lo, hi in zip(plan.phases, plan.boundaries, plan.boundaries[1:]):
         points = [lo, hi] + [lo + f * (hi - lo) for f in fracs]
         assert all(p_success(k, phi, lam) >= floor for lam in points), (k, p_cri)

@@ -114,8 +114,8 @@ def test_subspace_uniformity():
 @pytest.mark.parametrize("n,m,phi", [(2, 1, PI), (4, 3, 2.432), (6, 16, 1.465), (10, 1, 0.7),
                                      (10, 512, 2.0)])
 def test_one_trajectory_reads_like_fresh_runs(n, m, phi):
-    # verify's oracle suite reads one evolving state after k iterations; each
-    # reading must equal a fresh run of k iterations bit for bit
+    # one evolving state read after each of k iterations equals a fresh run of
+    # k iterations bit for bit
     state = Statevector.uniform(n, range(m))
     for k in range(13):
         assert state.marked_probability() == statevector_run(n, range(m), k, PhaseAngle(phi))
