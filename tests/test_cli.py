@@ -472,12 +472,16 @@ def test_verify_exits_with_the_failing_suites_code(tmp_path, capfd, flags, cache
         assert lines[0] == f"oracle_equivalence: FAIL ({err[len('error: '):-1]})"
 
 
-def test_verify_fails_on_an_oracle_mismatch(monkeypatch, cache, capfd, table90):
-    # the oracle suite's negative control: a kernel off by 1e-9 at one plan point
-    # fails it with exit 5, naming that point; the same run on the kernel passes
-    n, m, k, phi = _plan_points(table90)[-1]
-    monkeypatch.setattr(simulator, "p_success", lambda k_, phi_, lam: p_success(k_, phi_, lam)
-                        + (1e-9 if (k_, phi_, lam) == (k, phi, m / (1 << n)) else 0.0))
+@pytest.mark.parametrize("which", [[0], [-1], [-1, 0]], ids=["first", "last", "both"])
+def test_verify_fails_on_a_plan_point_mismatch(monkeypatch, cache, capfd, table90, which):
+    # the oracle suite's negative control: a kernel off by 1e-9 at a plan point fails
+    # it with exit 5, naming that point (with two off, the first in the suite's order);
+    # the same run on the kernel passes
+    points = _plan_points(table90)
+    off = {(k, phi, m / (1 << n)) for n, m, k, phi in (points[i] for i in which)}
+    monkeypatch.setattr(simulator, "p_success", lambda k, phi, lam: p_success(k, phi, lam)
+                        + (1e-9 if (k, phi, lam) in off else 0.0))
+    n, m, k, phi = points[which[-1]]
     code, out, err = run(["verify", "--cache", cache], capfd)
     assert code == 5
     lines = out.splitlines()
