@@ -34,7 +34,8 @@
 # table's directory is missing, so the table cannot be written.  Each prints
 # one error line and no traceback on stderr, and the second names the cache
 # path, not the random name of its temp file.  The bracket-width flags
-# --lambda-tol and --phase-tol are gone (schema 8): each is a usage error.
+# --lambda-tol and --phase-tol are gone (schema 8), and so is --level-tol, now
+# the constant LEVEL_TOL (schema 9): each is a usage error that writes no cache.
 set -euo pipefail
 export PYTHONPATH=src
 tmp=$(mktemp -d)
@@ -52,6 +53,7 @@ cli plan --range 0.002..0.0020001 --format csv "${stress[@]}"
 exits 1 cli plan --lambda abc --cache "$tmp/plans.json"
 exits 1 cli table --lambda-tol 1e-12 --cache "$tmp/tol.json" 2> /dev/null
 exits 1 cli table --phase-tol 1e-12 --cache "$tmp/tol.json" 2> /dev/null
+exits 1 cli table --level-tol 1e-9 --cache "$tmp/tol.json" 2> /dev/null
 test ! -e "$tmp/tol.json"
 cli sweep --grid 1000 --algorithms ours,grover,fixed,long,yoder_bound "${stress[@]}" > /dev/null
 cli verify "${stress[@]}"

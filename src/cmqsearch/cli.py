@@ -22,22 +22,23 @@ from collections import namedtuple
 
 from cmqsearch import analytic, planner
 from cmqsearch.analytic import PhaseAngle, TargetFraction
-from cmqsearch.errors import CmqsearchError, DomainError, VerificationError
+from cmqsearch.errors import CmqsearchError, ConfigError, DomainError, VerificationError
 # perfbench/tracing.py patches cli's own p_success and largest_min_success; nothing calls them.
 from cmqsearch.kernels import p_success
-from cmqsearch.optimizer import SolverConfig, largest_min_success, make_plan
+from cmqsearch.optimizer import MAX_NK, largest_min_success, make_plan
 from cmqsearch.planner import KigrQuery, PlanTable
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
-class RunConfig(namedtuple("RunConfig", "p_cri lambda0 solver fmt cache seed",
-                           defaults=(0.90, 1e-2, SolverConfig(), "json",
-                                     "cmqsearch-plans.json", 0))):
+class RunConfig(namedtuple("RunConfig", "p_cri lambda0 max_nk fmt cache seed",
+                           defaults=(0.90, 1e-2, MAX_NK, "json", "cmqsearch-plans.json", 0))):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if self.max_nk < 1:
+            raise ConfigError("max_nk must be >= 1")
         if not 0.0 < self.p_cri < 1.0:
             raise DomainError(f"p_cri must be in (0, 1), got {self.p_cri}")
         if not 0.0 < self.lambda0 < 1.0:
@@ -56,8 +57,7 @@ def table_to_doc(table: PlanTable) -> dict:
         "version": SCHEMA_VERSION,
         "p_cri": repr(table.p_cri),
         "lambda0": repr(table.lambda0),
-        "tolerances": {name: repr(value) if isinstance(value, float) else value
-                       for name, value in table.cfg._asdict().items()},
+        "max_nk": table.max_nk,
         "plans": [
             {
                 "k": p.k,
@@ -80,18 +80,18 @@ def _float(x) -> float:
 def doc_to_table(doc: dict) -> PlanTable:
     """Inverse of ``table_to_doc``.
 
-    Raises DomainError unless the plans are bands 1..k(lambda0), each a plan
-    that ``make_plan`` accepts, stored with the n_k, band (its first and last
-    boundary), q_k_pi and level_residual that it derives from its phases and
-    boundaries.
+    Raises DomainError unless max_nk is at least 1 and the plans are bands
+    1..k(lambda0), each a plan that ``make_plan`` accepts, stored with the n_k,
+    band (its first and last boundary), q_k_pi and level_residual that it
+    derives from its phases and boundaries.
     """
     if doc.get("version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported plan-table version {doc.get('version')}")
-    tol = doc["tolerances"]
     # Every number is read through str, so that a non-finite max_nk is a ValueError and
     # a float field stored as an integer beyond float range is inf, not an OverflowError.
-    cfg = SolverConfig(**{name: type(default)(str(tol[name]))
-                          for name, default in SolverConfig._field_defaults.items()})
+    max_nk = int(str(doc["max_nk"]))
+    if max_nk < 1:
+        raise DomainError(f"max_nk must be >= 1, got {max_nk}")
     p_cri = _float(doc["p_cri"])
     lambda0 = _float(doc["lambda0"])
     k_max = analytic.iterations_for(TargetFraction(lambda0))
@@ -113,7 +113,7 @@ def doc_to_table(doc: dict) -> PlanTable:
                 raise DomainError(f"band {k}: stored {name} {stored!r} "
                                   f"is not the plan's own {own!r}")
         plans.append(plan)
-    return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=tuple(plans), cfg=cfg)
+    return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=tuple(plans), max_nk=max_nk)
 
 
 def serialize_table(table: PlanTable) -> str:
@@ -146,7 +146,8 @@ def load_or_build_table(cfg: RunConfig) -> PlanTable:
     """Use the cached table when it matches the run config, else rebuild it.
 
     A cache that cannot be read as a table (an OS error on read, truncated,
-    missing keys, another schema version, a damaged plan list) is a miss: one warning on stderr, then rebuild.
+    missing keys, another schema version, a damaged plan list, nesting too deep to
+    parse) is a miss: one warning on stderr, then rebuild.
     """
     path = cfg.cache
     if os.path.exists(path):
@@ -154,14 +155,14 @@ def load_or_build_table(cfg: RunConfig) -> PlanTable:
             with open(path) as fh:
                 table = doc_to_table(json.load(fh))
         except (OSError, CmqsearchError, ValueError, LookupError, TypeError,
-                AttributeError) as exc:
+                AttributeError, RecursionError) as exc:
             print(f"warning: rebuilding unreadable plan cache {path} "
                   f"({type(exc).__name__}: {exc})", file=sys.stderr)
         else:
             if (table.p_cri == cfg.p_cri and table.lambda0 == cfg.lambda0
-                    and table.cfg == cfg.solver):
+                    and table.max_nk == cfg.max_nk):
                 return table
-    table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.solver)
+    table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.max_nk)
     write_table(serialize_table(table), cfg.cache)
     return table
 
@@ -169,7 +170,7 @@ def load_or_build_table(cfg: RunConfig) -> PlanTable:
 # ---------------------------------------------------------------------- commands
 
 def cmd_table(cfg: RunConfig) -> int:
-    table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.solver)
+    table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.max_nk)
     text = serialize_table(table)
     write_table(text, cfg.cache)
     if cfg.fmt == "json":
@@ -277,8 +278,8 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 def _flag_table() -> dict:
     """command -> (help, {long flag: add_argument keywords}), flags in --help order;
-    the defaults are RunConfig's and SolverConfig's, and the table is built per
-    call, since the --cache default reads CMQSEARCH_CACHE."""
+    the defaults are RunConfig's, and the table is built per call, since the --cache
+    default reads CMQSEARCH_CACHE."""
     run = RunConfig._field_defaults
     common = {"--pcri": dict(dest="pcri", type=float, default=run["p_cri"]),
               "--lambda0": dict(dest="lambda0", type=float, default=run["lambda0"]),
@@ -286,8 +287,7 @@ def _flag_table() -> dict:
               "--cache": dict(dest="cache", default=os.environ.get("CMQSEARCH_CACHE",
                                                                     run["cache"])),
               "--seed": dict(dest="seed", type=int, default=run["seed"]),
-              **{"--" + name.replace("_", "-"): dict(dest=name, type=type(default), default=default)
-                 for name, default in SolverConfig._field_defaults.items()}}
+              "--max-nk": dict(dest="max_nk", type=int, default=run["max_nk"])}
     lam, phi = dict(dest="lam", type=float), dict(dest="phi", type=float, default=0.1 * math.pi)
     algorithms = dict(dest="algorithms", default="ours,grover",
                       help="comma list: ours,grover,fixed,yoder_bound,long")
@@ -353,8 +353,7 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
         args = _parse(argv) or vars(build_parser().parse_args(argv))
-        solver = SolverConfig(*[args[name] for name in SolverConfig._fields])
-        cfg = RunConfig(p_cri=args["pcri"], lambda0=args["lambda0"], solver=solver,
+        cfg = RunConfig(p_cri=args["pcri"], lambda0=args["lambda0"], max_nk=args["max_nk"],
                         fmt=args["format"], cache=args["cache"], seed=args["seed"])
         command = args["command"]
         if command == "table":

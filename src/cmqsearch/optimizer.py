@@ -34,20 +34,13 @@ from cmqsearch.errors import BracketError, ConfigError, DomainError, Verificatio
 from cmqsearch.kernels import p_success
 
 
-class SolverConfig(namedtuple("SolverConfig", "level_tol max_nk", defaults=(1e-9, 64))):
-    """level_tol is the solver's one tolerance: the level search's stop.  Each
-    phase and boundary solve runs to float resolution, and the certificate has
-    no slack.  max_nk caps the phases of a band."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 < self.level_tol < math.inf:
-            raise ConfigError("tolerances must be positive and finite")
-        if self.max_nk < 1:
-            raise ConfigError("max_nk must be >= 1")
-        return self
+# The solver's one tolerance: the level search stops at 0 <= gap <= LEVEL_TOL / 2,
+# which bounds each plan's equal-level residual.  It stops on the march's tail
+# gap, not on its bracket's width, because the gap moves many times faster than
+# the level.  Each phase and boundary solve runs to float resolution, and the
+# certificate has no slack.
+LEVEL_TOL = 1e-9
+MAX_NK = 64
 
 
 class PhasePlan(namedtuple("PhasePlan", "k p_cri phases boundaries q_k_pi level_residual")):
@@ -167,7 +160,7 @@ def march_level(k: int, phi: float, max_nk: int
         phases.append(phi)
 
 
-def largest_min_success(k: int, n_k: int | None, cfg: SolverConfig, floor: float = 0.5
+def largest_min_success(k: int, n_k: int | None, max_nk: int = MAX_NK, floor: float = 0.5
                         ) -> tuple[float, list[float], list[float]]:
     """Largest level achievable with exactly n_k phases on band k.
 
@@ -179,32 +172,35 @@ def largest_min_success(k: int, n_k: int | None, cfg: SolverConfig, floor: float
     to cover (BracketError if it does not), to pi, whose level is 1 and whose
     march never covers (P(tail; pi) < 1), and the search keeps the covered
     end, so the level it returns is at least ``floor``.  It stops on
-    0 <= gap <= level_tol / 2, not on the width of the bracket, because the
+    0 <= gap <= LEVEL_TOL / 2, not on the width of the bracket, because the
     gap moves many times faster than the level when n_k is large.
 
     With n_k None, the floor probe also gives the phase count: its march runs
-    under cfg.max_nk, and from each left boundary takes the deepest phase that
+    under max_nk, and from each left boundary takes the deepest phase that
     still starts at the floor, whose curve stays at or above it furthest to
     the right, so it covers the band with the fewest phases that can.  n_k is
     that march's length (one phase when even the deepest phase starts above
     the floor), the least count whose largest level reaches the floor, and
     the probe is the search's covered bracket end.  A floor outside (0, 1) is
-    a DomainError, and a band that march leaves uncovered is a ConfigError.
+    a DomainError, and a band that march leaves uncovered is a ConfigError,
+    as is a max_nk below 1.
     """
+    if max_nk < 1:
+        raise ConfigError("max_nk must be >= 1")
     if n_k is None:
         if not 0.0 < floor < 1.0:
             raise DomainError(f"p_cri must be in (0, 1), got {floor}")
-    elif not 1 <= n_k <= cfg.max_nk:
-        raise ConfigError(f"n_k={n_k} outside [1, max_nk={cfg.max_nk}]")
+    elif not 1 <= n_k <= max_nk:
+        raise ConfigError(f"n_k={n_k} outside [1, max_nk={max_nk}]")
     lo = iteration_band(k).lo
     phi_lo = _solve_phase(k, lo, floor)
     # The march is greedy, so capping it at n_k phases only cuts short the
     # probes that would need more; covered means covered with <= n_k phases,
     # and a covered floor probe is the same march under the cap.
-    probe = march_level(k, phi_lo, n_k or cfg.max_nk)
+    probe = march_level(k, phi_lo, n_k or max_nk)
     if probe[3] < 0.0:
         if n_k is None:
-            raise ConfigError(f"p_cri={floor} not reachable on band {k} within max_nk={cfg.max_nk}")
+            raise ConfigError(f"p_cri={floor} not reachable on band {k} within max_nk={max_nk}")
         raise BracketError(f"level {floor} not covered on band {k} with n_k={n_k}")
     cap = n_k or len(probe[1])
     marches = {phi_lo: probe}
@@ -213,7 +209,7 @@ def largest_min_success(k: int, n_k: int | None, cfg: SolverConfig, floor: float
         marches[phi] = march_level(k, phi, cap)
         return marches[phi][3]
 
-    phi = _root(gap, phi_lo, math.pi, probe[3], gap(math.pi), 0.5 * cfg.level_tol)
+    phi = _root(gap, phi_lo, math.pi, probe[3], gap(math.pi), 0.5 * LEVEL_TOL)
     q, phases, boundaries, _ = marches[phi]
     # The march may cover the band with fewer phases than allowed only when
     # the level is far below Q_k(n_k); at the supremum it uses all of them.
@@ -221,20 +217,19 @@ def largest_min_success(k: int, n_k: int | None, cfg: SolverConfig, floor: float
 
 
 # No command calls it; perfbench/tracing.py patches it to time its calls.
-def optimal_phase_count(k: int, p_cri: float, cfg: SolverConfig) -> int:
+def optimal_phase_count(k: int, p_cri: float, max_nk: int = MAX_NK) -> int:
     """Least phase count whose largest minimum level reaches p_cri.
 
     The level search's floor probe gives it (see ``largest_min_success``),
     and at the supremum the search uses all n_k phases.
     """
-    return len(largest_min_success(k, None, cfg, floor=p_cri)[1])
+    return len(largest_min_success(k, None, max_nk, floor=p_cri)[1])
 
 
-def build_plan(k: int, p_cri: float, cfg: SolverConfig | None = None) -> PhasePlan:
+def build_plan(k: int, p_cri: float, max_nk: int = MAX_NK) -> PhasePlan:
     """Full plan for one band: one level search, whose floor probe at p_cri
     gives the phase count, then the certified plan of its phases."""
-    cfg = cfg or SolverConfig()
-    _, phases, boundaries = largest_min_success(k, None, cfg, floor=p_cri)
+    _, phases, boundaries = largest_min_success(k, None, max_nk, floor=p_cri)
     return make_plan(k, p_cri, phases, boundaries)
 
 

@@ -10,10 +10,10 @@ from cmqsearch.analytic import (PhaseAngle, TargetFraction, grover_iterations, i
                                 peak_phase)
 from cmqsearch.errors import AmbiguityError, DomainError, RangeError
 from cmqsearch.kernels import delta_angle, p_success
-from cmqsearch.optimizer import PhasePlan, SolverConfig, build_plan
+from cmqsearch.optimizer import MAX_NK, PhasePlan, build_plan
 
 
-class PlanTable(namedtuple("PlanTable", "p_cri lambda0 plans cfg")):
+class PlanTable(namedtuple("PlanTable", "p_cri lambda0 plans max_nk")):
     """Plans for every band intersecting [lambda0, 1), indexed by k = 1..k_max."""
 
     __slots__ = ()
@@ -28,13 +28,12 @@ class PlanTable(namedtuple("PlanTable", "p_cri lambda0 plans cfg")):
         return self.plans[k - 1]
 
 
-def build_table(p_cri: float, lambda0: float, cfg: SolverConfig | None = None) -> PlanTable:
+def build_table(p_cri: float, lambda0: float, max_nk: int = MAX_NK) -> PlanTable:
     if not 0.0 < lambda0 < 1.0:
         raise DomainError(f"lambda0 must be in (0, 1), got {lambda0}")
-    cfg = cfg or SolverConfig()
     k_max = iterations_for(TargetFraction(lambda0))
-    plans = tuple(build_plan(k, p_cri, cfg) for k in range(1, k_max + 1))
-    return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=plans, cfg=cfg)
+    plans = tuple(build_plan(k, p_cri, max_nk) for k in range(1, k_max + 1))
+    return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=plans, max_nk=max_nk)
 
 
 class KigrQuery(namedtuple("KigrQuery", "exact_lambda range", defaults=(None, None))):

@@ -128,7 +128,7 @@ def _suite_oracle(table) -> str:
 
 
 def _suite_equal_level(table) -> str:
-    limit = 10.0 * table.cfg.level_tol
+    limit = 10.0 * optimizer.LEVEL_TOL
     worst = max(table.plans, key=lambda p: p.level_residual)
     if worst.level_residual >= limit:
         raise VerificationError(
@@ -140,12 +140,12 @@ def _suite_equal_level(table) -> str:
     return f"max residual {worst.level_residual:.1e} < {limit:g}"
 
 
-def _suite_monotonicity(solver: optimizer.SolverConfig) -> str:
+def _suite_monotonicity(max_nk: int) -> str:
     least = math.inf
     for k in (1, 2, 3):
         prev = 0.0
         for n in (1, 2, 3):
-            q, _, _ = optimizer.largest_min_success(k, n, solver)
+            q, _, _ = optimizer.largest_min_success(k, n, max_nk)
             if q <= prev + 1e-6:
                 raise VerificationError(
                     f"Q({k}, n={n})={q} not above Q({k}, n={n - 1})={prev}"
@@ -176,7 +176,7 @@ def verify(cfg, load_table) -> int:
     table = _outcome(lambda: load_table(cfg))
     outcomes = [table if isinstance(table, CmqsearchError) else _outcome(lambda: suite(table))
                 for suite in (_suite_oracle, _suite_equal_level)]
-    outcomes += [_outcome(lambda: _suite_monotonicity(cfg.solver)),
+    outcomes += [_outcome(lambda: _suite_monotonicity(cfg.max_nk)),
                  _outcome(lambda: _suite_long_certainty(cfg.seed))]
     for name, outcome in zip(("oracle_equivalence", "equal_level", "monotonicity",
                               "long_certainty"), outcomes):

@@ -21,7 +21,7 @@ from cmqsearch.analytic import (
 )
 from cmqsearch.cli import _log_grid
 from cmqsearch.kernels import p_success
-from cmqsearch.optimizer import SolverConfig, largest_min_success
+from cmqsearch.optimizer import largest_min_success
 from cmqsearch.planner import (
     baseline_yoder_bound,
     build_table,
@@ -145,16 +145,16 @@ def test_criterion_7_crossover_and_halving():
             assert 1.8 <= ratio <= 2.2, lam
 
 
-def test_criterion_8_level_monotonicity(solver_cfg, march_at):
+def test_criterion_8_level_monotonicity(march_at):
     with criterion("criterion-8 level-monotonicity"):
         for k in (1, 2, 3, 4):
             prev = 0.0
             for n in range(1, 6):
-                q, _, _ = largest_min_success(k, n, solver_cfg)
+                q, _, _ = largest_min_success(k, n)
                 assert q > prev, (k, n)
                 prev = q
         # the one-iteration band reaches a 99.9% floor within the phase cap
-        _, phases, _, gap = march_at(1, 0.999, solver_cfg)
+        _, phases, _, gap = march_at(1, 0.999)
         assert gap >= 0.0 and len(phases) <= 64
 
 

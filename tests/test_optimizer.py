@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from cmqsearch import optimizer
 from cmqsearch.analytic import K_MAX, PhaseAngle, iteration_band, min_point_k1, phi_min
+from cmqsearch.cli import main
 from cmqsearch.errors import ConfigError, DomainError, VerificationError
 from cmqsearch.kernels import p_derivative, p_success
 from cmqsearch.optimizer import (
-    SolverConfig,
+    LEVEL_TOL,
+    MAX_NK,
     _check_guarantee,
     _falls_after_peak,
     _root,
@@ -31,26 +33,20 @@ PI = math.pi
 
 # ----------------------------------------------------------------------- config
 
-def test_config_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        SolverConfig(level_tol=0.0)
-    with pytest.raises(ConfigError):
-        SolverConfig(level_tol=-1e-9)
-    with pytest.raises(ConfigError):
-        SolverConfig(max_nk=0)
-
-
-def test_config_is_frozen():
-    with pytest.raises(ConfigError, match="^tolerances must be positive and finite$"):
-        SolverConfig(math.nan)
-    with pytest.raises(ConfigError, match="^max_nk must be >= 1$"):
-        SolverConfig(max_nk=-3)
-    cfg = SolverConfig()
-    for name in ("max_nk", "level_tol", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(cfg, name, 2)
-    assert cfg == SolverConfig(1e-9, 64) and hash(cfg) == hash(SolverConfig())
-    assert repr(cfg) == "SolverConfig(level_tol=1e-09, max_nk=64)"
+def test_config_rejects_bad_values(tmp_path, capfd):
+    # the phase cap is the solver's one setting.  Below 1 it is a ConfigError from
+    # the library, and exit 4 from every command before any table is built
+    cache = tmp_path / "plans.json"
+    for max_nk in (0, -3):
+        with pytest.raises(ConfigError, match="^max_nk must be >= 1$"):
+            build_plan(1, 0.90, max_nk)
+        with pytest.raises(ConfigError, match="^max_nk must be >= 1$"):
+            largest_min_success(1, 1, max_nk)
+        for argv in (["table"], ["plan", "--lambda", "0.5"], ["sweep"], ["verify"],
+                     ["compare", "--lambda", "0.5"]):
+            assert main([*argv, "--max-nk", str(max_nk), "--cache", str(cache)]) == 4, argv
+            assert capfd.readouterr() == ("", "error: max_nk must be >= 1\n"), argv
+    assert not cache.exists()
 
 
 # ------------------------------------------------------------------ root-finder
@@ -72,8 +68,8 @@ def test_root_runs_to_float_resolution():
 # with no float left past it.  Brackets stopped at an absolute 1e-12 left
 # errors that band 4's 28-phase march at P_cri = 0.99995 amplified to 7e-11 rad.
 @pytest.mark.parametrize("p_cri,lambda0", [(0.99, 1e-3), (0.99995, 1e-2)])
-def test_plan_solves_run_to_float_resolution(p_cri, lambda0, solver_cfg):
-    for plan in build_table(p_cri, lambda0, solver_cfg).plans:
+def test_plan_solves_run_to_float_resolution(p_cri, lambda0):
+    for plan in build_table(p_cri, lambda0).plans:
         k, q = plan.k, plan.q_k_pi
         floor = phi_min(k).phi + 1e-12
         for prev, phi, a in zip(plan.phases, plan.phases[1:], plan.boundaries[1:]):
@@ -87,27 +83,27 @@ def test_plan_solves_run_to_float_resolution(p_cri, lambda0, solver_cfg):
 
 # --------------------------------------------------------------------- marching
 
-def test_march_examples(solver_cfg, march_at):
-    _, phases, bounds, gap = march_at(1, 0.90, solver_cfg)
+def test_march_examples(march_at):
+    _, phases, bounds, gap = march_at(1, 0.90)
     assert gap >= 0.0 and len(phases) <= 2
-    _, phases, bounds, gap = march_at(3, 0.93, solver_cfg)
+    _, phases, bounds, gap = march_at(3, 0.93)
     assert gap >= 0.0 and len(phases) == 1
     assert bounds[0] == iteration_band(3).lo
     assert bounds[-1] == iteration_band(3).hi
 
 
-def test_march_feasible_count_monotone_in_level(solver_cfg, march_at):
+def test_march_feasible_count_monotone_in_level(march_at):
     counts = []
     for q in (0.5, 0.8, 0.9, 0.96, 0.99, 0.999, 0.9999):
-        _, phases, _, gap = march_at(1, q, solver_cfg)
+        _, phases, _, gap = march_at(1, q)
         assert gap >= 0.0
         counts.append(len(phases))
     assert counts == sorted(counts)
     assert counts == [1, 1, 2, 3, 5, 14, 45]  # frozen
 
 
-def test_march_phases_strictly_decreasing(solver_cfg, march_at):
-    _, phases, _, _ = march_at(2, 0.99, solver_cfg)
+def test_march_phases_strictly_decreasing(march_at):
+    _, phases, _, _ = march_at(2, 0.99)
     assert len(phases) > 2
     assert all(a > b for a, b in zip(phases, phases[1:]))
     assert phases[-1] > phi_min(2).phi
@@ -123,9 +119,9 @@ def test_march_at_level_one_is_uncovered(k):
         assert (q, phases, bounds) == (1.0, [PI], [band.lo]) and gap < 0.0, (k, max_nk)
 
 
-def test_march_rejects_nan_level(solver_cfg):
+def test_march_rejects_nan_level():
     with pytest.raises(DomainError, match="level q must be in"):
-        march_level(1, math.nan, solver_cfg.max_nk)
+        march_level(1, math.nan, MAX_NK)
 
 
 # The fact the level search's bracket end rests on: P(band.lo; pi) is exactly
@@ -139,18 +135,17 @@ def test_phase_pi_has_level_one_and_misses_the_tail():
 
 
 def test_march_infeasible_at_cap(march_at):
-    cfg = SolverConfig(max_nk=2)
-    _, phases, bounds, gap = march_at(1, 0.999, cfg)
+    _, phases, bounds, gap = march_at(1, 0.999, 2)
     assert gap < 0.0 and len(phases) == 2
     # it stops at its cap: no boundary after the last phase, only the lower
     # edges of its segments, as the uncapped march has them
-    _, full_phases, full_bounds, _ = march_at(1, 0.999, SolverConfig())
+    _, full_phases, full_bounds, _ = march_at(1, 0.999)
     assert (phases, bounds) == (full_phases[:2], full_bounds[:2])
 
 
 # ----------------------------------------------------- largest minimum success
 
-# Q_k^pi(n) oracle values, frozen from the level search at level_tol = 1e-9 and
+# Q_k^pi(n) oracle values, frozen from the level search at LEVEL_TOL = 1e-9 and
 # cross-checked against the published common levels where available.
 Q1 = [0.862245, 0.959261, 0.980739, 0.988797, 0.992675, 0.994837]
 Q2 = [0.87061681, 0.96539064, 0.98441819, 0.99119527, 0.99435307]
@@ -159,85 +154,84 @@ Q4 = [0.96252222, 0.99046506, 0.9957484, 0.99760574, 0.99846686]
 
 
 @pytest.mark.parametrize("k,expected", [(1, Q1), (2, Q2), (3, Q3), (4, Q4)])
-def test_largest_min_success_frozen(k, expected, solver_cfg):
+def test_largest_min_success_frozen(k, expected):
     for n, want in enumerate(expected, start=1):
-        q, phases, _ = largest_min_success(k, n, solver_cfg)
+        q, phases, _ = largest_min_success(k, n)
         assert q == pytest.approx(want, abs=1e-6), (k, n)
         assert len(phases) == n
 
 
-def test_largest_min_success_table_rows(solver_cfg):
-    q, phases, _ = largest_min_success(1, 2, solver_cfg)
+def test_largest_min_success_table_rows():
+    q, phases, _ = largest_min_success(1, 2)
     assert q == pytest.approx(0.9593, abs=1e-3)
     assert phases == pytest.approx([2.134, 1.465], abs=5e-3)
-    q, phases, _ = largest_min_success(2, 2, solver_cfg)
+    q, phases, _ = largest_min_success(2, 2)
     assert q == pytest.approx(0.9654, abs=1e-3)
     assert phases == pytest.approx([2.163, 1.536], abs=5e-3)
-    q, phases, _ = largest_min_success(5, 1, solver_cfg)
+    q, phases, _ = largest_min_success(5, 1)
     assert q == pytest.approx(0.9757, abs=1e-3)
     assert phases == pytest.approx([2.243], abs=5e-3)
 
 
-def test_largest_min_success_monotone(solver_cfg):
+def test_largest_min_success_monotone():
     for k in (1, 2, 3, 4):
         prev = 0.0
         for n in range(1, 6):
-            q, _, _ = largest_min_success(k, n, solver_cfg)
+            q, _, _ = largest_min_success(k, n)
             assert q > prev + 1e-6, (k, n)
             prev = q
 
 
-def test_largest_min_success_rejects_bad_n(solver_cfg):
+def test_largest_min_success_rejects_bad_n():
     with pytest.raises(ConfigError):
-        largest_min_success(1, 0, solver_cfg)
+        largest_min_success(1, 0)
     with pytest.raises(ConfigError):
-        largest_min_success(1, 65, solver_cfg)
+        largest_min_success(1, 65)
 
 
 # ---------------------------------------------------------------- phase counts
 
-def test_optimal_phase_count_examples(solver_cfg):
-    assert optimal_phase_count(1, 0.90, solver_cfg) == 2
-    assert optimal_phase_count(4, 0.90, solver_cfg) == 1
-    assert optimal_phase_count(3, 0.95, solver_cfg) >= 2
+def test_optimal_phase_count_examples():
+    assert optimal_phase_count(1, 0.90) == 2
+    assert optimal_phase_count(4, 0.90) == 1
+    assert optimal_phase_count(3, 0.95) >= 2
 
 
-def _increment_loop_phase_count(k, p_cri, cfg):
+def _increment_loop_phase_count(k, p_cri):
     """Reference: the least n whose largest minimum level reaches p_cri."""
-    for n in range(1, cfg.max_nk + 1):
-        if largest_min_success(k, n, cfg)[0] >= p_cri:
+    for n in range(1, MAX_NK + 1):
+        if largest_min_success(k, n)[0] >= p_cri:
             return n
     raise ConfigError(f"p_cri={p_cri} not reachable on band {k}")
 
 
 @pytest.mark.parametrize("p_cri", [0.5, 0.7, 0.8, 0.9, 0.95, 0.99, 0.999])
-def test_optimal_phase_count_matches_increment_loop(p_cri, solver_cfg):
+def test_optimal_phase_count_matches_increment_loop(p_cri):
     for k in range(1, 26):
-        want = _increment_loop_phase_count(k, p_cri, solver_cfg)
-        assert optimal_phase_count(k, p_cri, solver_cfg) == want, (k, p_cri)
+        want = _increment_loop_phase_count(k, p_cri)
+        assert optimal_phase_count(k, p_cri) == want, (k, p_cri)
 
 
 def test_optimal_phase_count_unreachable():
-    cfg = SolverConfig(max_nk=1)
     with pytest.raises(ConfigError):
-        optimal_phase_count(1, 0.90, cfg)
+        optimal_phase_count(1, 0.90, 1)
 
 
 @pytest.mark.parametrize("p_cri", [0.0, 1.0, math.nan])
-def test_phase_count_rejects_pcri_outside_unit_interval(p_cri, solver_cfg):
+def test_phase_count_rejects_pcri_outside_unit_interval(p_cri):
     with pytest.raises(DomainError, match=r"^p_cri must be in \(0, 1\)"):
-        largest_min_success(1, None, solver_cfg, floor=p_cri)
+        largest_min_success(1, None, floor=p_cri)
 
 
 # With n_k None the floor probe's march gives the phase count and is the
 # covered end of the bracket, so the search is the one an explicit n_k runs.
 @pytest.mark.parametrize("p_cri", [0.90, 0.9999])
-def test_floor_probe_count_matches_explicit_n_k(p_cri, solver_cfg, march_at):
+def test_floor_probe_count_matches_explicit_n_k(p_cri, march_at):
     for k in range(1, 6):
-        n_k = optimal_phase_count(k, p_cri, solver_cfg)
-        assert n_k == len(march_at(k, p_cri, solver_cfg)[1])
-        got = largest_min_success(k, None, solver_cfg, floor=p_cri)
-        assert got == largest_min_success(k, n_k, solver_cfg, floor=p_cri), (k, p_cri)
+        n_k = optimal_phase_count(k, p_cri)
+        assert n_k == len(march_at(k, p_cri)[1])
+        got = largest_min_success(k, None, floor=p_cri)
+        assert got == largest_min_success(k, n_k, floor=p_cri), (k, p_cri)
 
 
 # ------------------------------------------------- deep bands and high P_cri
@@ -245,8 +239,8 @@ def test_floor_probe_count_matches_explicit_n_k(p_cri, solver_cfg, march_at):
 # Q_k(1) tends to 1 as k grows (0.99994 at k = 100), so deep bands need one
 # phase for any P_cri up to 0.9999.
 @pytest.mark.parametrize("k", [100, 1000, 7854])
-def test_deep_bands_have_one_phase(k, solver_cfg):
-    plan = build_plan(k, 0.9999, solver_cfg)
+def test_deep_bands_have_one_phase(k):
+    plan = build_plan(k, 0.9999)
     assert plan.n_k == 1
     assert plan.q_k_pi >= 0.9999
 
@@ -256,10 +250,10 @@ def test_deep_bands_have_one_phase(k, solver_cfg):
 # boundary in it.  Solves now run to float resolution, and the band still needs
 # one phase at every P_cri.
 @pytest.mark.parametrize("p_cri", [0.9, 0.99, 0.9999])
-def test_band_near_lambda_tol_has_one_phase(p_cri, solver_cfg):
+def test_band_near_lambda_tol_has_one_phase(p_cri):
     band = iteration_band(7854)
     assert 0.0 < band.hi - band.lo < 1e-11
-    plan = build_plan(7854, p_cri, solver_cfg)
+    plan = build_plan(7854, p_cri)
     assert plan.n_k == 1
     assert plan.q_k_pi >= p_cri
 
@@ -270,11 +264,11 @@ def test_band_near_lambda_tol_has_one_phase(p_cri, solver_cfg):
 @given(k=st.integers(min_value=2, max_value=6),
        p_cri=st.lists(st.floats(min_value=0.5, max_value=0.9999), min_size=2, max_size=2))
 @example(k=2, p_cri=[0.9999, 0.5])
-def test_plans_certify_up_to_high_pcri(k, p_cri, solver_cfg):
-    low, high = (build_plan(k, p, solver_cfg) for p in sorted(p_cri))
+def test_plans_certify_up_to_high_pcri(k, p_cri):
+    low, high = (build_plan(k, p) for p in sorted(p_cri))
     for plan in (low, high):  # build_plan certifies through make_plan, or raises
         assert plan.q_k_pi >= plan.p_cri
-        assert plan.level_residual < 10.0 * solver_cfg.level_tol
+        assert plan.level_residual < 10.0 * LEVEL_TOL
     assert low.n_k <= high.n_k
 
 
@@ -282,8 +276,8 @@ def test_plans_certify_up_to_high_pcri(k, p_cri, solver_cfg):
 
 @pytest.mark.parametrize("k,phi,q", [(6, 2.322, 0.9830), (7, 2.383, 0.9875),
                                      (8, 2.432, 0.9904)])
-def test_build_plan_single_phase_rows(k, phi, q, solver_cfg):
-    plan = build_plan(k, 0.90, solver_cfg)
+def test_build_plan_single_phase_rows(k, phi, q):
+    plan = build_plan(k, 0.90)
     assert plan.n_k == 1
     assert plan.phases == pytest.approx([phi], abs=5e-3)
     assert plan.q_k_pi == pytest.approx(q, abs=1e-3)
@@ -309,16 +303,16 @@ def test_plan_invariants(table90):
 # a stop on the width in the level left residuals up to 2.6e-8 at P_cri = 0.9999.
 @pytest.mark.parametrize("p_cri,lambda0", [(0.90, 1e-2), (0.99, 1e-2), (0.999, 1e-2),
                                            (0.9999, 1e-2), (0.99, 1e-3)])
-def test_level_residual_within_level_tol(p_cri, lambda0, solver_cfg):
-    for plan in build_table(p_cri, lambda0, solver_cfg).plans:
-        assert plan.level_residual <= solver_cfg.level_tol, (p_cri, plan.k, plan.n_k)
+def test_level_residual_within_level_tol(p_cri, lambda0):
+    for plan in build_table(p_cri, lambda0).plans:
+        assert plan.level_residual <= LEVEL_TOL, (p_cri, plan.k, plan.n_k)
 
 
 # The first phase sets the level on the band's lower edge, so the level is
 # exactly P there, not the level that the phase was solved for.
 @pytest.mark.parametrize("p_cri,lambda0", [(0.90, 1e-2), (0.99, 1e-3), (0.9999, 1e-2)])
-def test_level_is_exact_at_the_lower_edge(p_cri, lambda0, solver_cfg):
-    for plan in build_table(p_cri, lambda0, solver_cfg).plans:
+def test_level_is_exact_at_the_lower_edge(p_cri, lambda0):
+    for plan in build_table(p_cri, lambda0).plans:
         assert plan.q_k_pi == p_success(plan.k, plan.phases[0], plan.boundaries[0]), plan.k
 
 
@@ -329,7 +323,7 @@ def test_level_is_exact_at_the_lower_edge(p_cri, lambda0, solver_cfg):
     pytest.param(0.90, 1e-2, 621, 78, id="0.9-0.01"),
     pytest.param(0.99, 1e-3, 3608, 246, id="0.99-0.001"),
 ])
-def test_solver_work_is_pinned(p_cri, lambda0, kernel_calls, marches, solver_cfg,
+def test_solver_work_is_pinned(p_cri, lambda0, kernel_calls, marches,
                                monkeypatch):
     calls = {"p_success": 0, "march_level": 0}
 
@@ -343,7 +337,7 @@ def test_solver_work_is_pinned(p_cri, lambda0, kernel_calls, marches, solver_cfg
 
     for name in calls:
         monkeypatch.setattr(optimizer, name, counted(name))
-    build_table(p_cri, lambda0, solver_cfg)
+    build_table(p_cri, lambda0)
     assert calls == {"p_success": kernel_calls, "march_level": marches}
 
 
@@ -362,19 +356,19 @@ def test_make_plan_derives_the_level_and_residual(table90):
         assert make_plan(plan.k, plan.p_cri, list(plan.phases), list(plan.boundaries)) == plan
 
 
-def test_make_plan_rejects_a_level_below_pcri(solver_cfg):
+def test_make_plan_rejects_a_level_below_pcri():
     # P_cri just above the plan's level: the certificate has no slack, so the
     # level, P at band.lo, is a point it finds below P_cri
-    plan = build_plan(1, 0.90, solver_cfg)
-    p_cri = plan.q_k_pi + 0.5 * solver_cfg.level_tol
+    plan = build_plan(1, 0.90)
+    p_cri = plan.q_k_pi + 0.5 * LEVEL_TOL
     with pytest.raises(VerificationError, match=rf"dips to {plan.q_k_pi} < p_cri"):
         make_plan(1, p_cri, list(plan.phases), list(plan.boundaries))
 
 
-def test_make_plan_rejects_a_level_above_the_certified_minimum(solver_cfg):
+def test_make_plan_rejects_a_level_above_the_certified_minimum():
     # a later phase nudged down: its segment's minimum falls about 1e-6 below
     # the level set by the first phase, and stays above P_cri
-    plan = build_plan(1, 0.90, solver_cfg)
+    plan = build_plan(1, 0.90)
     phases = [plan.phases[0], plan.phases[1] - 1e-5]
     worst, q, _ = _check_guarantee(plan._replace(phases=tuple(phases)))
     assert q == plan.q_k_pi and 1e-7 < q - worst < 1e-5 and worst > 0.90
@@ -412,19 +406,19 @@ def test_make_plan_rejects_a_non_finite_interior_boundary(bad, table90):
 
 # ------------------------------------------------------------- guarantee check
 
-def test_guarantee_takes_p_one_at_band_one_upper_edge(solver_cfg):
+def test_guarantee_takes_p_one_at_band_one_upper_edge():
     # P(1, pi, 1.0) divides 0 by 0 in the kernel; P is 1 at lambda = 1 for any
     # phase, so the certificate takes that value and rejects the plan for its
     # dip at the interior minimum 0.75, where P(1, pi) is 0 up to rounding
-    plan = build_plan(1, 0.90, solver_cfg)._replace(phases=(PI,),
+    plan = build_plan(1, 0.90)._replace(phases=(PI,),
                                                        boundaries=(iteration_band(1).lo, 1.0))
     with pytest.raises(VerificationError, match="dips"):
         _check_guarantee(plan)
 
 
 @pytest.mark.parametrize("m", [0, 1])
-def test_guarantee_rejects_dip(m, solver_cfg):
-    plan = build_plan(1, 0.90, solver_cfg)
+def test_guarantee_rejects_dip(m):
+    plan = build_plan(1, 0.90)
     assert plan.n_k == 2
     _check_guarantee(plan)
     phases = list(plan.phases)
@@ -434,8 +428,8 @@ def test_guarantee_rejects_dip(m, solver_cfg):
         _check_guarantee(bad)
 
 
-def test_guarantee_rejects_short_cover(solver_cfg):
-    plan = build_plan(3, 0.90, solver_cfg)
+def test_guarantee_rejects_short_cover():
+    plan = build_plan(3, 0.90)
     band = iteration_band(3)
     short = band.hi - 0.01 * (band.hi - band.lo)
     bad = plan._replace(boundaries=plan.boundaries[:-1] + (short,))
@@ -443,9 +437,9 @@ def test_guarantee_rejects_short_cover(solver_cfg):
         _check_guarantee(bad)
 
 
-def test_guarantee_rejects_early_start(solver_cfg):
+def test_guarantee_rejects_early_start():
     # a first segment that starts below band.lo is not clipped to the band
-    plan = build_plan(3, 0.90, solver_cfg)
+    plan = build_plan(3, 0.90)
     band = iteration_band(3)
     early = band.lo - 0.01 * (band.hi - band.lo)
     bad = plan._replace(boundaries=(early,) + plan.boundaries[1:])
@@ -500,11 +494,11 @@ def _dense_scan_min(plan, points=100_000):
     return float(np.clip(p, 0.0, 1.0).min())
 
 
-def test_certificate_agrees_with_a_dense_scan(table90, solver_cfg):
+def test_certificate_agrees_with_a_dense_scan(table90):
     # Bend one phase of a plan by up to 0.5 rad: the certificate must reject
     # exactly the plans a 10^5-point scan rejects, and its minimum must not
     # lie above any scanned point.
-    plans = list(table90.plans) + [build_plan(k, 0.99, solver_cfg) for k in (1, 2, 5, 25)]
+    plans = list(table90.plans) + [build_plan(k, 0.99) for k in (1, 2, 5, 25)]
     rng = random.Random(5)
     rejected = 0
     for _ in range(100):
@@ -529,13 +523,13 @@ def test_certificate_agrees_with_a_dense_scan(table90, solver_cfg):
        fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5))
 @example(k=1, p_cri=0.995, fracs=[0.5])
 @example(k=8000, p_cri=0.995, fracs=[0.5])
-def test_plan_guarantee_holds_down_to_small_lambda(k, p_cri, fracs, solver_cfg):
+def test_plan_guarantee_holds_down_to_small_lambda(k, p_cri, fracs):
     try:
-        plan = build_plan(k, p_cri, solver_cfg)
+        plan = build_plan(k, p_cri)
     except ConfigError:
         reject()
     assert _check_guarantee(plan)[0] >= p_cri
-    floor = p_cri - solver_cfg.level_tol
+    floor = p_cri - LEVEL_TOL
     for phi, lo, hi in zip(plan.phases, plan.boundaries, plan.boundaries[1:]):
         points = [lo, hi] + [lo + f * (hi - lo) for f in fracs]
         assert all(p_success(k, phi, lam) >= floor for lam in points), (k, p_cri)
