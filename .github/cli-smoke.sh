@@ -38,6 +38,11 @@
 # the constant LEVEL_TOL (schema 9): each is a usage error that writes no cache.
 # So is a flag that its command does not read: --seed is verify's alone, and
 # sweep and verify take no --format.
+#
+# A cache path that exists and is not a regular file is an error before any
+# read or build: plan with a FIFO (whose open would block; timeout ends the
+# run with 124 if it does) and with a directory as the cache must each exit 1
+# with one error line (no warning line), nothing on stdout and no traceback.
 set -euo pipefail
 export PYTHONPATH=src
 tmp=$(mktemp -d)
@@ -88,7 +93,7 @@ cli table --cache "$tmp/headline.json" > /dev/null
 for case in band1_pi nan_boundary; do
   python -c '
 import json, sys
-from cmqsearch.optimizer import PhasePlan, _check_guarantee
+from cmqsearch.optimizer import _check_guarantee
 src, case, dst = sys.argv[1:]
 doc = json.load(open(src))
 band1 = doc["plans"][0]
@@ -97,9 +102,8 @@ if case == "band1_pi":
     band1.update(n_k=1, phases=[repr(3.141592653589793)], boundaries=[bounds[0], bounds[-1]])
 else:
     bounds[1] = "nan"
-    plan = PhasePlan(1, 0.9, tuple(map(float, band1["phases"])), tuple(map(float, bounds)),
-                     None, None)
-    band1["level_residual"] = repr(_check_guarantee(plan)[-1])
+    phases, bounds = [float(x) for x in band1["phases"]], [float(x) for x in bounds]
+    band1["level_residual"] = repr(_check_guarantee(1, 0.9, phases, bounds)[-1])
 json.dump(doc, open(dst, "w"))
 ' "$tmp/headline.json" "$case" "$tmp/$case.json"
   cli plan --lambda 0.3 --cache "$tmp/$case.json" > /dev/null 2> "$tmp/$case.err"
@@ -127,3 +131,13 @@ for err in "$tmp/nk1.err" "$tmp/missing.err"; do
   if grep -q Traceback "$err"; then exit 1; fi
 done
 if grep -q '\.tmp' "$tmp/missing.err"; then exit 1; fi
+mkfifo "$tmp/fifo"
+mkdir "$tmp/dir"
+for path in fifo dir; do
+  exits 1 timeout 10 python -m cmqsearch.cli plan --lambda 0.5 --cache "$tmp/$path" \
+    > "$tmp/$path.out" 2> "$tmp/$path.err"
+  test ! -s "$tmp/$path.out"
+  test "$(wc -l < "$tmp/$path.err")" -eq 1
+  grep -q "^error: " "$tmp/$path.err"
+  if grep -q Traceback "$tmp/$path.err"; then exit 1; fi
+done

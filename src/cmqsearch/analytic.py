@@ -39,8 +39,8 @@ class PhaseAngle(namedtuple("PhaseAngle", "phi")):
         return super().__new__(cls, phi)
 
 
-class IterationBand(namedtuple("IterationBand", "k lo hi")):
-    """Lambda interval [lo, hi) on which exactly k iterations are optimal."""
+class IterationBand(namedtuple("IterationBand", "lo hi")):
+    """Lambda interval [lo, hi) on which exactly k iterations are optimal (band k)."""
 
     __slots__ = ()
 
@@ -79,7 +79,7 @@ def iteration_band(k: int) -> IterationBand:
         raise DomainError(f"k must be >= 1, got {k}")
     lo = math.sin(math.pi / (4 * k + 2)) ** 2
     hi = 1.0 if k == 1 else math.sin(math.pi / (4 * k - 2)) ** 2
-    return IterationBand(k=k, lo=lo, hi=hi)
+    return IterationBand(lo=lo, hi=hi)
 
 
 def _ci(x: float) -> int:

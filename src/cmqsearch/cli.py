@@ -149,6 +149,16 @@ def write_table(text: str, path: str) -> None:
         raise CmqsearchError(f"cannot write plan table to {path}: {exc.strerror}") from exc
 
 
+def _cache_file(path: str) -> str:
+    """The file that a --cache path names, a symlink resolved so that the table is
+    written through it.  An empty path, or one that exists and is not a regular
+    file (a directory, a FIFO, a device), is a CmqsearchError, raised before any
+    read or build."""
+    if not path or os.path.exists(path) and not os.path.isfile(path):
+        raise CmqsearchError(f"plan cache {path!r} is not a regular file")
+    return os.path.realpath(path) if os.path.islink(path) else path
+
+
 def load_or_build_table(cfg: RunConfig) -> PlanTable:
     """Use the cached table when it matches the run config, else rebuild it.
 
@@ -156,30 +166,31 @@ def load_or_build_table(cfg: RunConfig) -> PlanTable:
     missing keys, another schema version, a damaged plan list, nesting too deep to
     parse) is a miss: one warning on stderr, then rebuild.
     """
-    path = cfg.cache
+    path = _cache_file(cfg.cache)
     if os.path.exists(path):
         try:
             with open(path) as fh:
                 table = doc_to_table(json.load(fh))
         except (OSError, CmqsearchError, ValueError, LookupError, TypeError,
                 AttributeError, RecursionError) as exc:
-            print(f"warning: rebuilding unreadable plan cache {path} "
+            print(f"warning: rebuilding unreadable plan cache {cfg.cache} "
                   f"({type(exc).__name__}: {exc})", file=sys.stderr)
         else:
             if (table.p_cri == cfg.p_cri and table.lambda0 == cfg.lambda0
                     and table.max_nk == cfg.max_nk):
                 return table
     table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.max_nk)
-    write_table(serialize_table(table), cfg.cache)
+    write_table(serialize_table(table), path)
     return table
 
 
 # ---------------------------------------------------------------------- commands
 
 def cmd_table(cfg: RunConfig, args: dict) -> int:
+    path = _cache_file(cfg.cache)
     table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.max_nk)
     text = serialize_table(table)
-    write_table(text, cfg.cache)
+    write_table(text, path)
     if cfg.fmt == "json":
         sys.stdout.write(text)
     else:
@@ -193,7 +204,10 @@ def cmd_table(cfg: RunConfig, args: dict) -> int:
 
 def _write_record(fmt: str, record: dict, **json_only) -> None:
     """One record on stdout: a JSON object with sorted keys, or a CSV header
-    and row of the record's fields in order; ``json_only`` fields join JSON alone."""
+    and row of the record's fields in order; ``json_only`` fields join JSON alone.
+    The CLI's one float rule: a float is written as its repr, which round-trips
+    exactly, and an int as a number."""
+    record = {name: repr(x) if isinstance(x, float) else x for name, x in record.items()}
     if fmt == "json":
         sys.stdout.write(json.dumps({**record, **json_only}, sort_keys=True) + "\n")
     else:
@@ -212,8 +226,7 @@ def cmd_plan(cfg: RunConfig, args: dict) -> int:
     table = load_or_build_table(cfg)
     k, m = planner.classify(query, table)
     plan = table.plan(k)
-    _write_record(cfg.fmt, {"k": k, "m": m, "phi": repr(plan.phases[m - 1]),
-                            "guaranteed_p": repr(plan.q_k_pi)},
+    _write_record(cfg.fmt, {"k": k, "m": m, "phi": plan.phases[m - 1], "guaranteed_p": plan.q_k_pi},
                   segment=[repr(x) for x in plan.boundaries[m - 1:m + 1]])
     return 0
 
@@ -272,20 +285,8 @@ def cmd_verify(cfg: RunConfig, args: dict) -> int:
 
 def cmd_compare(cfg: RunConfig, args: dict) -> int:
     table = load_or_build_table(cfg)
-    rec = planner.compare(TargetFraction(args["lam"]), table, cfg.p_cri, PhaseAngle(args["phi"]))
-    _write_record(cfg.fmt, {
-        "lambda": repr(rec.lam),
-        "k_ours": rec.k_ours,
-        "k_grover": rec.k_grover,
-        "k_fixed": rec.k_fixed,
-        "k_long": rec.k_long,
-        "phi_long": repr(rec.phi_long),
-        "k_yoder_lb": rec.k_yoder_lb,
-        "yoder_ratio": repr(rec.k_yoder_lb / rec.k_ours),
-        "p_ours": repr(rec.p_ours),
-        "p_grover": repr(rec.p_grover),
-        "p_fixed": repr(rec.p_fixed),
-    })
+    _write_record(cfg.fmt, planner.compare(TargetFraction(args["lam"]), table, cfg.p_cri,
+                                           PhaseAngle(args["phi"])))
     return 0
 
 

@@ -43,7 +43,7 @@ LEVEL_TOL = 1e-9
 MAX_NK = 64
 
 
-class PhasePlan(namedtuple("PhasePlan", "k p_cri phases boundaries q_k_pi level_residual")):
+class PhasePlan(namedtuple("PhasePlan", "k phases boundaries q_k_pi level_residual")):
     """Phase m (1-based) is used on [boundaries[m-1], boundaries[m])."""
 
     __slots__ = ()
@@ -257,11 +257,10 @@ def make_plan(k: int, p_cri: float, phases: list[float], boundaries: list[float]
     for phi in phases:
         if not deepest < phi <= math.pi:
             raise DomainError(f"band {k}: phi must be in ({deepest}, pi], got {phi}")
-    plan = PhasePlan(k, p_cri, tuple(phases), tuple(boundaries), None, None)
-    worst, q, residual = _check_guarantee(plan)
+    worst, q, residual = _check_guarantee(k, p_cri, phases, boundaries)
     if q > worst:
         raise DomainError(f"band {k}: level {q} above the certified minimum {worst}")
-    return plan._replace(q_k_pi=q, level_residual=residual)
+    return PhasePlan(k, tuple(phases), tuple(boundaries), q, residual)
 
 
 def _falls_after_peak(k: int, phi: float, lam: float) -> bool:
@@ -274,9 +273,11 @@ def _falls_after_peak(k: int, phi: float, lam: float) -> bool:
     return lhs >= (1.0 - s) / ((1.0 - lam) * (1.0 - x))
 
 
-def _check_guarantee(plan: PhasePlan) -> tuple[float, float, float]:
-    """Certified minimum of the planned success probability over band k, the
-    plan's level P(band.lo; phi_1) and its equal-level residual.
+def _check_guarantee(k: int, p_cri: float, phases: list[float], boundaries: list[float]
+                     ) -> tuple[float, float, float]:
+    """Certified minimum over band k of the success probability planned by
+    phase m on [boundaries[m-1], boundaries[m]), the plan's level
+    P(band.lo; phi_1) and its equal-level residual.
 
     Raises DomainError unless the boundaries run from band.lo to band.hi, and
     VerificationError when the minimum is below p_cri.  The
@@ -308,15 +309,13 @@ def _check_guarantee(plan: PhasePlan) -> tuple[float, float, float]:
     at hi covers the whole segment and the minimum is at an endpoint.  A
     segment where it fails cannot be certified and raises VerificationError.
     """
-    k = plan.k
     band = iteration_band(k)
-    bounds = plan.boundaries
-    if (bounds[0], bounds[-1]) != (band.lo, band.hi):
+    if (boundaries[0], boundaries[-1]) != (band.lo, band.hi):
         raise DomainError(f"band {k}: segments do not tile [{band.lo}, {band.hi}] "
-                          f"(boundaries span [{bounds[0]}, {bounds[-1]}])")
+                          f"(boundaries span [{boundaries[0]}, {boundaries[-1]}])")
     worst = 1.0
     levels = []
-    for phi, lo, hi in zip(plan.phases, bounds, bounds[1:]):
+    for phi, lo, hi in zip(phases, boundaries, boundaries[1:]):
         levels.append(p_success(k, phi, lo))
         tail = 1.0 if hi == 1.0 else p_success(k, phi, hi)
         if k == 1:
@@ -329,7 +328,7 @@ def _check_guarantee(plan: PhasePlan) -> tuple[float, float, float]:
                 f"cannot certify plan for band {k} on [{lo}, {hi}] with phase {phi}"
             )
         worst = min(worst, levels[-1], tail)
-    if worst < plan.p_cri:
+    if worst < p_cri:
         raise VerificationError(f"plan for band {k} dips to {worst} < p_cri")
     levels.append(tail)
     return worst, levels[0], max(levels) - min(levels)

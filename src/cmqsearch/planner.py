@@ -118,27 +118,16 @@ def success_after(k: int, phi: float, lam: float) -> float:
     return p_success(k, phi, lam) if k > 0 else lam
 
 
-BaselineComparison = namedtuple(
-    "BaselineComparison",
-    "lam k_ours k_grover k_fixed k_long phi_long k_yoder_lb p_ours p_grover p_fixed")
-
-
-def compare(lam: TargetFraction, table: PlanTable, p_cri: float,
-            fixed_phi: PhaseAngle) -> BaselineComparison:
-    """Per-lambda iteration and probability report across all baselines."""
+def compare(lam: TargetFraction, table: PlanTable, p_cri: float, fixed_phi: PhaseAngle) -> dict:
+    """Per-lambda iteration and probability report across all baselines: the row
+    that the ``compare`` command prints, in its CSV column order."""
     k_ours, phi = plan_for(lam, table)
     k_g = grover_iterations(lam)
     k_f = baseline_fixed_phase(fixed_phi, lam)
     k_l, phi_l = baseline_long(lam)
-    return BaselineComparison(
-        lam=lam.lam,
-        k_ours=k_ours,
-        k_grover=k_g,
-        k_fixed=k_f,
-        k_long=k_l,
-        phi_long=phi_l,
-        k_yoder_lb=baseline_yoder_bound(p_cri, lam),
-        p_ours=success_after(k_ours, phi.phi, lam.lam),
-        p_grover=success_after(k_g, math.pi, lam.lam),
-        p_fixed=success_after(k_f, fixed_phi.phi, lam.lam),
-    )
+    k_y = baseline_yoder_bound(p_cri, lam)
+    return {"lambda": lam.lam, "k_ours": k_ours, "k_grover": k_g, "k_fixed": k_f, "k_long": k_l,
+            "phi_long": phi_l, "k_yoder_lb": k_y, "yoder_ratio": k_y / k_ours,
+            "p_ours": success_after(k_ours, phi.phi, lam.lam),
+            "p_grover": success_after(k_g, math.pi, lam.lam),
+            "p_fixed": success_after(k_f, fixed_phi.phi, lam.lam)}

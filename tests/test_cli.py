@@ -1,6 +1,7 @@
 """Command-line surface: determinism, caching, exit codes, output formats."""
 
 import ast
+import errno
 import hashlib
 import inspect
 import json
@@ -21,7 +22,7 @@ from cmqsearch.analytic import PhaseAngle, TargetFraction, iterations_for
 from cmqsearch.cli import doc_to_table, main, serialize_table
 from cmqsearch.errors import CmqsearchError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
-from cmqsearch.optimizer import PhasePlan, _check_guarantee, make_plan, march_level
+from cmqsearch.optimizer import _check_guarantee, make_plan, march_level
 from cmqsearch.planner import build_table, plan_for
 from cmqsearch.simulator import statevector_run
 
@@ -713,9 +714,9 @@ def _unsound_cache(doc, case):
         plans[0]["q_k_pi"] = "nan"
     elif case == "nan_boundary":  # with its residual: phi 1.465 served at 0.3, P 0.850
         plans[0]["boundaries"][1] = "nan"
-        plan = PhasePlan(1, 0.90, tuple(float(x) for x in plans[0]["phases"]),
-                         tuple(float(x) for x in plans[0]["boundaries"]), None, None)
-        plans[0]["level_residual"] = repr(_check_guarantee(plan)[-1])
+        plans[0]["level_residual"] = repr(_check_guarantee(
+            1, 0.90, [float(x) for x in plans[0]["phases"]],
+            [float(x) for x in plans[0]["boundaries"]])[-1])
     elif case == "nan_pcri":  # loaded, then rebuilt as another setting with no warning
         doc["p_cri"] = "nan"
     elif case == "huge_pcri":  # float(10**400): OverflowError
@@ -805,17 +806,47 @@ def test_solver_flags_round_trip_through_the_cache(cache, capfd, monkeypatch):
     capfd.readouterr()
 
 
-def test_unreadable_cache_path_is_an_error_line(tmp_path):
-    # a directory as the cache: reading it fails (a miss), then so does the write
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
+@pytest.mark.parametrize("kind", ["directory", "fifo", "empty"])
+def test_non_regular_cache_path_is_an_error_line(tmp_path, kind):
+    # A cache path that exists and is not a regular file, or an empty one, is one
+    # error line before any read or build: table building is disabled in the
+    # child, so reaching it is a traceback.  Each command line runs in a
+    # subprocess with a timeout, since opening a FIFO to read it blocks.
+    cache = {"directory": tmp_path / "cache", "fifo": tmp_path / "fifo", "empty": ""}[kind]
+    if kind == "directory":
+        cache.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(cache)
     src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-m", "cmqsearch.cli", "plan", "--lambda", "0.01",
-                           "--cache", str(cache_dir)],
-                          cwd=src, capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
-    assert "Traceback" not in proc.stderr
+    error = f"plan cache {str(cache)!r} is not a regular file"
+    for argv in (["plan", "--lambda", "0.01"], ["table"], ["verify"]):
+        code = ("import sys\nfrom cmqsearch import cli\ncli.planner.build_table = None\n"
+                f"sys.exit(cli.main({[*argv, '--cache', str(cache)]!r}))")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                              text=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (1, f"error: {error}\n"), argv
+        if argv == ["verify"]:  # the suites that read the table fail with that error
+            assert proc.stdout.startswith(f"oracle_equivalence: FAIL ({error})\n"
+                                          f"equal_level: FAIL ({error})\n")
+        else:
+            assert proc.stdout == "", argv
+    assert list(tmp_path.iterdir()) == ([] if kind == "empty" else [cache])
+
+
+def test_symlinked_cache_is_written_through(tmp_path, capfd, monkeypatch):
+    # the table goes to the link's target, and the link stays a link
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    link.symlink_to(real)
+    assert main(["plan", "--lambda", "0.01", "--pcri", "0.95", "--cache", str(link)]) == 0
+    assert link.is_symlink() and real.is_file()
+    capfd.readouterr()
+    assert main(["table", "--pcri", "0.99", "--cache", str(link)]) == 0
+    assert link.is_symlink() and capfd.readouterr().out.encode() == real.read_bytes()
+    # the target is the cache that a later query reads
+    monkeypatch.setattr(cli.planner, "build_table", None)
+    assert main(["plan", "--lambda", "0.01", "--pcri", "0.99", "--cache", str(link)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+    capfd.readouterr()
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
@@ -831,10 +862,12 @@ def test_cache_mode_follows_umask(cache, capfd, umask):
     assert stat.S_IMODE(os.stat(cache).st_mode) == 0o666 & ~umask
 
 
-def test_failed_cache_write_leaves_no_temp_file(tmp_path, capfd):
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    code, _, err = run(["table", "--cache", str(cache_dir)], capfd)
+def test_failed_cache_write_leaves_no_temp_file(cache, tmp_path, capfd, monkeypatch):
+    # the rename fails after the temp file is written, as it would over a directory
+    def replace(src, dst):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), dst)
+    monkeypatch.setattr(os, "replace", replace)
+    code, _, err = run(["table", "--cache", cache], capfd)
     assert code == 1
     assert "cannot write plan table" in err
     assert list(tmp_path.glob("*.tmp")) == []
@@ -893,6 +926,26 @@ def test_compare_record(cache, capfd):
     rec = json.loads(out)
     assert rec["k_ours"] == 8 and rec["k_yoder_lb"] == 16
     assert float(rec["yoder_ratio"]) == pytest.approx(2.0, abs=0.15)
+
+
+@pytest.mark.parametrize("argv,header", [
+    (["compare", "--lambda", "0.01", "--pcri", "0.9925"],
+     "lambda,k_ours,k_grover,k_fixed,k_long,phi_long,k_yoder_lb,yoder_ratio,p_ours,p_grover,p_fixed"),
+    (["plan", "--lambda", "0.01"], "k,m,phi,guaranteed_p")], ids=["compare", "plan"])
+def test_csv_record_layout(cache, capfd, argv, header):
+    # the CSV header is the record's fields in order, and each cell is the JSON
+    # record's value: an int as a number, a float as the repr string JSON holds
+    code, out, _ = run([*argv, "--format", "csv", "--cache", cache], capfd)
+    assert code == 0
+    head, row = out.splitlines()
+    assert head == header
+    code, out, _ = run([*argv, "--cache", cache], capfd)
+    rec = json.loads(out)
+    for name, cell in zip(head.split(","), row.split(","), strict=True):
+        if isinstance(rec[name], int):
+            assert cell == str(rec[name]), name
+        else:
+            assert cell == rec[name] == repr(float(cell)), name
 
 
 @pytest.mark.parametrize("command", [["compare", "--lambda", "0.5"],

@@ -266,8 +266,8 @@ def test_band_near_lambda_tol_has_one_phase(p_cri):
 @example(k=2, p_cri=[0.9999, 0.5])
 def test_plans_certify_up_to_high_pcri(k, p_cri):
     low, high = (build_plan(k, p) for p in sorted(p_cri))
-    for plan in (low, high):  # build_plan certifies through make_plan, or raises
-        assert plan.q_k_pi >= plan.p_cri
+    for p, plan in zip(sorted(p_cri), (low, high)):  # build_plan certifies, or raises
+        assert plan.q_k_pi >= p
         assert plan.level_residual < 10.0 * LEVEL_TOL
     assert low.n_k <= high.n_k
 
@@ -294,7 +294,7 @@ def test_plan_invariants(table90):
         phases = plan.phases
         assert all(a > b for a, b in zip(phases, phases[1:]))
         assert all(phi_min(plan.k).phi < p <= PI for p in phases)
-        assert plan.q_k_pi >= plan.p_cri
+        assert plan.q_k_pi >= table90.p_cri
         assert plan.level_residual < 1e-8
 
 
@@ -353,7 +353,7 @@ def test_plan_probability_at(table90):
 
 def test_make_plan_derives_the_level_and_residual(table90):
     for plan in table90.plans:
-        assert make_plan(plan.k, plan.p_cri, list(plan.phases), list(plan.boundaries)) == plan
+        assert make_plan(plan.k, table90.p_cri, list(plan.phases), list(plan.boundaries)) == plan
 
 
 def test_make_plan_rejects_a_level_below_pcri():
@@ -370,7 +370,7 @@ def test_make_plan_rejects_a_level_above_the_certified_minimum():
     # the level set by the first phase, and stays above P_cri
     plan = build_plan(1, 0.90)
     phases = [plan.phases[0], plan.phases[1] - 1e-5]
-    worst, q, _ = _check_guarantee(plan._replace(phases=tuple(phases)))
+    worst, q, _ = _check_guarantee(1, 0.90, phases, plan.boundaries)
     assert q == plan.q_k_pi and 1e-7 < q - worst < 1e-5 and worst > 0.90
     with pytest.raises(DomainError, match="above the certified"):
         make_plan(1, 0.90, phases, list(plan.boundaries))
@@ -410,31 +410,27 @@ def test_guarantee_takes_p_one_at_band_one_upper_edge():
     # P(1, pi, 1.0) divides 0 by 0 in the kernel; P is 1 at lambda = 1 for any
     # phase, so the certificate takes that value and rejects the plan for its
     # dip at the interior minimum 0.75, where P(1, pi) is 0 up to rounding
-    plan = build_plan(1, 0.90)._replace(phases=(PI,),
-                                                       boundaries=(iteration_band(1).lo, 1.0))
     with pytest.raises(VerificationError, match="dips"):
-        _check_guarantee(plan)
+        _check_guarantee(1, 0.90, (PI,), (iteration_band(1).lo, 1.0))
 
 
 @pytest.mark.parametrize("m", [0, 1])
 def test_guarantee_rejects_dip(m):
     plan = build_plan(1, 0.90)
     assert plan.n_k == 2
-    _check_guarantee(plan)
+    _check_guarantee(1, 0.90, plan.phases, plan.boundaries)
     phases = list(plan.phases)
     phases[m] -= 0.3
-    bad = plan._replace(phases=tuple(phases))
     with pytest.raises(VerificationError, match="dips"):
-        _check_guarantee(bad)
+        _check_guarantee(1, 0.90, phases, plan.boundaries)
 
 
 def test_guarantee_rejects_short_cover():
     plan = build_plan(3, 0.90)
     band = iteration_band(3)
     short = band.hi - 0.01 * (band.hi - band.lo)
-    bad = plan._replace(boundaries=plan.boundaries[:-1] + (short,))
     with pytest.raises(DomainError):
-        _check_guarantee(bad)
+        _check_guarantee(3, 0.90, plan.phases, plan.boundaries[:-1] + (short,))
 
 
 def test_guarantee_rejects_early_start():
@@ -442,9 +438,8 @@ def test_guarantee_rejects_early_start():
     plan = build_plan(3, 0.90)
     band = iteration_band(3)
     early = band.lo - 0.01 * (band.hi - band.lo)
-    bad = plan._replace(boundaries=(early,) + plan.boundaries[1:])
     with pytest.raises(DomainError, match="boundaries span"):
-        _check_guarantee(bad)
+        _check_guarantee(3, 0.90, plan.phases, (early,) + plan.boundaries[1:])
 
 
 # The certificate rests on 1 - P = (1 - lam) cos^2(n delta/2) / cos^2(delta/2),
@@ -498,22 +493,23 @@ def test_certificate_agrees_with_a_dense_scan(table90):
     # Bend one phase of a plan by up to 0.5 rad: the certificate must reject
     # exactly the plans a 10^5-point scan rejects, and its minimum must not
     # lie above any scanned point.
-    plans = list(table90.plans) + [build_plan(k, 0.99) for k in (1, 2, 5, 25)]
+    plans = ([(table90.p_cri, plan) for plan in table90.plans]
+             + [(0.99, build_plan(k, 0.99)) for k in (1, 2, 5, 25)])
     rng = random.Random(5)
     rejected = 0
     for _ in range(100):
-        plan = rng.choice(plans)
+        p_cri, plan = rng.choice(plans)
         m = rng.randrange(plan.n_k)
         phases = list(plan.phases)
         phases[m] = min(PI, phases[m] + rng.uniform(-0.5, 0.5))
         bent = plan._replace(phases=tuple(phases))
         scan_min = _dense_scan_min(bent)
-        if scan_min < plan.p_cri:
+        if scan_min < p_cri:
             with pytest.raises(VerificationError, match="dips"):
-                _check_guarantee(bent)
+                _check_guarantee(plan.k, p_cri, phases, plan.boundaries)
             rejected += 1
         else:
-            assert _check_guarantee(bent)[0] <= scan_min + 1e-12
+            assert _check_guarantee(plan.k, p_cri, phases, plan.boundaries)[0] <= scan_min + 1e-12
     assert 20 < rejected < 80
 
 
@@ -528,7 +524,7 @@ def test_plan_guarantee_holds_down_to_small_lambda(k, p_cri, fracs):
         plan = build_plan(k, p_cri)
     except ConfigError:
         reject()
-    assert _check_guarantee(plan)[0] >= p_cri
+    assert _check_guarantee(k, p_cri, plan.phases, plan.boundaries)[0] >= p_cri
     floor = p_cri - LEVEL_TOL
     for phi, lo, hi in zip(plan.phases, plan.boundaries, plan.boundaries[1:]):
         points = [lo, hi] + [lo + f * (hi - lo) for f in fracs]

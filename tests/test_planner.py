@@ -207,11 +207,11 @@ def test_bound_exceeds_ours_above_crossover():
 
 def test_compare_record(table90):
     rec = compare(TargetFraction(0.25), table90, 0.90, PhaseAngle(0.1 * PI))
-    assert rec.k_ours == 1 and rec.k_grover == 1 and rec.k_fixed == 10
-    assert rec.k_long == 1 and rec.phi_long == pytest.approx(PI, abs=1e-7)
-    assert rec.p_ours >= 0.90
-    assert rec.p_grover == pytest.approx(1.0, abs=1e-12)
-    assert rec.k_ours - rec.k_grover in (0, 1)
+    assert rec["k_ours"] == 1 and rec["k_grover"] == 1 and rec["k_fixed"] == 10
+    assert rec["k_long"] == 1 and rec["phi_long"] == pytest.approx(PI, abs=1e-7)
+    assert rec["p_ours"] >= 0.90
+    assert rec["p_grover"] == pytest.approx(1.0, abs=1e-12)
+    assert rec["k_ours"] - rec["k_grover"] in (0, 1)
 
 
 @pytest.mark.parametrize("phi", [1e-9, 1e-12, 1e-100])
@@ -219,14 +219,14 @@ def test_compare_fixed_phase_reaches_one_at_small_phi(table90, phi):
     # 1 - cos(phi) is 0.0 in floats below phi ~ 1e-8: a probability formed
     # from it fell back to lambda, though the count from sin(phi/2) was right.
     rec = compare(TargetFraction(0.5), table90, 0.90, PhaseAngle(phi))
-    assert rec.k_fixed > 1e8
-    assert rec.p_fixed > 0.99
+    assert rec["k_fixed"] > 1e8
+    assert rec["p_fixed"] > 0.99
 
 
 def test_compare_zero_grover_iterations(table90):
     rec = compare(TargetFraction(0.6), table90, 0.90, PhaseAngle(0.1 * PI))
-    assert rec.k_grover == 0 and rec.k_ours == 1
-    assert rec.p_grover == 0.6  # no iterations: probability is lambda itself
+    assert rec["k_grover"] == 0 and rec["k_ours"] == 1
+    assert rec["p_grover"] == 0.6  # no iterations: probability is lambda itself
 
 
 def test_success_after():

@@ -43,3 +43,19 @@ def test_every_top_level_name_is_used_in_the_package():
     unused = {name for name in defined - used
               if not (name.startswith("__") and name.endswith("__"))}
     assert unused == READ_BY_BENCHMARK
+
+
+def test_records_are_built_whole_with_only_the_fields_read():
+    # make_plan builds its PhasePlan once, complete: no placeholder, no _replace
+    from cmqsearch import analytic, optimizer, planner
+    assert optimizer.PhasePlan._fields == ("k", "phases", "boundaries", "q_k_pi", "level_residual")
+    assert analytic.IterationBand._fields == ("lo", "hi")
+    assert not hasattr(planner, "BaselineComparison")
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert "_replace" not in set().union(*map(_references, trees))
+    make_plan = next(node for node in ast.walk(ast.parse((SRC / "optimizer.py").read_text()))
+                     if isinstance(node, ast.FunctionDef) and node.name == "make_plan")
+    builds = [node for node in ast.walk(make_plan) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "PhasePlan"]
+    assert len(builds) == 1
+    assert not any(isinstance(arg, ast.Constant) and arg.value is None for arg in builds[0].args)
