@@ -33,7 +33,9 @@
 # failed check: 4 when --max-nk 1 cannot build the table, and 1 when the
 # table's directory is missing, so the table cannot be written.  Each prints
 # one error line and no traceback on stderr, and the second names the cache
-# path, not the random name of its temp file.  The bracket-width flags
+# path, not the random name of its temp file.  A cap that the table fits
+# passes every suite: at --max-nk 2 and P_cri = 0.8, monotonicity compares
+# Q(k, n) for n = 1 and 2 alone, so verify exits 0.  The bracket-width flags
 # --lambda-tol and --phase-tol are gone (schema 8), and so is --level-tol, now
 # the constant LEVEL_TOL (schema 9): each is a usage error that writes no cache.
 # So is a flag that its command does not read: --seed is verify's alone, and
@@ -125,6 +127,7 @@ cli verify "${cap[@]}"
 exits 4 cli table --pcri 0.99998 --lambda0 1e-2 --cache "$tmp/over-cap.json" 2> "$tmp/cap.err"
 test "$(cat "$tmp/cap.err")" = "error: p_cri=0.99998 not reachable on band 1 within max_nk=64"
 exits 4 cli verify --max-nk 1 --cache "$tmp/nk1.json" > /dev/null 2> "$tmp/nk1.err"
+exits 0 cli verify --max-nk 2 --pcri 0.8 --cache "$tmp/nk2.json"
 exits 1 cli verify --cache "$tmp/missing/plans.json" > /dev/null 2> "$tmp/missing.err"
 for err in "$tmp/nk1.err" "$tmp/missing.err"; do
   test "$(grep -c "^error: " "$err")" -eq 1

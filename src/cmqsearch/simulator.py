@@ -1,16 +1,16 @@
 """Exact statevector oracle for the analytic layer, and the ``verify`` suites that run it.
 
-A full 2^n-amplitude statevector with an explicit marked set, where the
-phase oracle and the zero-state reflection are applied as diagonal /
-rank-one updates (O(N) per iteration, no gate decomposition), in pure Python
-(``cmath`` and lists).  Global phase is kept, including the leading minus
-sign of the iteration.  The 2x2 evolution that the tests check it against lives
-in ``tests/oracles.py``.  Only ``verify`` imports this module, passing in its table
-loader: under ``python -m``, importing ``cmqsearch.cli`` would run it a second time.
-``verify`` runs in one process.  Its oracle suite runs the table's own plans, one
-dyadic lambda per segment that a register of at most 10 qubits reaches, through
-``statevector_run``; the fixed (n, M, k, phi) grid is acceptance criterion 4's,
-in the tests.
+A plain list of 2^n amplitudes with an explicit marked set, on at most
+``MAX_QUBITS`` qubits, where the phase oracle and the zero-state reflection
+are applied as diagonal / rank-one updates (O(N) per iteration, no gate
+decomposition), in pure Python (``cmath`` and lists).  Global phase is kept,
+including the leading minus sign of the iteration.  The 2x2 evolution that the
+tests check it against lives in ``tests/oracles.py``.  Only ``verify`` imports
+this module, passing in its table loader: under ``python -m``, importing
+``cmqsearch.cli`` would run it a second time.  ``verify`` runs in one process.
+Its oracle suite runs the table's own plans, one dyadic lambda per segment that
+a register of at most ``MAX_QUBITS`` qubits reaches, through ``statevector_run``;
+the fixed (n, M, k, phi) grid is acceptance criterion 4's, in the tests.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from cmqsearch.errors import CmqsearchError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
 from cmqsearch.planner import baseline_long
 
-MAX_QUBITS = 14
+MAX_QUBITS = 10
 
 
 def _register(n_qubits: int, marked) -> tuple[int, frozenset[int]]:
@@ -42,39 +42,28 @@ def _register(n_qubits: int, marked) -> tuple[int, frozenset[int]]:
     return n, marked
 
 
-class Statevector:
-    """2^n complex amplitudes plus the marked basis-index set."""
-
-    def __init__(self, amps: list[complex], marked: frozenset[int]):
-        self.amps = amps
-        self.marked = marked
-
-    @classmethod
-    def uniform(cls, n_qubits: int, marked) -> "Statevector":
-        n, marked = _register(n_qubits, marked)
-        return cls(amps=[complex(1.0 / math.sqrt(n))] * n, marked=marked)
-
-    def marked_probability(self) -> float:
-        return sum(abs(self.amps[i]) ** 2 for i in self.marked)
-
-    def apply_iteration(self, phi: PhaseAngle) -> None:
-        """One matched-phase iteration G = -(I - (1-e^{i phi})|psi><psi|) S_f^phi."""
-        e = cmath.exp(1j * phi.phi)
-        amps = self.amps
-        for i in self.marked:                         # phase oracle on marked items
+def evolve(n_qubits: int, marked, k: int,
+           phi: PhaseAngle) -> tuple[list[complex], frozenset[int]]:
+    """The 2^n amplitudes after k matched-phase iterations
+    G = -(I - (1-e^{i phi})|psi><psi|) S_f^phi from the uniform state, and the
+    checked marked set."""
+    if k < 0:
+        raise DomainError(f"k must be >= 0, got {k}")
+    n, marked = _register(n_qubits, marked)
+    amps = [complex(1.0 / math.sqrt(n))] * n
+    e = cmath.exp(1j * phi.phi)
+    for _ in range(k):
+        for i in marked:                    # phase oracle on marked items
             amps[i] *= e
-        shift = (1.0 - e) * sum(amps) / len(amps)     # (1-e) <psi|v> / sqrt(N)
-        self.amps = [shift - a for a in amps]         # reflection about |psi>, times -1
+        shift = (1.0 - e) * sum(amps) / n   # (1-e) <psi|v> / sqrt(N)
+        amps = [shift - a for a in amps]    # reflection about |psi>, times -1
+    return amps, marked
 
 
 def statevector_run(n_qubits: int, marked, k: int, phi: PhaseAngle) -> float:
     """Marked-set probability after k exact iterations from the uniform state."""
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    state = Statevector.uniform(n_qubits, marked)
-    for _ in range(k):
-        state.apply_iteration(phi)
-    return state.marked_probability()
+    amps, marked = evolve(n_qubits, marked, k, phi)
+    return sum(abs(amps[i]) ** 2 for i in marked)
 
 
 def run_long_exact(n_qubits: int, marked) -> float:
@@ -96,17 +85,17 @@ def _outcome(suite):
 
 def _suite_oracle(table) -> str:
     """Run the table's plans on the statevector, one point per segment: the dyadic
-    lambda = M/2^n in the segment on the smallest register (n <= 10) that holds one,
+    lambda = M/2^n in the segment on the smallest register (n <= MAX_QUBITS) that holds one,
     with the plan's own k and phase.  That register holds only one, since of two
     adjacent dyadics at n one is a dyadic at n - 1.  A segment no such register
     reaches is counted, not run.  Each reading must match the kernel and reach
     p_cri, both to the oracle's float tolerance of 1e-10."""
     worst, least, reached = 0.0, math.inf, 0
     for plan in table.plans:
-        if plan.boundaries[-1] <= 2.0 ** -10:
-            break   # this band and all after it lie below the least dyadic, 2^-10
+        if plan.boundaries[-1] <= 2.0 ** -MAX_QUBITS:
+            break   # this band and all after it lie below the least dyadic, 2^-MAX_QUBITS
         for phi, lo, hi in zip(plan.phases, plan.boundaries, plan.boundaries[1:]):
-            for n in range(1, 11):
+            for n in range(1, MAX_QUBITS + 1):
                 m = math.ceil(lo * (1 << n))   # exact: scaling by 2^n rounds nothing
                 if m < hi * (1 << n):
                     break
@@ -144,7 +133,7 @@ def _suite_monotonicity(max_nk: int) -> str:
     least = math.inf
     for k in (1, 2, 3):
         prev = 0.0
-        for n in (1, 2, 3):
+        for n in range(1, min(3, max_nk) + 1):
             q, _, _ = optimizer.largest_min_success(k, n, max_nk)
             if q <= prev + 1e-6:
                 raise VerificationError(
@@ -159,7 +148,7 @@ def _suite_long_certainty(seed: int) -> str:
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(20):
-        n = rng.randrange(2, 11)
+        n = rng.randrange(2, MAX_QUBITS + 1)
         m = rng.randrange(1, 1 << n)
         err = abs(run_long_exact(n, range(m)) - 1.0)
         if err >= 1e-9:

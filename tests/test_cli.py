@@ -24,7 +24,7 @@ from cmqsearch.errors import CmqsearchError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import _check_guarantee, make_plan, march_level
 from cmqsearch.planner import build_table, plan_for
-from cmqsearch.simulator import statevector_run
+from cmqsearch.simulator import MAX_QUBITS, statevector_run
 
 
 def run(args, capfd):
@@ -427,11 +427,12 @@ def test_help_still_exits_0(capfd):
 
 def _plan_points(table) -> list[tuple[int, int, int, float]]:
     """(n, M, k, phi) of each segment's oracle point, by brute force: the first
-    dyadic lambda = M/2^n in the segment on the smallest register n <= 10 that has one."""
+    dyadic lambda = M/2^n in the segment on the smallest register n <= MAX_QUBITS that
+    has one."""
     points = []
     for plan in table.plans:
         for phi, lo, hi in zip(plan.phases, plan.boundaries, plan.boundaries[1:]):
-            for n in range(1, 11):
+            for n in range(1, MAX_QUBITS + 1):
                 inside = [m for m in range(1, 1 << n) if lo <= m / (1 << n) < hi]
                 if inside:
                     points.append((n, inside[0], plan.k, phi))
@@ -496,11 +497,29 @@ def test_verify_exits_with_the_failing_suites_code(tmp_path, capfd, monkeypatch,
     assert [line.split(": ")[0] for line in lines] == [
         "oracle_equivalence", "equal_level", "monotonicity", "long_certainty"]
     assert lines[1].startswith("equal_level: FAIL (")
+    # the table-free suites pass; at max_nk 1, monotonicity compares Q(k, 1) alone
+    assert [line.split(" (")[0] for line in lines[2:]] == [
+        "monotonicity: PASS", "long_certainty: PASS"]
     assert err.count("\n") == 1 and err.startswith(error)
     if exit_code == 5:
         assert _oracle_line(lines[0])[2] == "28/38"
     else:
         assert lines[0] == f"oracle_equivalence: FAIL ({err[len('error: '):-1]})"
+
+
+@pytest.mark.parametrize("max_nk,p_cri", [(1, 0.5), (2, 0.8)])
+def test_verify_passes_under_a_phase_cap_below_3(cache, capfd, max_nk, p_cri):
+    # a table that builds within the cap passes every suite: monotonicity compares
+    # Q(k, n) only at the phase counts n <= max_nk, not at n = 3 whatever the cap
+    code, out, err = run(["verify", "--max-nk", str(max_nk), "--pcri", str(p_cri),
+                          "--cache", cache], capfd)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [line.split(" (")[0] for line in lines] == [
+        "oracle_equivalence: PASS", "equal_level: PASS", "monotonicity: PASS",
+        "long_certainty: PASS"]
+    assert re.fullmatch(r"monotonicity: PASS \(min Q\(k, n\) - Q\(k, n-1\) \S+ > 1e-06\)",
+                        lines[2])
 
 
 @pytest.mark.parametrize("which", [[0], [-1], [-1, 0]], ids=["first", "last", "both"])

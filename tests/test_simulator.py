@@ -1,5 +1,6 @@
 """Exact simulators: 2x2 subspace model and full statevector oracle."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from cmqsearch.analytic import PhaseAngle, TargetFraction
 from cmqsearch.errors import DomainError
 from cmqsearch.kernels import p_success
-from cmqsearch.simulator import Statevector, run_long_exact, statevector_run
+from cmqsearch.simulator import evolve, run_long_exact, statevector_run
 from oracles import evolve_two_level, g_matrix, two_level_closed_form
 
 PI = math.pi
@@ -79,47 +80,55 @@ def test_statevector_examples():
 
 
 def test_statevector_validation():
+    for n in (0, 11, 15):
+        with pytest.raises(DomainError):
+            evolve(n, {0}, 0, PhaseAngle(PI))
     with pytest.raises(DomainError):
-        Statevector.uniform(15, {0})
+        evolve(3, set(), 0, PhaseAngle(PI))
     with pytest.raises(DomainError):
-        Statevector.uniform(3, set())
+        evolve(3, range(8), 0, PhaseAngle(PI))  # full set
     with pytest.raises(DomainError):
-        Statevector.uniform(3, range(8))  # full set
+        evolve(3, {8}, 0, PhaseAngle(PI))
     with pytest.raises(DomainError):
-        Statevector.uniform(3, {8})
+        evolve(3, {0}, -1, PhaseAngle(PI))
     with pytest.raises(DomainError):
         run_long_exact(0, {0})
+    with pytest.raises(DomainError):
+        run_long_exact(11, {0})
 
 
 def test_norm_preserved_over_many_iterations():
-    state = Statevector.uniform(6, {1, 5, 17})
-    phi = PhaseAngle(2.0)
-    for _ in range(1000):
-        state.apply_iteration(phi)
-    assert np.sum(np.abs(state.amps) ** 2) == pytest.approx(1.0, abs=1e-10)
+    amps, _ = evolve(6, {1, 5, 17}, 1000, PhaseAngle(2.0))
+    assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_subspace_uniformity():
-    state = Statevector.uniform(5, {2, 9, 20})
-    idx = np.fromiter(state.marked, dtype=np.intp)
-    mask = np.zeros(32, dtype=bool)
-    mask[idx] = True
-    for _ in range(7):
-        state.apply_iteration(PhaseAngle(1.9))
-        amps = np.array(state.amps)
+    for k in range(1, 8):
+        amps, marked = evolve(5, {2, 9, 20}, k, PhaseAngle(1.9))
+        assert marked == {2, 9, 20}
+        mask = np.zeros(32, dtype=bool)
+        mask[list(marked)] = True
+        amps = np.array(amps)
         assert np.max(np.abs(amps[mask] - amps[mask][0])) < 1e-12
         assert np.max(np.abs(amps[~mask] - amps[~mask][0])) < 1e-12
 
 
-@pytest.mark.parametrize("n,m,phi", [(2, 1, PI), (4, 3, 2.432), (6, 16, 1.465), (10, 1, 0.7),
-                                     (10, 512, 2.0)])
-def test_one_trajectory_reads_like_fresh_runs(n, m, phi):
-    # one evolving state read after each of k iterations equals a fresh run of
-    # k iterations bit for bit
-    state = Statevector.uniform(n, range(m))
-    for k in range(13):
-        assert state.marked_probability() == statevector_run(n, range(m), k, PhaseAngle(phi))
-        state.apply_iteration(PhaseAngle(phi))
+# sha256 of repr([statevector_run(n, range(m), k, PhaseAngle(phi)) for k in range(13)])
+TRAJECTORY_SHA256 = {
+    (2, 1, PI): "634f224a6df1a0dea2ca039974b62dfa6029e2bee550946bd284c7a8e2e77678",
+    (4, 3, 2.432): "67fdd301e1175737b2ac7f7fdab77d3d3faaf13f65e097826b80ca74bc1a1a25",
+    (6, 16, 1.465): "8a45ef88543f6b9867e52a42a1510b333989b8296d7a5ff7245542f8fd28e67e",
+    (10, 1, 0.7): "a8f8551280e099dc99b176e62a576fdf88737a9a0df2fd683a19ba9afc2b5741",
+    (10, 512, 2.0): "da76f966d115e05ed040792cb9dc28a212ee39da6a744431aa7e41243a3232ca",
+}
+
+
+@pytest.mark.parametrize("n,m,phi", list(TRAJECTORY_SHA256))
+def test_trajectory_bits_are_pinned(n, m, phi):
+    # the readings after 0..12 iterations keep every bit: the amplitude arithmetic
+    # and the order of its steps are fixed
+    readings = [statevector_run(n, range(m), k, PhaseAngle(phi)) for k in range(13)]
+    assert hashlib.sha256(repr(readings).encode()).hexdigest() == TRAJECTORY_SHA256[n, m, phi]
 
 
 # ------------------------------------------------------------------ exact search
