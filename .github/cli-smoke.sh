@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CLI smoke test; run it from the repository root: bash .github/cli-smoke.sh
 #
-# The end-to-end path at the stress setting: build, query the cache, sweep
-# every algorithm, verify; a malformed flag must exit 1, not the exit 2 of a
+# The end-to-end path at the stress setting: build, query the cache (a cache
+# that table has just written loads with nothing on stderr), sweep every
+# algorithm, verify; a malformed flag must exit 1, not the exit 2 of a
 # straddling range; verify piped into `head -n 1`, which must print the oracle
 # line alone, with no traceback.  That verify exits 0 when its output reached
 # the pipe before head left and 1 when head had already gone (a closed
@@ -14,11 +15,14 @@
 # count is not finite, must exit 1 with an error line, no traceback; a sweep
 # with such a phase must print nothing on stdout.  Then --help for the program
 # and each command and two usage errors, which build the argparse parser that
-# a well-formed command line never loads.  Two damaged headline caches must
-# each be a miss (exit 0, a warning line, no traceback): band 1 stored as the
-# one phase pi, whose certificate once divided by zero at lambda = 1, and band
-# 1's second boundary set to NaN with the residual the certificate derives for
-# it, which once loaded and served a phase whose P fell below P_cri.  Last, a
+# a well-formed command line never loads.  Three damaged headline caches, their
+# floats JSON numbers as in schema 10, must each be a miss (exit 0, exactly one
+# warning line, no traceback): band 1 stored as the one phase pi, whose
+# certificate once divided by zero at lambda = 1; band 1's second boundary set
+# to NaN with the residual the certificate derives for it, which once loaded
+# and served a phase whose P fell below P_cri; and band 1 with a key that
+# table_to_doc does not write, since a cache is served only when it is the
+# document of its own certified plans.  Last, a
 # table, plan and verify down to lambda0 = 1e-6 (785 bands) and to lambda0 =
 # 1e-8 (7,854 bands, nearly all with one phase; the narrowest is 2.5e-12 wide,
 # which each boundary solve resolves to the last float).  There the oracle runs
@@ -56,7 +60,8 @@ exits() { local want=$1 code=0; shift; "$@" || code=$?; test "$code" -eq "$want"
 
 stress=(--pcri 0.99 --lambda0 1e-3 --cache "$tmp/plans.json")
 cli table "${stress[@]}" > /dev/null
-cli plan --lambda 0.002 "${stress[@]}"
+cli plan --lambda 0.002 "${stress[@]}" 2> "$tmp/fresh.err"
+test ! -s "$tmp/fresh.err"
 cli compare --lambda 0.002 "${stress[@]}"
 cli plan --range 0.002..0.0020001 --format csv "${stress[@]}"
 exits 1 cli plan --lambda abc --cache "$tmp/plans.json"
@@ -92,7 +97,7 @@ grep -q "^error: " "$tmp/sweep.err"
 for cmd in "" table plan sweep verify compare; do cli $cmd --help > /dev/null; done
 for bad in "--lambda=abc" "--lam 0.1"; do exits 1 cli plan $bad --cache "$tmp/plans.json"; done
 cli table --cache "$tmp/headline.json" > /dev/null
-for case in band1_pi nan_boundary; do
+for case in band1_pi nan_boundary extra_key; do
   python -c '
 import json, sys
 from cmqsearch.optimizer import _check_guarantee
@@ -101,15 +106,16 @@ doc = json.load(open(src))
 band1 = doc["plans"][0]
 bounds = band1["boundaries"]
 if case == "band1_pi":
-    band1.update(n_k=1, phases=[repr(3.141592653589793)], boundaries=[bounds[0], bounds[-1]])
+    band1.update(n_k=1, phases=[3.141592653589793], boundaries=[bounds[0], bounds[-1]])
+elif case == "nan_boundary":
+    bounds[1] = float("nan")
+    band1["level_residual"] = _check_guarantee(1, 0.9, band1["phases"], bounds)[-1]
 else:
-    bounds[1] = "nan"
-    phases, bounds = [float(x) for x in band1["phases"]], [float(x) for x in bounds]
-    band1["level_residual"] = repr(_check_guarantee(1, 0.9, phases, bounds)[-1])
+    band1["solver"] = "illinois"
 json.dump(doc, open(dst, "w"))
 ' "$tmp/headline.json" "$case" "$tmp/$case.json"
   cli plan --lambda 0.3 --cache "$tmp/$case.json" > /dev/null 2> "$tmp/$case.err"
-  grep -q "^warning: " "$tmp/$case.err"
+  test "$(grep -c "^warning: " "$tmp/$case.err")" -eq 1
   if grep -q Traceback "$tmp/$case.err"; then exit 1; fi
 done
 deep=(--pcri 0.99 --lambda0 1e-6 --cache "$tmp/deep.json")

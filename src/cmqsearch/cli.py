@@ -32,7 +32,7 @@ from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import MAX_NK, largest_min_success, make_plan
 from cmqsearch.planner import KigrQuery, PlanTable
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 # sweep's algorithms, in --help order
 ALGORITHMS = ("ours", "grover", "fixed", "yoder_bound", "long")
@@ -57,69 +57,66 @@ class RunConfig(namedtuple("RunConfig", "p_cri lambda0 max_nk fmt cache seed",
 
 # ---------------------------------------------------------------- plan-table IO
 
+def _plan_record(plan) -> dict:
+    k, phases, boundaries, q_k_pi, level_residual = plan
+    return {"k": k, "band": [boundaries[0], boundaries[-1]], "n_k": len(phases),
+            "phases": list(phases), "boundaries": list(boundaries), "q_k_pi": q_k_pi,
+            "level_residual": level_residual}
+
+
 def table_to_doc(table: PlanTable) -> dict:
-    """Versioned plan-table document; floats stored as repr strings so the
-    serialization is byte-stable and round-trips exactly."""
-    return {
-        "version": SCHEMA_VERSION,
-        "p_cri": repr(table.p_cri),
-        "lambda0": repr(table.lambda0),
-        "max_nk": table.max_nk,
-        "plans": [
-            {
-                "k": p.k,
-                "band": [repr(p.boundaries[0]), repr(p.boundaries[-1])],
-                "n_k": p.n_k,
-                "phases": [repr(x) for x in p.phases],
-                "boundaries": [repr(x) for x in p.boundaries],
-                "q_k_pi": repr(p.q_k_pi),
-                "level_residual": repr(p.level_residual),
-            }
-            for p in table.plans
-        ],
-    }
+    """Versioned plan-table document.  ``json`` writes each float as its repr, so
+    the serialization is byte-stable and round-trips exactly."""
+    return {"version": SCHEMA_VERSION, "p_cri": table.p_cri, "lambda0": table.lambda0,
+            "max_nk": table.max_nk, "plans": [_plan_record(p) for p in table.plans]}
 
 
 def _float(x) -> float:
-    return float(str(x))
+    # Anything but a parsed float is read through str, so that an integer beyond
+    # float range is inf, not an OverflowError.
+    return x if type(x) is float else float(str(x))
+
+
+def _require_own(stored: dict, own: dict, where: str = "") -> None:
+    """Raise DomainError unless a stored document, or one plan's record, is the one
+    that ``table_to_doc`` writes; the error names the first key that differs."""
+    if stored != own:
+        key = min(key for key in stored.keys() | own.keys()
+                  if key not in stored or key not in own or stored[key] != own[key])
+        raise DomainError(f"{where}stored {key} {stored.get(key)!r} is not what "
+                          f"its own certified plans write")
 
 
 def doc_to_table(doc: dict) -> PlanTable:
     """Inverse of ``table_to_doc``.
 
-    Raises DomainError unless max_nk is at least 1 and the plans are bands
-    1..k(lambda0), each a plan that ``make_plan`` accepts, stored with the n_k,
-    band (its first and last boundary), q_k_pi and level_residual that it
-    derives from its phases and boundaries.
+    Raises DomainError unless max_nk is at least 1, there is one plan for each
+    band 1..k(lambda0), ``make_plan`` accepts each, and the document is
+    ``table_to_doc`` of the table so built: no extra key, no float stored as
+    anything but a JSON number, and each n_k, band, q_k_pi and level_residual
+    the one that its plan derives.  That equality is checked record by record,
+    then for the top level, so that no second copy of the document is held.
     """
     if doc.get("version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported plan-table version {doc.get('version')}")
-    # Every number is read through str, so that a non-finite max_nk is a ValueError and
-    # a float field stored as an integer beyond float range is inf, not an OverflowError.
+    # read through str, so that a non-finite max_nk is a ValueError
     max_nk = int(str(doc["max_nk"]))
     if max_nk < 1:
         raise DomainError(f"max_nk must be >= 1, got {max_nk}")
     p_cri = _float(doc["p_cri"])
     lambda0 = _float(doc["lambda0"])
     k_max = analytic.iterations_for(TargetFraction(lambda0))
-    if [rec["k"] for rec in doc["plans"]] != list(range(1, k_max + 1)):
-        raise DomainError(f"plans do not hold bands 1..{k_max} for lambda0={lambda0}")
+    if len(doc["plans"]) != k_max:
+        raise DomainError(f"{len(doc['plans'])} plans for the {k_max} bands of lambda0={lambda0}")
     plans = []
     for k, rec in enumerate(doc["plans"], start=1):
         try:
-            plan = make_plan(k, p_cri, [_float(x) for x in rec["phases"]],
-                             [_float(x) for x in rec["boundaries"]])
+            plans.append(make_plan(k, p_cri, list(map(_float, rec["phases"])),
+                                   list(map(_float, rec["boundaries"]))))
         except VerificationError as exc:
             raise DomainError(f"band {k}: {exc}") from exc
-        for name, stored, own in (
-                ("n_k", rec["n_k"], plan.n_k),
-                ("band", rec["band"], [rec["boundaries"][0], rec["boundaries"][-1]]),
-                ("q_k_pi", _float(rec["q_k_pi"]), plan.q_k_pi),
-                ("level_residual", _float(rec["level_residual"]), plan.level_residual)):
-            if stored != own:
-                raise DomainError(f"band {k}: stored {name} {stored!r} "
-                                  f"is not the plan's own {own!r}")
-        plans.append(plan)
+        _require_own(rec, _plan_record(plans[-1]), f"band {k}: ")
+    _require_own({**doc, "plans": []}, table_to_doc(PlanTable(p_cri, lambda0, (), max_nk)))
     return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=tuple(plans), max_nk=max_nk)
 
 
@@ -162,9 +159,9 @@ def _cache_file(path: str) -> str:
 def load_or_build_table(cfg: RunConfig) -> PlanTable:
     """Use the cached table when it matches the run config, else rebuild it.
 
-    A cache that cannot be read as a table (an OS error on read, truncated,
-    missing keys, another schema version, a damaged plan list, nesting too deep to
-    parse) is a miss: one warning on stderr, then rebuild.
+    A cache that cannot be read as a table (an OS error on read, text that is not
+    JSON or is nested too deep to parse, a document that ``doc_to_table`` rejects)
+    is a miss: one warning on stderr, then rebuild.
     """
     path = _cache_file(cfg.cache)
     if os.path.exists(path):
@@ -233,7 +230,7 @@ def cmd_plan(cfg: RunConfig, args: dict) -> int:
 
 def _log_grid(lambda0: float, n: int):
     # Yields n points log-spaced over [lambda0, 1): small-lambda bands are
-    # geometrically thin.  Lazy, so that a sweep holds only the row it writes.
+    # geometrically thin.  Lazy, so that a sweep holds only the block of rows it writes.
     r = math.nextafter(1.0, 0.0) / lambda0
     return (lambda0 * r ** (i / n) for i in range(n))
 
@@ -255,9 +252,9 @@ def cmd_sweep(cfg: RunConfig, args: dict) -> int:
     segments = ((plan.k, phi, hi) for plan in reversed(table.plans)
                 for phi, hi in zip(plan.phases, plan.boundaries[1:])) if table else None
     seg_hi = 0.0
-    text = "lambda,algorithm,k,p\n"
-    for lam_val in _log_grid(cfg.lambda0, args["grid"]):
-        lam = TargetFraction(lam_val)
+    rows = ["lambda,algorithm,k,p\n"]
+    for i, lam_val in enumerate(_log_grid(cfg.lambda0, args["grid"])):
+        lam, lam_text = TargetFraction(lam_val), repr(lam_val)
         for alg in algorithms:
             if alg == "ours":
                 while lam_val >= seg_hi:
@@ -270,11 +267,13 @@ def cmd_sweep(cfg: RunConfig, args: dict) -> int:
             elif alg == "long":
                 k, phi = planner.baseline_long(lam)
             else:  # yoder_bound: iteration lower bound only, no probability curve
-                text += f"{lam_val!r},{alg},{planner.baseline_yoder_bound(cfg.p_cri, lam)},\n"
+                rows.append(f"{lam_text},{alg},{planner.baseline_yoder_bound(cfg.p_cri, lam)},\n")
                 continue
-            text += f"{lam_val!r},{alg},{k},{planner.success_after(k, phi, lam_val)!r}\n"
-        sys.stdout.write(text)
-        text = ""
+            rows.append(f"{lam_text},{alg},{k},{planner.success_after(k, phi, lam_val)!r}\n")
+        if i % 1024 == 0:   # point 0's rows, then each 1,024 points' rows, in one write
+            sys.stdout.write("".join(rows))
+            rows.clear()
+    sys.stdout.write("".join(rows))
     return 0
 
 

@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,21 +57,23 @@ def test_table_rebuild_is_byte_identical(cache, capfd, tmp_path):
 
 # sha256 and size of the serialized table, pinned so that a solver change that
 # moves any cached bit shows up here (and calls for a new SCHEMA_VERSION).  The
-# plans' own sha256 is pinned apart; it last moved with schema version 8.
+# plans' own sha256 is pinned apart.  Both last moved with schema version 10,
+# whose format writes each float as a JSON number, not a repr string: the
+# format moved, not the plans, whose every float is the one schema 9 held.
 @pytest.mark.parametrize("p_cri,lambda0,size,digest,plans_digest", [
-    pytest.param(0.90, 1e-2, 3029,
-                 "412512cce0688cd9ef8de756aa349e90bcd55bffbca09377da2b477a05ec6c9e",
-                 "71cf3e15ab705c9989e3ffab940fee74ec4e46c4031fad7e4208ebdcb2641863",
+    pytest.param(0.90, 1e-2, 2906,
+                 "3ed0b5042693d54ee1165bed1d9d890ac45d39bf7282623a576f9b24cc597c63",
+                 "1b3aec7aa8bcf1c2386b886ea61b70dbe41c2b3b2ffa118fd1ebbfc51a511f7f",
                  id="0.9-0.01"),
-    pytest.param(0.99, 1e-3, 9884,
-                 "5ba86c67d7cd85b8922da11d426ced333dd4b21f235931b26e3b4f0b845fbe83",
-                 "38b0b7f5ee68fc437f51ee31662b8fa882b7f72b8e898a988afb5c4064a7002b",
+    pytest.param(0.99, 1e-3, 9479,
+                 "4941a097160047dfda26784d2e57ffa982b2b4062861bc2f2e617ac2d1a8ed2c",
+                 "971a6903b29b5ffc5687fe3ee2cf20c267f1afc4b626e4109d05da0a3db72cc6",
                  id="0.99-0.001"),
 ])
 def test_cache_bytes_pinned(p_cri, lambda0, size, digest, plans_digest):
     table = build_table(p_cri, lambda0)
     data = serialize_table(table).encode()
-    assert cli.SCHEMA_VERSION == 9
+    assert cli.SCHEMA_VERSION == 10
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
     plans = json.dumps(cli.table_to_doc(table)["plans"], indent=2, sort_keys=True).encode()
@@ -150,6 +153,33 @@ def test_sweep_rows_match_plan_for(cache, capfd, table90, lambda0):
     for row, lam in zip(rows[1:], grid):
         k, phi = plan_for(TargetFraction(lam), table)
         assert row == f"{lam!r},ours,{k},{p_success(k, phi.phi, lam)!r}"
+
+
+# sha256 of `sweep --grid 1000` over all five algorithms, pinned from the sweep
+# that wrote one grid point per write, so that writing in blocks moves no byte.
+@pytest.mark.parametrize("p_cri,lambda0,digest", [
+    pytest.param("0.90", "1e-2",
+                 "a721179f6e707d2b7fefffba8afee2e37938ca2c9ef305533298764a507bcd12",
+                 id="0.9-0.01"),
+    pytest.param("0.99", "1e-3",
+                 "2ce0b18cfca4973664be585f9f07e3601eb31e64522e83604dc19f3cf102c28b",
+                 id="0.99-0.001"),
+])
+def test_sweep_bytes_pinned(cache, capfd, p_cri, lambda0, digest):
+    code, out, err = run(["sweep", "--grid", "1000", "--algorithms",
+                          "ours,grover,fixed,long,yoder_bound", "--pcri", p_cri,
+                          "--lambda0", lambda0, "--cache", cache], capfd)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sweep_writes_in_blocks(cache, monkeypatch):
+    # the header and grid point 0's rows in the first write, then one write per
+    # 1,024 points, and the rest at the end
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(["sweep", "--grid", "2050", "--algorithms", "grover", "--cache", cache]) == 0
+    assert [text.count("\n") for text in writes] == [2, 1024, 1024, 1]
 
 
 def test_log_grid_is_lazy_and_log_spaced():
@@ -628,17 +658,27 @@ def test_cache_missing_phases_is_rebuilt(cache, capfd):
     assert "KeyError" in warning
 
 
-# Schemas up to 8 held the solver's settings as "tolerances", not a top-level
-# max_nk: level_tol and max_nk in schema 8, lambda_tol and phase_tol too in
-# schemas 1 to 7, and grid_points too in schema 1.  Otherwise schemas 2 to 8
-# have the layout of schema 9, and only the solver that wrote the plans differs.
-@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 6, 7, 8])
+def _repr_floats(node):
+    if isinstance(node, dict):
+        return {key: _repr_floats(child) for key, child in node.items()}
+    if isinstance(node, list):
+        return [_repr_floats(child) for child in node]
+    return repr(node) if isinstance(node, float) else node
+
+
+# Schemas up to 9 stored every float as its repr string.  Schemas up to 8 also
+# held the solver's settings as "tolerances", not a top-level max_nk: level_tol
+# and max_nk in schema 8, lambda_tol and phase_tol too in schemas 1 to 7, and
+# grid_points too in schema 1.  Otherwise schemas 2 to 9 have the layout of
+# schema 10, and only the solver that wrote the plans differs.
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_cache_other_version_is_rebuilt(cache, capfd, version):
     main(["table", "--cache", cache])
     capfd.readouterr()
-    doc = json.loads(Path(cache).read_text())
+    doc = _repr_floats(json.loads(Path(cache).read_text()))
     doc["version"] = version
-    doc["tolerances"] = {"level_tol": "1e-09", "max_nk": doc.pop("max_nk")}
+    if version <= 8:
+        doc["tolerances"] = {"level_tol": "1e-09", "max_nk": doc.pop("max_nk")}
     if 1 <= version <= 7:
         doc["tolerances"].update(lambda_tol="1e-12", phase_tol="1e-12")
     if version == 1:
@@ -648,7 +688,8 @@ def test_cache_other_version_is_rebuilt(cache, capfd, version):
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
     assert f"version {version}" in warning
     rewritten = json.loads(Path(cache).read_text())
-    assert rewritten["version"] == cli.SCHEMA_VERSION == 9
+    assert rewritten["version"] == cli.SCHEMA_VERSION == 10
+    assert rewritten["p_cri"] == 0.90
     assert rewritten["max_nk"] == 64 and "tolerances" not in rewritten
 
 
@@ -678,23 +719,30 @@ def test_cache_damaged_plans_are_rebuilt(cache, capfd, damage):
 
 def _bend_plans(plans, edit):
     if edit == "late_start":  # coverage would start at 0.009, not band 8's 0.00851
-        plans[-1]["boundaries"][0] = "0.009"
+        plans[-1]["boundaries"][0] = 0.009
     elif edit == "early_start":  # band 8's first segment would reach into band 9
-        plans[-1]["boundaries"][0] = "0.0085"
+        plans[-1]["boundaries"][0] = 0.0085
     elif edit == "low_level":
-        plans[-1]["q_k_pi"] = "0.5"
+        plans[-1]["q_k_pi"] = 0.5
     elif edit == "level_above_minimum":
-        plans[-1]["q_k_pi"] = "0.999"
+        plans[-1]["q_k_pi"] = 0.999
     elif edit == "phase_above_pi":
-        plans[-1]["phases"][0] = "4.0"
+        plans[-1]["phases"][0] = 4.0
     elif edit == "zero_residual":  # verify would report band 2's 3.2e-11 as 0
-        plans[1]["level_residual"] = "0.0"
+        plans[1]["level_residual"] = 0.0
     elif edit == "large_residual":  # verify would fail a sound table with exit 5
-        plans[-1]["level_residual"] = "0.5"
+        plans[-1]["level_residual"] = 0.5
     elif edit == "moved_band":  # the band no longer spans the plan's boundaries
-        plans[-1]["band"][0] = "0.009"
+        plans[-1]["band"][0] = 0.009
+    elif edit == "extra_key":  # a field that no schema-10 reader knows
+        plans[-1]["solver"] = "illinois"
     else:  # "dipping_phase": band 1's first segment then dips below 0.90
-        plans[0]["phases"][0] = repr(float(plans[0]["phases"][0]) - 0.3)
+        plans[0]["phases"][0] -= 0.3
+
+
+# The stored fields that a plan derives, and any key that table_to_doc does not
+# write, are held to one rule: the document must be the one its plans write.
+NOT_ITS_OWN = "is not what its own certified plans write"
 
 
 @pytest.mark.parametrize("edit,message", [("late_start", "boundaries span"),
@@ -705,6 +753,7 @@ def _bend_plans(plans, edit):
                                           ("zero_residual", "stored level_residual 0.0 "),
                                           ("large_residual", "stored level_residual 0.5 "),
                                           ("moved_band", "stored band"),
+                                          ("extra_key", "stored solver"),
                                           ("dipping_phase", "dips")])
 def test_cache_uncertified_plan_is_rebuilt(cache, capfd, edit, message):
     main(["table", "--cache", cache])
@@ -717,6 +766,24 @@ def test_cache_uncertified_plan_is_rebuilt(cache, capfd, edit, message):
     # "below table coverage" (exit 3), and a low level was served as guaranteed_p
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc), lam="0.0086")
     assert "DomainError" in warning
+    assert (NOT_ITS_OWN in warning) == message.startswith("stored ")
+
+
+@pytest.mark.parametrize("where", ["p_cri", "phase"])
+def test_cache_float_stored_as_a_string_is_rebuilt(cache, capfd, where):
+    # schema 10 stores every float as a JSON number; its repr string, the form of
+    # schemas up to 9, is a value that table_to_doc does not write
+    main(["table", "--cache", cache])
+    capfd.readouterr()
+    doc = json.loads(Path(cache).read_text())
+    if where == "p_cri":
+        doc["p_cri"] = repr(doc["p_cri"])
+    else:
+        doc["plans"][2]["phases"][0] = repr(doc["plans"][2]["phases"][0])
+    with pytest.raises(DomainError, match=NOT_ITS_OWN):
+        doc_to_table(doc)
+    warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
+    assert NOT_ITS_OWN in warning
 
 
 # Damaged caches that parse, each a miss: make_plan holds each phase to
@@ -726,18 +793,17 @@ def _unsound_cache(doc, case):
     plans = doc["plans"]
     if case == "band1_pi":  # the kernel's P(1, pi, 1.0) is 0/0: ZeroDivisionError
         bounds = plans[0]["boundaries"]
-        plans[0].update(n_k=1, phases=[repr(math.pi)], boundaries=[bounds[0], bounds[-1]])
+        plans[0].update(n_k=1, phases=[math.pi], boundaries=[bounds[0], bounds[-1]])
     elif case == "tiny_phase":  # peak(3, 1e-300) overflows: OverflowError
-        plans[2]["phases"][0] = "1e-300"
+        plans[2]["phases"][0] = 1e-300
     elif case == "nan_level":  # served as "guaranteed_p": "nan"
-        plans[0]["q_k_pi"] = "nan"
+        plans[0]["q_k_pi"] = math.nan
     elif case == "nan_boundary":  # with its residual: phi 1.465 served at 0.3, P 0.850
-        plans[0]["boundaries"][1] = "nan"
-        plans[0]["level_residual"] = repr(_check_guarantee(
-            1, 0.90, [float(x) for x in plans[0]["phases"]],
-            [float(x) for x in plans[0]["boundaries"]])[-1])
+        plans[0]["boundaries"][1] = math.nan
+        plans[0]["level_residual"] = _check_guarantee(
+            1, 0.90, plans[0]["phases"], plans[0]["boundaries"])[-1]
     elif case == "nan_pcri":  # loaded, then rebuilt as another setting with no warning
-        doc["p_cri"] = "nan"
+        doc["p_cri"] = math.nan
     elif case == "huge_pcri":  # float(10**400): OverflowError
         doc["p_cri"] = 10**400
     elif case == "huge_phase":  # float(10**400): OverflowError
