@@ -15,14 +15,15 @@
 # count is not finite, must exit 1 with an error line, no traceback; a sweep
 # with such a phase must print nothing on stdout.  Then --help for the program
 # and each command and two usage errors, which build the argparse parser that
-# a well-formed command line never loads.  Three damaged headline caches, their
+# a well-formed command line never loads.  Four damaged headline caches, their
 # floats JSON numbers as in schema 10, must each be a miss (exit 0, exactly one
 # warning line, no traceback): band 1 stored as the one phase pi, whose
 # certificate once divided by zero at lambda = 1; band 1's second boundary set
 # to NaN with the residual the certificate derives for it, which once loaded
-# and served a phase whose P fell below P_cri; and band 1 with a key that
+# and served a phase whose P fell below P_cri; band 1 with a key that
 # table_to_doc does not write, since a cache is served only when it is the
-# document of its own certified plans.  Last, a
+# document of its own certified plans; and band 1's upper edge 1.0 stored as
+# the integer 1, a value of another JSON type.  Last, a
 # table, plan and verify down to lambda0 = 1e-6 (785 bands) and to lambda0 =
 # 1e-8 (7,854 bands, nearly all with one phase; the narrowest is 2.5e-12 wide,
 # which each boundary solve resolves to the last float).  There the oracle runs
@@ -45,6 +46,10 @@
 # So is a flag that its command does not read: --seed is verify's alone, and
 # sweep and verify take no --format.
 #
+# The statevector's readings keep every bit on each supported Python: the five
+# pinned trajectory digests in tests/oracles.py, which imports no numpy, are
+# recomputed on this interpreter.
+#
 # A cache path that exists and is not a regular file is an error before any
 # read or build: plan with a FIFO (whose open would block; timeout ends the
 # run with 124 if it does) and with a directory as the cache must each exit 1
@@ -58,6 +63,11 @@ cli() { python -m cmqsearch.cli "$@"; }
 # runs a command and fails unless it exits with the given code
 exits() { local want=$1 code=0; shift; "$@" || code=$?; test "$code" -eq "$want"; }
 
+PYTHONPATH=src:tests python -c '
+import oracles
+for key, want in oracles.TRAJECTORY_SHA256.items():
+    assert oracles.trajectory_sha256(*key) == want, key
+'
 stress=(--pcri 0.99 --lambda0 1e-3 --cache "$tmp/plans.json")
 cli table "${stress[@]}" > /dev/null
 cli plan --lambda 0.002 "${stress[@]}" 2> "$tmp/fresh.err"
@@ -97,7 +107,7 @@ grep -q "^error: " "$tmp/sweep.err"
 for cmd in "" table plan sweep verify compare; do cli $cmd --help > /dev/null; done
 for bad in "--lambda=abc" "--lam 0.1"; do exits 1 cli plan $bad --cache "$tmp/plans.json"; done
 cli table --cache "$tmp/headline.json" > /dev/null
-for case in band1_pi nan_boundary extra_key; do
+for case in band1_pi nan_boundary extra_key int_edge; do
   python -c '
 import json, sys
 from cmqsearch.optimizer import _check_guarantee
@@ -110,8 +120,10 @@ if case == "band1_pi":
 elif case == "nan_boundary":
     bounds[1] = float("nan")
     band1["level_residual"] = _check_guarantee(1, 0.9, band1["phases"], bounds)[-1]
-else:
+elif case == "extra_key":
     band1["solver"] = "illinois"
+else:
+    bounds[-1] = band1["band"][1] = 1
 json.dump(doc, open(dst, "w"))
 ' "$tmp/headline.json" "$case" "$tmp/$case.json"
   cli plan --lambda 0.3 --cache "$tmp/$case.json" > /dev/null 2> "$tmp/$case.err"

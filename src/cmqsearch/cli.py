@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import marshal
 import math
 import os
 import sys
@@ -77,12 +78,20 @@ def _float(x) -> float:
     return x if type(x) is float else float(str(x))
 
 
+def _differs(stored, own) -> bool:
+    """Whether two JSON values differ in value or in type: ``==`` holds between 1,
+    1.0 and true, and their bytes in marshal's format 2 differ (format 3 adds
+    references, which depend on reference counts)."""
+    return stored != own or marshal.dumps(stored, 2) != marshal.dumps(own, 2)
+
+
 def _require_own(stored: dict, own: dict, where: str = "") -> None:
     """Raise DomainError unless a stored document, or one plan's record, is the one
-    that ``table_to_doc`` writes; the error names the first key that differs."""
-    if stored != own:
+    that ``table_to_doc`` writes, each value of the JSON type that it writes; the
+    error names the first key that differs."""
+    if stored.keys() != own.keys() or _differs(list(map(stored.get, own)), list(own.values())):
         key = min(key for key in stored.keys() | own.keys()
-                  if key not in stored or key not in own or stored[key] != own[key])
+                  if key not in stored or key not in own or _differs(stored[key], own[key]))
         raise DomainError(f"{where}stored {key} {stored.get(key)!r} is not what "
                           f"its own certified plans write")
 
@@ -92,8 +101,9 @@ def doc_to_table(doc: dict) -> PlanTable:
 
     Raises DomainError unless max_nk is at least 1, there is one plan for each
     band 1..k(lambda0), ``make_plan`` accepts each, and the document is
-    ``table_to_doc`` of the table so built: no extra key, no float stored as
-    anything but a JSON number, and each n_k, band, q_k_pi and level_residual
+    ``table_to_doc`` of the table so built: no extra key, each value of the JSON
+    type that it writes (no float stored as a string or an integer, no integer
+    as a float or a boolean), and each n_k, band, q_k_pi and level_residual
     the one that its plan derives.  That equality is checked record by record,
     then for the top level, so that no second copy of the document is held.
     """

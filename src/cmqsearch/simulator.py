@@ -1,9 +1,12 @@
 """Exact statevector oracle for the analytic layer, and the ``verify`` suites that run it.
 
-A plain list of 2^n amplitudes with an explicit marked set, on at most
-``MAX_QUBITS`` qubits, where the phase oracle and the zero-state reflection
-are applied as diagonal / rank-one updates (O(N) per iteration, no gate
-decomposition), in pure Python (``cmath`` and lists).  Global phase is kept,
+A plain list of 2^n amplitudes on at most ``MAX_QUBITS`` qubits, whose first M
+items are marked, where the phase oracle and the zero-state reflection are
+applied as diagonal / rank-one updates (O(N) per iteration, no gate
+decomposition), in pure Python (``cmath`` and lists).  Which M items are marked
+changes no reading: the uniform start and the reflection about it are invariant
+under every permutation of the items, so P depends on the marked set only
+through lambda = M/N, and the first M stand for any M.  Global phase is kept,
 including the leading minus sign of the iteration.  The 2x2 evolution that the
 tests check it against lives in ``tests/oracles.py``.  Only ``verify`` imports
 this module, passing in its table loader: under ``python -m``, importing
@@ -21,7 +24,7 @@ import random
 import sys
 
 from cmqsearch import optimizer
-from cmqsearch.analytic import PhaseAngle, TargetFraction
+from cmqsearch.analytic import TargetFraction
 from cmqsearch.errors import CmqsearchError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
 from cmqsearch.planner import baseline_long
@@ -29,48 +32,47 @@ from cmqsearch.planner import baseline_long
 MAX_QUBITS = 10
 
 
-def _register(n_qubits: int, marked) -> tuple[int, frozenset[int]]:
-    """N = 2^n and the marked set, checked to be a nonempty proper set of indices < N."""
+def _register(n_qubits: int, m: int) -> int:
+    """N = 2^n, checked with the marked count m to be 1 <= n <= MAX_QUBITS, 0 < m < N."""
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise DomainError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
     n = 1 << n_qubits
-    marked = frozenset(int(x) for x in marked)
-    if not marked or len(marked) >= n:
-        raise DomainError("marked set must be nonempty and proper")
-    if any(not 0 <= x < n for x in marked):
-        raise DomainError("marked index out of range")
-    return n, marked
+    if not 0 < m < n:
+        raise DomainError(f"marked count must be in (0, {n}), got {m}")
+    return n
 
 
-def evolve(n_qubits: int, marked, k: int,
-           phi: PhaseAngle) -> tuple[list[complex], frozenset[int]]:
+def evolve(n_qubits: int, m: int, k: int, phi: float) -> list[complex]:
     """The 2^n amplitudes after k matched-phase iterations
-    G = -(I - (1-e^{i phi})|psi><psi|) S_f^phi from the uniform state, and the
-    checked marked set."""
+    G = -(I - (1-e^{i phi})|psi><psi|) S_f^phi from the uniform state, with the
+    first m items marked."""
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    n, marked = _register(n_qubits, marked)
+    n = _register(n_qubits, m)
     amps = [complex(1.0 / math.sqrt(n))] * n
-    e = cmath.exp(1j * phi.phi)
+    e = cmath.exp(1j * phi)
     for _ in range(k):
-        for i in marked:                    # phase oracle on marked items
-            amps[i] *= e
-        shift = (1.0 - e) * sum(amps) / n   # (1-e) <psi|v> / sqrt(N)
-        amps = [shift - a for a in amps]    # reflection about |psi>, times -1
-    return amps, marked
+        amps[:m] = [a * e for a in amps[:m]]    # phase oracle on the marked items
+        shift = (1.0 - e) * sum(amps) / n       # (1-e) <psi|v> / sqrt(N)
+        amps = [shift - a for a in amps]        # reflection about |psi>, times -1
+    return amps
 
 
-def statevector_run(n_qubits: int, marked, k: int, phi: PhaseAngle) -> float:
-    """Marked-set probability after k exact iterations from the uniform state."""
-    amps, marked = evolve(n_qubits, marked, k, phi)
-    return sum(abs(amps[i]) ** 2 for i in marked)
+def statevector_run(n_qubits: int, m: int, k: int, phi: float) -> float:
+    """Probability of the first m items after k exact iterations from the uniform
+    state.  A left fold, not sum(): since Python 3.12, sum() of floats is
+    compensated, and the readings would change bits with the interpreter."""
+    p = 0.0
+    for a in evolve(n_qubits, m, k, phi)[:m]:
+        p += abs(a) ** 2
+    return p
 
 
-def run_long_exact(n_qubits: int, marked) -> float:
-    """Run the exact-search baseline (its own k and phase) on the statevector."""
-    n, marked = _register(n_qubits, marked)
-    k, phi = baseline_long(TargetFraction(len(marked) / n))
-    return statevector_run(n_qubits, marked, k, PhaseAngle(phi))
+def run_long_exact(n_qubits: int, m: int) -> float:
+    """Run the exact-search baseline (its own k and phase) on the statevector,
+    whose ``evolve`` checks the register."""
+    k, phi = baseline_long(TargetFraction(m / 2 ** n_qubits))
+    return statevector_run(n_qubits, m, k, phi)
 
 
 # ----------------------------------------------------------------- verification
@@ -102,7 +104,7 @@ def _suite_oracle(table) -> str:
             else:
                 continue
             reached += 1
-            got = statevector_run(n, range(m), plan.k, PhaseAngle(phi))
+            got = statevector_run(n, m, plan.k, phi)
             want = p_success(plan.k, phi, m / (1 << n))
             err, margin = abs(got - want), got - table.p_cri
             at = f"n={n} M={m} k={plan.k} phi={phi}"
@@ -151,7 +153,7 @@ def _suite_long_certainty(seed: int) -> str:
     for _ in range(20):
         n = rng.randrange(2, MAX_QUBITS + 1)
         m = rng.randrange(1, 1 << n)
-        err = abs(run_long_exact(n, range(m)) - 1.0)
+        err = abs(run_long_exact(n, m) - 1.0)
         if err >= 1e-9:
             raise VerificationError(f"exact-search run at n={n} M={m} gave |P - 1| = {err}")
         worst = max(worst, err)

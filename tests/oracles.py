@@ -3,19 +3,40 @@
 The 2x2 evolution in the invariant subspace spanned by the marked / unmarked
 superpositions (with its closed-form amplitude, global phase included), the
 probability-1 points of a k-iteration curve, and the fixed-point crossover
-P* = 1 - 4 exp(-pi) from the paper's abstract.  No CLI command runs them, so
-they live beside the tests that check the package against them.
+P* = 1 - 4 exp(-pi) from the paper's abstract, and the pinned digests of the
+statevector's readings.  No CLI command runs them, so they live beside the
+tests that check the package against them.  Nothing here imports numpy, so a
+bare interpreter can check the digests:
+``PYTHONPATH=src:tests python -c "import oracles; ..."``.
 """
 
 from __future__ import annotations
 
 import cmath
+import hashlib
 import math
 from collections import namedtuple
 
 from cmqsearch.analytic import PhaseAngle, TargetFraction
 from cmqsearch.errors import DomainError
 from cmqsearch.kernels import delta_angle
+from cmqsearch.simulator import statevector_run
+
+# trajectory_sha256(n, m, phi) for five (n, M, phi): registers of 2 to 10
+# qubits, M from one item to half the register, the Grover phase and three others
+TRAJECTORY_SHA256 = {
+    (2, 1, math.pi): "634f224a6df1a0dea2ca039974b62dfa6029e2bee550946bd284c7a8e2e77678",
+    (4, 3, 2.432): "67fdd301e1175737b2ac7f7fdab77d3d3faaf13f65e097826b80ca74bc1a1a25",
+    (6, 16, 1.465): "8a45ef88543f6b9867e52a42a1510b333989b8296d7a5ff7245542f8fd28e67e",
+    (10, 1, 0.7): "a8f8551280e099dc99b176e62a576fdf88737a9a0df2fd683a19ba9afc2b5741",
+    (10, 512, 2.0): "da76f966d115e05ed040792cb9dc28a212ee39da6a744431aa7e41243a3232ca",
+}
+
+
+def trajectory_sha256(n: int, m: int, phi: float) -> str:
+    """sha256 of the repr of the statevector's readings after 0..12 iterations."""
+    readings = [statevector_run(n, m, k, phi) for k in range(13)]
+    return hashlib.sha256(repr(readings).encode()).hexdigest()
 
 
 def g_matrix(phi: PhaseAngle, theta: float) -> tuple[tuple[complex, complex], ...]:

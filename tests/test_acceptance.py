@@ -110,7 +110,7 @@ def test_criterion_4_oracle_equivalence():
             for m in sorted({1, 3, big // 4, big // 2}):
                 for k in range(13):
                     for phi in (PI, 2.432, 1.465, 0.7):
-                        got = statevector_run(n, range(m), k, PhaseAngle(phi))
+                        got = statevector_run(n, m, k, phi)
                         want = p_success(k, phi, m / big)
                         worst = max(worst, abs(got - want))
         assert worst < 1e-10
@@ -133,7 +133,7 @@ def test_criterion_6_exact_search_certainty():
         for _ in range(50):
             n = int(rng.integers(2, 11))
             m = int(rng.integers(1, 1 << n))
-            assert abs(run_long_exact(n, range(m)) - 1.0) < 1e-9, (n, m)
+            assert abs(run_long_exact(n, m) - 1.0) < 1e-9, (n, m)
 
 
 def test_criterion_7_crossover_and_halving():

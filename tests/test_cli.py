@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmqsearch import cli, simulator
-from cmqsearch.analytic import PhaseAngle, TargetFraction, iterations_for
+from cmqsearch.analytic import TargetFraction, iterations_for
 from cmqsearch.cli import doc_to_table, main, serialize_table
 from cmqsearch.errors import CmqsearchError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
@@ -580,7 +580,7 @@ def test_verify_fails_on_a_plan_below_pcri(capfd, table90):
     # a table the loader would reject, fed past it: one phase nudged until the
     # statevector's P at its segment's plan point falls below P_cri
     n, m, k, phi = _plan_points(table90)[0]
-    while statevector_run(n, range(m), k, PhaseAngle(phi)) >= table90.p_cri:
+    while statevector_run(n, m, k, phi) >= table90.p_cri:
         phi -= 0.01
     plans = list(table90.plans)
     plan = plans[k - 1]
@@ -588,7 +588,7 @@ def test_verify_fails_on_a_plan_below_pcri(capfd, table90):
     assert plan.phases[0] - phi < 0.5
     with pytest.raises(VerificationError) as exc:
         simulator.verify(cli.RunConfig(), lambda cfg: table90._replace(plans=tuple(plans)))
-    got = statevector_run(n, range(m), k, PhaseAngle(phi))
+    got = statevector_run(n, m, k, phi)
     reason = (f"P at n={n} M={m} k={k} phi={phi} is {got}: "
               f"P - p_cri {got - table90.p_cri:.1e} < -1e-10")
     assert str(exc.value) == reason
@@ -767,6 +767,28 @@ def test_cache_uncertified_plan_is_rebuilt(cache, capfd, edit, message):
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc), lam="0.0086")
     assert "DomainError" in warning
     assert (NOT_ITS_OWN in warning) == message.startswith("stored ")
+
+
+@pytest.mark.parametrize("where", ["version", "k", "n_k", "edge"])
+def test_cache_value_of_another_json_type_is_rebuilt(cache, capfd, where):
+    # each stored value equals its canonical form under ==, but has another JSON
+    # type, so the cache is not what table writes
+    main(["table", "--cache", cache])
+    capfd.readouterr()
+    doc = json.loads(Path(cache).read_text())
+    if where == "version":
+        doc["version"] = float(doc["version"])
+    elif where == "k":
+        doc["plans"][2]["k"] = 3.0
+    elif where == "n_k":  # band 3 has one phase
+        assert doc["plans"][2]["n_k"] == 1
+        doc["plans"][2]["n_k"] = True
+    else:  # band 1's upper edge, 1.0, stored as the integer 1
+        doc["plans"][0]["boundaries"][-1] = doc["plans"][0]["band"][1] = 1
+    with pytest.raises(DomainError, match=NOT_ITS_OWN):
+        doc_to_table(doc)
+    warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
+    assert NOT_ITS_OWN in warning
 
 
 @pytest.mark.parametrize("where", ["p_cri", "phase"])
@@ -1061,13 +1083,16 @@ def test_cli_import_leaves_numpy_out(tmp_path):
         ["sweep", "--grid", "50", "--algorithms", "ours,grover,fixed,long,yoder_bound", *cache],
         ["verify", *cache],
     ]
+    # the freeze count is taken against the one before the first main: an
+    # interpreter may freeze its own start-up heap (3.12 does, 375 objects)
     code = ("import contextlib, gc, io, sys, cmqsearch.cli\n"
+            "frozen = gc.get_freeze_count()\n"
             "def loaded(argv):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cmqsearch.cli.main(argv) == 0\n"
             "    return sorted(m for m in ('numpy', 'cmqsearch.simulator', 'dataclasses',\n"
             "                              'inspect', 'typing') if m in sys.modules), \\\n"
-            "        gc.get_freeze_count()\n"
+            "        gc.get_freeze_count() - frozen\n"
             f"print(*[loaded(argv) for argv in {commands!r}])")
     proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=src, capture_output=True,
                           text=True, check=True)
