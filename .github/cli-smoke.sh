@@ -50,6 +50,10 @@
 # pinned trajectory digests in tests/oracles.py, which imports no numpy, are
 # recomputed on this interpreter.
 #
+# Each user value is checked where it enters: a --phi outside (0, pi] on compare
+# and on a fixed-phase sweep, and plan given both --lambda and --range, must
+# each exit 1 with exactly one error line and nothing on stdout.
+#
 # A cache path that exists and is not a regular file is an error before any
 # read or build: plan with a FIFO (whose open would block; timeout ends the
 # run with 124 if it does) and with a directory as the cache must each exit 1
@@ -152,6 +156,13 @@ for err in "$tmp/nk1.err" "$tmp/missing.err"; do
   if grep -q Traceback "$err"; then exit 1; fi
 done
 if grep -q '\.tmp' "$tmp/missing.err"; then exit 1; fi
+for args in "compare --lambda 0.3 --phi 4" "sweep --grid 2 --algorithms fixed --phi 0" \
+    "plan --lambda 0.3 --range 0.2..0.4"; do
+  exits 1 cli $args --cache "$tmp/value.json" > "$tmp/value.out" 2> "$tmp/value.err"
+  test ! -s "$tmp/value.out"
+  test "$(wc -l < "$tmp/value.err")" -eq 1
+  grep -q "^error: " "$tmp/value.err"
+done
 mkfifo "$tmp/fifo"
 mkdir "$tmp/dir"
 for path in fifo dir; do

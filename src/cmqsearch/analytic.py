@@ -1,8 +1,9 @@
 """Closed-form success-probability layer for matched-phase amplitude amplification.
 
 Everything here is a pure function of (k, phi, lambda).  The hot scalar
-kernels live in :mod:`cmqsearch.kernels`; this module adds the domain types,
-the extremum/range formulas, and the iteration count rules.
+kernels live in :mod:`cmqsearch.kernels`; this module adds lambda's domain
+type, the extremum/range formulas, and the iteration count rules.  A phase is
+a plain float: the CLI checks --phi, and ``make_plan`` each planned phase.
 """
 
 from __future__ import annotations
@@ -28,17 +29,6 @@ class TargetFraction(namedtuple("TargetFraction", "lam theta")):
         return super().__new__(cls, lam, math.asin(math.sqrt(lam)))
 
 
-class PhaseAngle(namedtuple("PhaseAngle", "phi")):
-    """Matched phase phi, restricted to (0, pi] since P is symmetric about pi."""
-
-    __slots__ = ()
-
-    def __new__(cls, phi: float):
-        if not 0.0 < phi <= math.pi:
-            raise DomainError(f"phi must be in (0, pi], got {phi}")
-        return super().__new__(cls, phi)
-
-
 class IterationBand(namedtuple("IterationBand", "lo hi")):
     """Lambda interval [lo, hi) on which exactly k iterations are optimal (band k)."""
 
@@ -61,16 +51,16 @@ def peak_phase(k: int, lam: float) -> float:
     return 2.0 * math.asin(min(1.0, r))
 
 
-def phi_min(k: int) -> PhaseAngle:
+def phi_min(k: int) -> float:
     """Smallest usable phase on band k; below it the curve's peak leaves the band."""
-    return PhaseAngle(peak_phase(k, iteration_band(k).hi))
+    return peak_phase(k, iteration_band(k).hi)
 
 
-def min_point_k1(phi: PhaseAngle) -> float:
+def min_point_k1(phi: float) -> float:
     """Interior minimum point 2/3 + 1/(12 sin^2(phi/2)) of the one-iteration curve on [1/4, 1)."""
-    if phi.phi <= peak_phase(1, 1.0):  # phi_min(1), as band 1 ends at 1
-        raise DomainError(f"phi={phi.phi} <= pi/3: no interior minimum in band 1")
-    return 2.0 / 3.0 + 1.0 / (12.0 * math.sin(0.5 * phi.phi) ** 2)
+    if phi <= peak_phase(1, 1.0):  # phi_min(1), as band 1 ends at 1
+        raise DomainError(f"phi={phi} <= pi/3: no interior minimum in band 1")
+    return 2.0 / 3.0 + 1.0 / (12.0 * math.sin(0.5 * phi) ** 2)
 
 
 def iteration_band(k: int) -> IterationBand:

@@ -26,12 +26,12 @@ import sys
 from collections import namedtuple
 
 from cmqsearch import analytic, planner
-from cmqsearch.analytic import PhaseAngle, TargetFraction
+from cmqsearch.analytic import TargetFraction
 from cmqsearch.errors import CmqsearchError, ConfigError, DomainError, VerificationError
 # perfbench/tracing.py patches cli's own p_success and largest_min_success; nothing calls them.
 from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import MAX_NK, largest_min_success, make_plan
-from cmqsearch.planner import KigrQuery, PlanTable
+from cmqsearch.planner import PlanTable
 
 SCHEMA_VERSION = 10
 
@@ -221,17 +221,28 @@ def _write_record(fmt: str, record: dict, **json_only) -> None:
         sys.stdout.write(",".join(record) + "\n" + ",".join(map(str, record.values())) + "\n")
 
 
+def _phase(phi: float) -> float:
+    """A --phi value, which must lie in (0, pi]: P is symmetric about pi."""
+    if not 0.0 < phi <= math.pi:
+        raise DomainError(f"phi must be in (0, pi], got {phi}")
+    return phi
+
+
 def cmd_plan(cfg: RunConfig, args: dict) -> int:
-    range_ = args["range_"]
+    lam, range_ = args["lam"], args["range_"]
     if range_ is not None:
         try:
-            lo, hi = range_.split("..")
-            range_ = float(lo), float(hi)
+            lo, hi = map(float, range_.split(".."))
         except ValueError as exc:
-            raise DomainError(f"range must look like LO..HI, got {args['range_']!r}") from exc
-    query = KigrQuery(exact_lambda=args["lam"], range=range_)
+            raise DomainError(f"range must look like LO..HI, got {range_!r}") from exc
+    if (lam is None) == (range_ is None):
+        raise DomainError("provide exactly one of an exact lambda or a range")
+    if lam is not None:
+        lo = hi = TargetFraction(lam).lam
+    elif not 0.0 < lo < hi <= 1.0:
+        raise DomainError(f"need 0 < lo < hi <= 1, got [{lo}, {hi})")
     table = load_or_build_table(cfg)
-    k, m = planner.classify(query, table)
+    k, m = planner.classify(table, lo, hi)
     plan = table.plan(k)
     _write_record(cfg.fmt, {"k": k, "m": m, "phi": plan.phases[m - 1], "guaranteed_p": plan.q_k_pi},
                   segment=[repr(x) for x in plan.boundaries[m - 1:m + 1]])
@@ -255,7 +266,7 @@ def cmd_sweep(cfg: RunConfig, args: dict) -> int:
         raise DomainError(f"algorithms must name one or more distinct algorithms, "
                           f"got {args['algorithms']!r}")
     table = load_or_build_table(cfg) if "ours" in algorithms else None
-    phi_f = PhaseAngle(args["phi"])
+    phi_f = _phase(args["phi"])
     # The grid ascends from lambda0, which the table covers, so one cursor walks
     # the table's segments up from band k_max.  The header waits for grid point 0:
     # the fixed-phase half-angle grows with lambda, so a row that can fail fails there.
@@ -273,7 +284,7 @@ def cmd_sweep(cfg: RunConfig, args: dict) -> int:
             elif alg == "grover":
                 k, phi = analytic.grover_iterations(lam), math.pi
             elif alg == "fixed":
-                k, phi = planner.baseline_fixed_phase(phi_f, lam), phi_f.phi
+                k, phi = planner.baseline_fixed_phase(phi_f, lam), phi_f
             elif alg == "long":
                 k, phi = planner.baseline_long(lam)
             else:  # yoder_bound: iteration lower bound only, no probability curve
@@ -295,7 +306,7 @@ def cmd_verify(cfg: RunConfig, args: dict) -> int:
 def cmd_compare(cfg: RunConfig, args: dict) -> int:
     table = load_or_build_table(cfg)
     _write_record(cfg.fmt, planner.compare(TargetFraction(args["lam"]), table, cfg.p_cri,
-                                           PhaseAngle(args["phi"])))
+                                           _phase(args["phi"])))
     return 0
 
 

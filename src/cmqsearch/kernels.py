@@ -1,9 +1,9 @@
 """Success-probability kernels.
 
 All functions take raw floats.  ``phi`` may be anywhere in (0, 2*pi) here --
-the (0, pi] normalization is a domain-type concern of the analytic layer, and
-keeping the kernel unrestricted lets the phase-symmetry P(phi) = P(2*pi - phi)
-be checked directly.
+the (0, pi] range is checked where a phase enters (the CLI's --phi, and
+``make_plan`` for planned phases), and keeping the kernel unrestricted lets the
+phase-symmetry P(phi) = P(2*pi - phi) be checked directly.
 """
 
 import math

@@ -28,8 +28,7 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 
-from cmqsearch.analytic import (PhaseAngle, iteration_band, min_point_k1, peak, peak_phase,
-                                phi_min)
+from cmqsearch.analytic import iteration_band, min_point_k1, peak, peak_phase, phi_min
 from cmqsearch.errors import BracketError, ConfigError, DomainError, VerificationError
 from cmqsearch.kernels import p_success
 
@@ -102,7 +101,7 @@ def _solve_phase(k: int, a: float, q: float) -> float:
     peak_phase(k, a), where the peak sits exactly on a.  If it never drops
     below q, the constraint is inactive and lo, the deepest phase, is returned.
     """
-    lo = phi_min(k).phi + 1e-12
+    lo = phi_min(k) + 1e-12
     hi = peak_phase(k, a)
     f_lo = p_success(k, lo, a) - q
     if f_lo >= 0.0:
@@ -140,7 +139,7 @@ def march_level(k: int, phi: float, max_nk: int
     phases: list[float] = [phi]
     boundaries: list[float] = [a]
     while True:
-        tail = min_point_k1(PhaseAngle(phi)) if k == 1 else band.hi
+        tail = min_point_k1(phi) if k == 1 else band.hi
         gap = p_success(k, phi, tail) - q
         if gap >= 0.0:
             boundaries.append(band.hi)
@@ -253,7 +252,7 @@ def make_plan(k: int, p_cri: float, phases: list[float], boundaries: list[float]
         raise DomainError(f"band {k}: {len(phases)} phases and {len(boundaries)} boundaries")
     if not all(lo < hi for lo, hi in zip(boundaries, boundaries[1:])):
         raise DomainError(f"band {k}: boundaries do not strictly increase")
-    deepest = phi_min(k).phi
+    deepest = phi_min(k)
     for phi in phases:
         if not deepest < phi <= math.pi:
             raise DomainError(f"band {k}: phi must be in ({deepest}, pi], got {phi}")
@@ -319,8 +318,8 @@ def _check_guarantee(k: int, p_cri: float, phases: list[float], boundaries: list
         levels.append(p_success(k, phi, lo))
         tail = 1.0 if hi == 1.0 else p_success(k, phi, hi)
         if k == 1:
-            if phi > phi_min(1).phi:  # else the interior minimum is at or past 1
-                m = min_point_k1(PhaseAngle(phi))
+            if phi > phi_min(1):  # else the interior minimum is at or past 1
+                m = min_point_k1(phi)
                 if lo < m < hi:
                     tail = min(tail, p_success(1, phi, m))
         elif peak(k, phi) < hi and not _falls_after_peak(k, phi, hi):

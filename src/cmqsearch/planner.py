@@ -6,8 +6,7 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 
-from cmqsearch.analytic import (PhaseAngle, TargetFraction, grover_iterations, iterations_for,
-                                peak_phase)
+from cmqsearch.analytic import TargetFraction, grover_iterations, iterations_for, peak_phase
 from cmqsearch.errors import AmbiguityError, DomainError, RangeError
 from cmqsearch.kernels import delta_angle, p_success
 from cmqsearch.optimizer import MAX_NK, PhasePlan, build_plan
@@ -36,25 +35,6 @@ def build_table(p_cri: float, lambda0: float, max_nk: int = MAX_NK) -> PlanTable
     return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=plans, max_nk=max_nk)
 
 
-class KigrQuery(namedtuple("KigrQuery", "exact_lambda range", defaults=(None, None))):
-    """Either an exact lambda or a half-open range [lo, hi) that is known to
-    contain it."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if (self.exact_lambda is None) == (self.range is None):
-            raise DomainError("provide exactly one of an exact lambda or a range")
-        if self.exact_lambda is not None and not 0.0 < self.exact_lambda < 1.0:
-            raise DomainError(f"lambda must be in (0, 1), got {self.exact_lambda}")
-        if self.range is not None:
-            lo, hi = self.range
-            if not 0.0 < lo < hi <= 1.0:
-                raise DomainError(f"need 0 < lo < hi <= 1, got [{lo}, {hi})")
-        return self
-
-
 def _segment_of(table: PlanTable, lam: float) -> tuple[int, int]:
     # make_plan holds plan k to band k's float edges, which tile [coverage_lo, 1).
     if lam < table.coverage_lo:
@@ -63,15 +43,13 @@ def _segment_of(table: PlanTable, lam: float) -> tuple[int, int]:
     return k, bisect_right(table.plan(k).boundaries, lam)
 
 
-def classify(query: KigrQuery, table: PlanTable) -> tuple[int, int]:
-    """Resolve a query to the unique (band, segment) containing it.
+def classify(table: PlanTable, lo: float, hi: float) -> tuple[int, int]:
+    """The (band, segment) whose segment holds the range [lo, hi) known to
+    contain lambda; an exact lambda is the range lo == hi.
 
-    A range query must sit wholly inside one segment; straddling queries are
+    The range must sit wholly inside one segment; straddling ranges are
     outside the identifiable-range regime and fail loudly.
     """
-    if query.exact_lambda is not None:
-        return _segment_of(table, query.exact_lambda)
-    lo, hi = query.range
     k, m = _segment_of(table, lo)
     seg_lo, seg_hi = table.plan(k).boundaries[m - 1:m + 1]
     if hi <= seg_hi:
@@ -83,18 +61,18 @@ def classify(query: KigrQuery, table: PlanTable) -> tuple[int, int]:
     )
 
 
-def plan_for(lam: TargetFraction, table: PlanTable) -> tuple[int, PhaseAngle]:
+def plan_for(lam: TargetFraction, table: PlanTable) -> tuple[int, float]:
     """Iteration count and phase guaranteeing P >= p_cri at this lambda."""
     k, m = _segment_of(table, lam.lam)
-    return k, PhaseAngle(table.plan(k).phases[m - 1])
+    return k, table.plan(k).phases[m - 1]
 
 
-def baseline_fixed_phase(phi: PhaseAngle, lam: TargetFraction) -> int:
+def baseline_fixed_phase(phi: float, lam: TargetFraction) -> int:
     """Optimal iteration count for a phase fixed ahead of time; DomainError unless finite."""
-    delta = delta_angle(phi.phi, lam.lam)
+    delta = delta_angle(phi, lam.lam)
     turns = math.pi / delta if delta > 0.0 else math.inf  # about 2k + 1
     if turns == math.inf:  # 2k + 1 would not be a finite float
-        raise DomainError(f"phi={phi.phi!r} too small: no finite fixed-phase count "
+        raise DomainError(f"phi={phi!r} too small: no finite fixed-phase count "
                           f"at lambda={lam.lam!r}")
     return math.floor(0.5 * turns)
 
@@ -118,7 +96,7 @@ def success_after(k: int, phi: float, lam: float) -> float:
     return p_success(k, phi, lam) if k > 0 else lam
 
 
-def compare(lam: TargetFraction, table: PlanTable, p_cri: float, fixed_phi: PhaseAngle) -> dict:
+def compare(lam: TargetFraction, table: PlanTable, p_cri: float, fixed_phi: float) -> dict:
     """Per-lambda iteration and probability report across all baselines: the row
     that the ``compare`` command prints, in its CSV column order."""
     k_ours, phi = plan_for(lam, table)
@@ -128,6 +106,6 @@ def compare(lam: TargetFraction, table: PlanTable, p_cri: float, fixed_phi: Phas
     k_y = baseline_yoder_bound(p_cri, lam)
     return {"lambda": lam.lam, "k_ours": k_ours, "k_grover": k_g, "k_fixed": k_f, "k_long": k_l,
             "phi_long": phi_l, "k_yoder_lb": k_y, "yoder_ratio": k_y / k_ours,
-            "p_ours": success_after(k_ours, phi.phi, lam.lam),
+            "p_ours": success_after(k_ours, phi, lam.lam),
             "p_grover": success_after(k_g, math.pi, lam.lam),
-            "p_fixed": success_after(k_f, fixed_phi.phi, lam.lam)}
+            "p_fixed": success_after(k_f, fixed_phi, lam.lam)}

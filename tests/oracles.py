@@ -17,7 +17,7 @@ import hashlib
 import math
 from collections import namedtuple
 
-from cmqsearch.analytic import PhaseAngle, TargetFraction
+from cmqsearch.analytic import TargetFraction
 from cmqsearch.errors import DomainError
 from cmqsearch.kernels import delta_angle
 from cmqsearch.simulator import statevector_run
@@ -39,11 +39,11 @@ def trajectory_sha256(n: int, m: int, phi: float) -> str:
     return hashlib.sha256(repr(readings).encode()).hexdigest()
 
 
-def g_matrix(phi: PhaseAngle, theta: float) -> tuple[tuple[complex, complex], ...]:
+def g_matrix(phi: float, theta: float) -> tuple[tuple[complex, complex], ...]:
     """Matched-phase iteration matrix on the (marked, unmarked) subspace, as rows."""
     if not 0.0 < theta < math.pi / 2.0:
         raise DomainError(f"theta must be in (0, pi/2), got {theta}")
-    e = cmath.exp(1j * phi.phi)
+    e = cmath.exp(1j * phi)
     s, c = math.sin(theta), math.cos(theta)
     return ((-e * (e * s * s + c * c), (1.0 - e) * s * c),
             (e * (1.0 - e) * s * c, -e * c * c - s * s))
@@ -57,7 +57,7 @@ class TwoLevelState(namedtuple("TwoLevelState", "a b k")):
         return abs(self.a) ** 2
 
 
-def evolve_two_level(k: int, phi: PhaseAngle, lam: TargetFraction) -> TwoLevelState:
+def evolve_two_level(k: int, phi: float, lam: TargetFraction) -> TwoLevelState:
     """Apply the 2x2 iteration k times to the equal-superposition start."""
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
@@ -68,21 +68,21 @@ def evolve_two_level(k: int, phi: PhaseAngle, lam: TargetFraction) -> TwoLevelSt
     return TwoLevelState(a=a, b=b, k=k)
 
 
-def two_level_closed_form(k: int, phi: PhaseAngle, lam: TargetFraction) -> complex:
+def two_level_closed_form(k: int, phi: float, lam: TargetFraction) -> complex:
     """Closed-form marked amplitude after k iterations, global phase included."""
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    d = delta_angle(phi.phi, lam.lam)
-    e = cmath.exp(1j * phi.phi)
-    pref = (math.sin(lam.theta) / math.sin(d)) * (-1.0) ** k * cmath.exp(1j * (k - 1) * phi.phi)
+    d = delta_angle(phi, lam.lam)
+    e = cmath.exp(1j * phi)
+    pref = (math.sin(lam.theta) / math.sin(d)) * (-1.0) ** k * cmath.exp(1j * (k - 1) * phi)
     return pref * (e * math.sin((k + 1) * d) - math.sin(k * d))
 
 
-def local_maxima(k: int, phi: PhaseAngle) -> list[float]:
+def local_maxima(k: int, phi: float) -> list[float]:
     """All probability-1 points of the k-iteration curve inside (0, 1), ascending."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    h = math.sin(0.5 * phi.phi)
+    h = math.sin(0.5 * phi)
     points = []
     for j in range(1, k + 1):
         lam = (math.sin((2 * j - 1) * math.pi / (4 * k + 2)) / h) ** 2

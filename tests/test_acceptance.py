@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from cmqsearch.analytic import (
-    PhaseAngle,
     TargetFraction,
     grover_iterations,
     iterations_for,
@@ -79,7 +78,7 @@ def test_criterion_2_guarantee_on_log_grid(table90):
         for lam in grid:
             t = TargetFraction(lam)
             k, phi = plan_for(t, table90)
-            ours_min = min(ours_min, p_success(k, phi.phi, lam))
+            ours_min = min(ours_min, p_success(k, phi, lam))
             kg = grover_iterations(t)
             p_g = p_success(kg, PI, lam) if kg > 0 else lam
             grover_min = min(grover_min, p_g)
@@ -121,9 +120,9 @@ def test_criterion_5_local_maxima_are_exact():
     with criterion("criterion-5 local-maxima"):
         for k in range(1, 9):
             for phi in (PI, 2.5, 2.0, 1.6):
-                if phi <= phi_min(k).phi:
+                if phi <= phi_min(k):
                     continue
-                for lam in local_maxima(k, PhaseAngle(phi)):
+                for lam in local_maxima(k, phi):
                     assert abs(p_success(k, phi, lam) - 1.0) < 1e-10, (k, phi, lam)
 
 

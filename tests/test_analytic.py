@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cmqsearch import kernels
 from cmqsearch.analytic import (
     K_MAX,
-    PhaseAngle,
     TargetFraction,
     grover_iterations,
     iteration_band,
@@ -33,12 +32,6 @@ def test_target_fraction_rejects_out_of_range(bad):
         TargetFraction(bad)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, PI + 1e-9])
-def test_phase_angle_rejects_out_of_range(bad):
-    with pytest.raises(DomainError):
-        PhaseAngle(bad)
-
-
 def test_target_fraction_is_frozen():
     with pytest.raises(DomainError, match=r"^lambda must be in \(0, 1\), got 1.5$"):
         TargetFraction(1.5)
@@ -48,17 +41,6 @@ def test_target_fraction_is_frozen():
             setattr(lam, name, 0.5)
     assert lam == TargetFraction(lam=0.25) and hash(lam) == hash(TargetFraction(0.25))
     assert repr(lam) == f"TargetFraction(lam=0.25, theta={lam.theta!r})"
-
-
-def test_phase_angle_is_frozen():
-    with pytest.raises(DomainError, match=r"^phi must be in \(0, pi\], got -1.0$"):
-        PhaseAngle(-1.0)
-    phi = PhaseAngle(1.0)
-    for name in ("phi", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(phi, name, 0.5)
-    assert phi == PhaseAngle(phi=1.0) and hash(phi) == hash(PhaseAngle(1.0))
-    assert repr(phi) == "PhaseAngle(phi=1.0)"
 
 
 def test_theta_cached():
@@ -139,24 +121,24 @@ def test_derivative_consistency_random(k, phi, lam):
 # ---------------------------------------------------------------------- extrema
 
 def test_local_maxima_examples():
-    assert local_maxima(1, PhaseAngle(PI)) == pytest.approx([0.25], abs=1e-14)
-    assert local_maxima(2, PhaseAngle(PI)) == pytest.approx(
+    assert local_maxima(1, PI) == pytest.approx([0.25], abs=1e-14)
+    assert local_maxima(2, PI) == pytest.approx(
         [(1 - math.cos(PI / 5)) / 2, (1 - math.cos(3 * PI / 5)) / 2], abs=1e-14)
-    assert local_maxima(1, PhaseAngle(PI / 2)) == pytest.approx([0.5], abs=1e-14)
+    assert local_maxima(1, PI / 2) == pytest.approx([0.5], abs=1e-14)
 
 
 def test_local_maxima_are_unit_probability():
     for k in range(1, 9):
         for phi in (PI, 2.5, 2.0, 1.6):
-            if phi <= phi_min(k).phi:
+            if phi <= phi_min(k):
                 continue
-            for lam in local_maxima(k, PhaseAngle(phi)):
+            for lam in local_maxima(k, phi):
                 p = kernels.p_success(k, phi, lam)
                 assert abs(p - 1.0) < 1e-10, (k, phi, lam, p)
 
 
 def test_local_maxima_strictly_increasing_and_filtered():
-    pts = local_maxima(4, PhaseAngle(1.2))
+    pts = local_maxima(4, 1.2)
     assert all(x < y for x, y in zip(pts, pts[1:]))
     assert all(p < 1.0 for p in pts)
     assert len(pts) <= 4
@@ -176,27 +158,27 @@ def test_first_max_point_examples():
 
 
 def test_min_point_k1_examples():
-    assert min_point_k1(PhaseAngle(PI)) == pytest.approx(0.75, abs=1e-14)
-    assert min_point_k1(PhaseAngle(2 * PI / 3)) == pytest.approx(7 / 9, abs=1e-14)
+    assert min_point_k1(PI) == pytest.approx(0.75, abs=1e-14)
+    assert min_point_k1(2 * PI / 3) == pytest.approx(7 / 9, abs=1e-14)
     with pytest.raises(DomainError):
-        min_point_k1(PhaseAngle(PI / 3))
+        min_point_k1(PI / 3)
 
 
 def test_phi_min_examples():
-    assert phi_min(1).phi == pytest.approx(PI / 3, abs=1e-12)
-    assert phi_min(2).phi == pytest.approx(1.3324, abs=1e-3)
-    assert phi_min(2).phi == pytest.approx(1.3324788649850305, abs=1e-12)  # frozen
-    vals = [phi_min(k).phi for k in range(1, 40)]
+    assert phi_min(1) == pytest.approx(PI / 3, abs=1e-12)
+    assert phi_min(2) == pytest.approx(1.3324, abs=1e-3)
+    assert phi_min(2) == pytest.approx(1.3324788649850305, abs=1e-12)  # frozen
+    vals = [phi_min(k) for k in range(1, 40)]
     assert all(0.0 < v < PI for v in vals)
     for k in range(1, 41):  # the peak of phi_min(k) is band k's upper edge
-        assert phi_min(k).phi == peak_phase(k, iteration_band(k).hi)
+        assert phi_min(k) == peak_phase(k, iteration_band(k).hi)
 
 
 def test_extremum_count_on_bands():
     # exactly one descending sign change of dP/dlam on each band for k >= 2;
     # for k = 1 one maximum plus one minimum, the latter at min_point_k1.
     for k in range(2, 9):
-        for phi in (PI, 0.5 * (phi_min(k).phi + PI)):
+        for phi in (PI, 0.5 * (phi_min(k) + PI)):
             band = iteration_band(k)
             n = 10_000
             xs = [band.lo + (band.hi - band.lo) * i / n for i in range(n + 1)]
@@ -211,7 +193,7 @@ def test_extremum_count_on_bands():
     signs = [kernels.p_derivative(1, phi, x) > 0 for x in xs]
     flips = [i for i in range(n - 1) if signs[i] != signs[i + 1]]
     assert len(flips) == 2
-    lam_min = min_point_k1(PhaseAngle(phi))
+    lam_min = min_point_k1(phi)
     assert abs(xs[flips[1]] - lam_min) < (band.hi - band.lo) / n + 1e-6
 
 

@@ -152,7 +152,7 @@ def test_sweep_rows_match_plan_for(cache, capfd, table90, lambda0):
     assert len(rows) == 1 + len(grid)
     for row, lam in zip(rows[1:], grid):
         k, phi = plan_for(TargetFraction(lam), table)
-        assert row == f"{lam!r},ours,{k},{p_success(k, phi.phi, lam)!r}"
+        assert row == f"{lam!r},ours,{k},{p_success(k, phi, lam)!r}"
 
 
 # sha256 of `sweep --grid 1000` over all five algorithms, pinned from the sweep
@@ -312,6 +312,46 @@ def test_usage_error_exits_1(cache, capfd, argv):
     code, _, err = run(["plan", "--range", "0.2..0.3", "--cache", cache], capfd)
     assert code == 2
     assert "straddles" in err
+
+
+# Each user value is checked where it enters, in one order.  compare reads (and
+# writes) the cache before it checks lambda, then phi; sweep checks phi after
+# the table read that only "ours" asks for; plan checks its query before any
+# cache read: the range's form, exactly one of --lambda and --range, lambda,
+# then the range.  The last two cases each hold two bad values.
+_PHI_MESSAGE = "phi must be in (0, pi], got {}"
+_COMPARE, _SWEEP = ["compare", "--lambda", "0.3"], ["sweep", "--grid", "2", "--algorithms", "fixed"]
+
+
+@pytest.mark.parametrize("argv,code,error,cached", [
+    *[([*command, "--phi", phi], 1, _PHI_MESSAGE.format(shown), cached)
+      for command, cached in ((_COMPARE, True), (_SWEEP, False))
+      for phi, shown in (("0", "0.0"), ("-0.0", "-0.0"), ("nan", "nan"), ("inf", "inf"),
+                         ("4", "4.0"), (repr(math.nextafter(math.pi, 4.0)),) * 2)],
+    ([*_COMPARE, "--phi", repr(math.pi)], 0, None, True),
+    ([*_SWEEP, "--phi", repr(math.pi)], 0, None, False),
+    (["plan"], 1, "provide exactly one of an exact lambda or a range", False),
+    (["plan", "--lambda", "0.3", "--range", "0.2..0.4"], 1,
+     "provide exactly one of an exact lambda or a range", False),
+    (["plan", "--lambda", "0"], 1, "lambda must be in (0, 1), got 0.0", False),
+    (["plan", "--lambda", "1"], 1, "lambda must be in (0, 1), got 1.0", False),
+    (["plan", "--lambda", "nan"], 1, "lambda must be in (0, 1), got nan", False),
+    (["plan", "--range", "0.4..0.2"], 1, "need 0 < lo < hi <= 1, got [0.4, 0.2)", False),
+    (["plan", "--range", "0.3..0.3"], 1, "need 0 < lo < hi <= 1, got [0.3, 0.3)", False),
+    (["plan", "--range", "0.5..1.5"], 1, "need 0 < lo < hi <= 1, got [0.5, 1.5)", False),
+    (["plan", "--range", "nan..0.3"], 1, "need 0 < lo < hi <= 1, got [nan, 0.3)", False),
+    (["plan", "--range", "0.3-0.4"], 1, "range must look like LO..HI, got '0.3-0.4'", False),
+    (["plan", "--pcri", "2", "--lambda", "2"], 1, "p_cri must be in (0, 1), got 2.0", False),
+    (["compare", "--lambda", "2", "--phi", "4"], 1, "lambda must be in (0, 1), got 2.0", True),
+])
+def test_user_values_are_checked_where_they_enter(cache, capfd, argv, code, error, cached):
+    got, out, err = run([*argv, "--cache", cache], capfd)
+    assert got == code
+    if error is None:
+        assert out and err == ""
+    else:
+        assert (out, err) == ("", f"error: {error}\n")
+    assert Path(cache).exists() == cached
 
 
 def test_tiny_lambda0_names_lambda_and_cap(cache, capfd):
@@ -601,10 +641,12 @@ def test_verify_fails_on_a_plan_below_pcri(capfd, table90):
 def _as_main(tmp_path, argv: list[str], report: str) -> str:
     """Run the CLI as ``python -m`` does, as ``__main__``, in a ``-S`` subprocess
     started from the package's parent directory; print the exit code and the
-    expression ``report``, evaluated once the command is done."""
+    expression ``report``, evaluated once the command is done.  ``report`` may
+    read ``frozen``, the freeze count taken before the CLI runs."""
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import contextlib, gc, io, runpy, sys\n"
             f"sys.argv = ['cmqsearch', *{argv!r}, '--cache', {str(tmp_path / 'plans.json')!r}]\n"
+            "frozen = gc.get_freeze_count()\n"
             "try:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        runpy.run_module('cmqsearch.cli', run_name='__main__', alter_sys=True)\n"
@@ -1102,8 +1144,9 @@ def test_cli_import_leaves_numpy_out(tmp_path):
 
 def test_process_entry_freezes_the_heap(tmp_path):
     # under python -m the CLI runs as __main__, through cli.run, which freezes the
-    # heap before the command runs
-    report = "gc.get_freeze_count() > 0"
+    # heap before the command runs; the count is taken against the one before the
+    # CLI runs, since an interpreter may freeze its own start-up heap (3.12 does)
+    report = "gc.get_freeze_count() > frozen"
     assert _as_main(tmp_path, ["plan", "--lambda", "0.02"], report) == "0 True\n"
 
 

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from cmqsearch import optimizer
-from cmqsearch.analytic import K_MAX, PhaseAngle, iteration_band, min_point_k1, phi_min
+from cmqsearch.analytic import K_MAX, iteration_band, min_point_k1, phi_min
 from cmqsearch.cli import main
 from cmqsearch.errors import ConfigError, DomainError, VerificationError
 from cmqsearch.kernels import p_derivative, p_success
@@ -71,7 +71,7 @@ def test_root_runs_to_float_resolution():
 def test_plan_solves_run_to_float_resolution(p_cri, lambda0):
     for plan in build_table(p_cri, lambda0).plans:
         k, q = plan.k, plan.q_k_pi
-        floor = phi_min(k).phi + 1e-12
+        floor = phi_min(k) + 1e-12
         for prev, phi, a in zip(plan.phases, plan.phases[1:], plan.boundaries[1:]):
             assert p_success(k, prev, a) >= q, (k, a)
             assert p_success(k, prev, a) == q or p_success(k, prev, math.nextafter(a, 1.0)) < q
@@ -106,7 +106,7 @@ def test_march_phases_strictly_decreasing(march_at):
     _, phases, _, _ = march_at(2, 0.99)
     assert len(phases) > 2
     assert all(a > b for a, b in zip(phases, phases[1:]))
-    assert phases[-1] > phi_min(2).phi
+    assert phases[-1] > phi_min(2)
 
 
 # Phase pi peaks on the band's lower edge, where it sets the level to 1: the
@@ -129,7 +129,7 @@ def test_march_rejects_nan_level():
 def test_phase_pi_has_level_one_and_misses_the_tail():
     for k in [*range(1, 20001), K_MAX]:
         band = iteration_band(k)
-        tail = min_point_k1(PhaseAngle(PI)) if k == 1 else band.hi
+        tail = min_point_k1(PI) if k == 1 else band.hi
         assert p_success(k, PI, band.lo) == 1.0, k
         assert p_success(k, PI, tail) < 1.0, k
 
@@ -293,7 +293,7 @@ def test_plan_invariants(table90):
         assert plan.n_k == len(plan.phases) == len(bounds) - 1
         phases = plan.phases
         assert all(a > b for a, b in zip(phases, phases[1:]))
-        assert all(phi_min(plan.k).phi < p <= PI for p in phases)
+        assert all(phi_min(plan.k) < p <= PI for p in phases)
         assert plan.q_k_pi >= table90.p_cri
         assert plan.level_residual < 1e-8
 
@@ -390,7 +390,7 @@ def test_make_plan_rejects_pcri_outside_unit_interval(p_cri, table90):
 def test_make_plan_rejects_phase_outside_its_domain(k, phi, table90):
     plan = table90.plan(k)
     phases = list(plan.phases)
-    phases[-1] = phi_min(k).phi if phi == "phi_min" else phi
+    phases[-1] = phi_min(k) if phi == "phi_min" else phi
     with pytest.raises(DomainError, match="phi must be in"):
         make_plan(k, 0.90, phases, list(plan.boundaries))
 

@@ -6,11 +6,10 @@ import re
 
 import pytest
 
-from cmqsearch.analytic import PhaseAngle, TargetFraction, iterations_for
+from cmqsearch.analytic import TargetFraction, iterations_for
 from cmqsearch.errors import AmbiguityError, DomainError, RangeError
 from cmqsearch.kernels import p_success
 from cmqsearch.planner import (
-    KigrQuery,
     baseline_fixed_phase,
     baseline_long,
     baseline_yoder_bound,
@@ -44,31 +43,8 @@ def test_build_table_rejects_bad_lambda0():
 
 # --------------------------------------------------------------------- queries
 
-def test_query_validation():
-    with pytest.raises(DomainError):
-        KigrQuery()
-    with pytest.raises(DomainError):
-        KigrQuery(exact_lambda=0.3, range=(0.2, 0.4))
-    with pytest.raises(DomainError):
-        KigrQuery(range=(0.4, 0.2))
-
-
-def test_query_is_frozen():
-    with pytest.raises(DomainError, match=r"^lambda must be in \(0, 1\), got 1.0$"):
-        KigrQuery(exact_lambda=1.0)
-    with pytest.raises(DomainError, match=r"^need 0 < lo < hi <= 1, got \[0.4, 0.2\)$"):
-        KigrQuery(None, (0.4, 0.2))
-    query = KigrQuery(range=(0.2, 0.3))
-    for name in ("exact_lambda", "range", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(query, name, 0.5)
-    assert query == KigrQuery(None, (0.2, 0.3))
-    assert hash(query) == hash(KigrQuery(range=(0.2, 0.3)))
-    assert repr(query) == "KigrQuery(exact_lambda=None, range=(0.2, 0.3))"
-
-
 def test_classify_exact(table90):
-    k, m = classify(KigrQuery(exact_lambda=0.2), table90)
+    k, m = classify(table90, 0.2, 0.2)
     assert k == 2
     bounds = table90.plan(k).boundaries
     assert bounds[m - 1] <= 0.2 < bounds[m]
@@ -76,24 +52,24 @@ def test_classify_exact(table90):
 
 def test_classify_range_inside_one_segment(table90):
     # [0.3, 0.4) sits inside the first segment of band 1 ([0.25, ~0.412))
-    k, m = classify(KigrQuery(range=(0.3, 0.4)), table90)
+    k, m = classify(table90, 0.3, 0.4)
     assert (k, m) == (1, 1)
 
 
 def test_classify_range_straddling_band_edge(table90):
     with pytest.raises(AmbiguityError):
-        classify(KigrQuery(range=(0.2, 0.3)), table90)
+        classify(table90, 0.2, 0.3)
 
 
 def test_classify_below_coverage(table90):
     with pytest.raises(RangeError):
-        classify(KigrQuery(exact_lambda=1e-4), table90)
+        classify(table90, 1e-4, 1e-4)
 
 
 def test_classify_total_on_coverage(table90):
     lam = table90.coverage_lo
     while lam < 1.0:
-        k, m = classify(KigrQuery(exact_lambda=lam), table90)
+        k, m = classify(table90, lam, lam)
         bounds = table90.plan(k).boundaries
         assert bounds[m - 1] <= lam < bounds[m]
         lam += 0.0013
@@ -126,12 +102,12 @@ def test_lookup_agrees_with_a_linear_scan(lookup_table):
     lams = [lam for lam in lams if cov <= lam < 1.0]
     for lam in lams:
         k, m = _scan(table, lam)
-        assert classify(KigrQuery(exact_lambda=lam), table) == (k, m)
-        assert plan_for(TargetFraction(lam), table) == (k, PhaseAngle(table.plan(k).phases[m - 1]))
+        assert classify(table, lam, lam) == (k, m)
+        assert plan_for(TargetFraction(lam), table) == (k, table.plan(k).phases[m - 1])
     below = math.nextafter(cov, 0.0)
     message = re.escape(f"lambda={below} below table coverage [{cov}, 1)")
     with pytest.raises(RangeError, match=f"^{message}$"):
-        classify(KigrQuery(exact_lambda=below), table)
+        classify(table, below, below)
     with pytest.raises(RangeError, match=f"^{message}$"):
         plan_for(TargetFraction(below), table)
 
@@ -140,29 +116,29 @@ def test_range_lookup_per_segment(lookup_table):
     # a segment's own range resolves to it; one ulp more straddles the next
     for plan in lookup_table.plans:
         for m, (lo, hi) in enumerate(zip(plan.boundaries, plan.boundaries[1:]), start=1):
-            assert classify(KigrQuery(range=(lo, hi)), lookup_table) == (plan.k, m)
+            assert classify(lookup_table, lo, hi) == (plan.k, m)
             if hi < 1.0:
                 with pytest.raises(AmbiguityError, match=f"segment \\(k={plan.k}, m={m}\\)"):
-                    classify(KigrQuery(range=(lo, math.nextafter(hi, 1.0))), lookup_table)
+                    classify(lookup_table, lo, math.nextafter(hi, 1.0))
 
 
 # --------------------------------------------------------------------- plan_for
 
 def test_plan_for_examples(table90):
     k, phi = plan_for(TargetFraction(0.01), table90)
-    assert k == 8 and phi.phi == pytest.approx(2.432, abs=5e-3)
+    assert k == 8 and phi == pytest.approx(2.432, abs=5e-3)
     k, phi = plan_for(TargetFraction(0.03), table90)
-    assert k == 5 and phi.phi == pytest.approx(2.243, abs=5e-3)
+    assert k == 5 and phi == pytest.approx(2.243, abs=5e-3)
     k, phi = plan_for(TargetFraction(0.5), table90)
-    assert k == 1 and phi.phi == pytest.approx(1.465, abs=5e-3)
+    assert k == 1 and phi == pytest.approx(1.465, abs=5e-3)
 
 
 # -------------------------------------------------------------------- baselines
 
 def test_baseline_fixed_phase_examples():
-    assert baseline_fixed_phase(PhaseAngle(PI), TargetFraction(0.25)) == 1
-    assert baseline_fixed_phase(PhaseAngle(0.1 * PI), TargetFraction(0.25)) == 10
-    assert baseline_fixed_phase(PhaseAngle(PI), TargetFraction(1 - 1e-12)) == 0
+    assert baseline_fixed_phase(PI, TargetFraction(0.25)) == 1
+    assert baseline_fixed_phase(0.1 * PI, TargetFraction(0.25)) == 10
+    assert baseline_fixed_phase(PI, TargetFraction(1 - 1e-12)) == 0
 
 
 def test_baseline_long_examples():
@@ -206,7 +182,7 @@ def test_bound_exceeds_ours_above_crossover():
 # ---------------------------------------------------------------------- compare
 
 def test_compare_record(table90):
-    rec = compare(TargetFraction(0.25), table90, 0.90, PhaseAngle(0.1 * PI))
+    rec = compare(TargetFraction(0.25), table90, 0.90, 0.1 * PI)
     assert rec["k_ours"] == 1 and rec["k_grover"] == 1 and rec["k_fixed"] == 10
     assert rec["k_long"] == 1 and rec["phi_long"] == pytest.approx(PI, abs=1e-7)
     assert rec["p_ours"] >= 0.90
@@ -218,13 +194,13 @@ def test_compare_record(table90):
 def test_compare_fixed_phase_reaches_one_at_small_phi(table90, phi):
     # 1 - cos(phi) is 0.0 in floats below phi ~ 1e-8: a probability formed
     # from it fell back to lambda, though the count from sin(phi/2) was right.
-    rec = compare(TargetFraction(0.5), table90, 0.90, PhaseAngle(phi))
+    rec = compare(TargetFraction(0.5), table90, 0.90, phi)
     assert rec["k_fixed"] > 1e8
     assert rec["p_fixed"] > 0.99
 
 
 def test_compare_zero_grover_iterations(table90):
-    rec = compare(TargetFraction(0.6), table90, 0.90, PhaseAngle(0.1 * PI))
+    rec = compare(TargetFraction(0.6), table90, 0.90, 0.1 * PI)
     assert rec["k_grover"] == 0 and rec["k_ours"] == 1
     assert rec["p_grover"] == 0.6  # no iterations: probability is lambda itself
 

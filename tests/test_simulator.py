@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmqsearch.analytic import PhaseAngle, TargetFraction
+from cmqsearch.analytic import TargetFraction
 from cmqsearch.errors import DomainError
 from cmqsearch.kernels import p_success
 from cmqsearch.simulator import evolve, run_long_exact, statevector_run
@@ -20,14 +20,14 @@ PI = math.pi
 # --------------------------------------------------------------------- g matrix
 
 def test_g_matrix_grover_case():
-    g = np.array(g_matrix(PhaseAngle(PI), PI / 6))
+    g = np.array(g_matrix(PI, PI / 6))
     want = np.array([[0.5, math.sqrt(3) / 2], [-math.sqrt(3) / 2, 0.5]])
     assert np.allclose(g, want, atol=1e-14)
     assert np.max(np.abs(g.imag)) < 1e-14
 
 
 def test_g_matrix_small_phase_limit():
-    g = g_matrix(PhaseAngle(1e-9), 0.7)
+    g = g_matrix(1e-9, 0.7)
     assert np.allclose(g, -np.eye(2), atol=1e-8)
 
 
@@ -35,23 +35,23 @@ def test_g_matrix_small_phase_limit():
 @given(phi=st.floats(min_value=1e-6, max_value=PI),
        theta=st.floats(min_value=1e-3, max_value=PI / 2 - 1e-3))
 def test_g_matrix_unitary(phi, theta):
-    g = np.array(g_matrix(PhaseAngle(phi), theta))
+    g = np.array(g_matrix(phi, theta))
     assert np.max(np.abs(g.conj().T @ g - np.eye(2))) < 1e-12
 
 
 def test_g_matrix_rejects_bad_theta():
     with pytest.raises(DomainError):
-        g_matrix(PhaseAngle(PI), 0.0)
+        g_matrix(PI, 0.0)
 
 
 # ----------------------------------------------------------- two-level evolution
 
 def test_evolve_examples():
-    assert evolve_two_level(1, PhaseAngle(PI), TargetFraction(0.25)).success_probability \
+    assert evolve_two_level(1, PI, TargetFraction(0.25)).success_probability \
         == pytest.approx(1.0, abs=1e-12)
-    assert evolve_two_level(0, PhaseAngle(1.7), TargetFraction(0.37)).success_probability \
+    assert evolve_two_level(0, 1.7, TargetFraction(0.37)).success_probability \
         == pytest.approx(0.37, abs=1e-14)
-    assert evolve_two_level(1, PhaseAngle(2.134), TargetFraction(0.25)).success_probability \
+    assert evolve_two_level(1, 2.134, TargetFraction(0.25)).success_probability \
         == pytest.approx(0.9593, abs=1e-3)
 
 
@@ -60,13 +60,13 @@ def test_evolve_examples():
        phi=st.floats(min_value=0.1, max_value=PI),
        lam=st.floats(min_value=0.01, max_value=0.99))
 def test_evolve_matches_analytic_and_closed_form(k, phi, lam):
-    state = evolve_two_level(k, PhaseAngle(phi), TargetFraction(lam))
+    state = evolve_two_level(k, phi, TargetFraction(lam))
     assert abs(state.a) ** 2 + abs(state.b) ** 2 == pytest.approx(1.0, abs=1e-12)
     if k >= 1:
         want = p_success(k, phi, lam)
         assert state.success_probability == pytest.approx(want, abs=1e-10)
     # closed-form amplitude, global phase included
-    a_cf = two_level_closed_form(k, PhaseAngle(phi), TargetFraction(lam))
+    a_cf = two_level_closed_form(k, phi, TargetFraction(lam))
     assert abs(state.a - a_cf) < 1e-10
 
 

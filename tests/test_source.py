@@ -59,3 +59,14 @@ def test_records_are_built_whole_with_only_the_fields_read():
               and isinstance(node.func, ast.Name) and node.func.id == "PhasePlan"]
     assert len(builds) == 1
     assert not any(isinstance(arg, ast.Constant) and arg.value is None for arg in builds[0].args)
+
+
+# A phase is a float and a plan query an interval, so a one-field wrapper that
+# comes back is a change to this set.  errors.py holds the exception taxonomy.
+RECORD_TYPES = {"TargetFraction", "IterationBand", "PhasePlan", "PlanTable", "RunConfig"}
+
+
+def test_the_record_types_are_pinned():
+    defined = {node.name for path in SRC.glob("*.py") if path.name != "errors.py"
+               for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)}
+    assert defined == RECORD_TYPES
