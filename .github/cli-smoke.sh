@@ -50,9 +50,11 @@
 # pinned trajectory digests in tests/oracles.py, which imports no numpy, are
 # recomputed on this interpreter.
 #
-# Each user value is checked where it enters: a --phi outside (0, pi] on compare
-# and on a fixed-phase sweep, and plan given both --lambda and --range, must
-# each exit 1 with exactly one error line and nothing on stdout.
+# A command checks every value it reads before it reads, builds or writes the
+# cache: a --phi outside (0, pi] on compare and on a fixed-phase sweep, plan
+# given both --lambda and --range, compare at lambda 2, and a sweep from a
+# lambda0 so small (3e-309) that 1/lambda0 overflows must each exit 1 with
+# exactly one error line, nothing on stdout and no cache file.
 #
 # A cache path that exists and is not a regular file is an error before any
 # read or build: plan with a FIFO (whose open would block; timeout ends the
@@ -157,11 +159,13 @@ for err in "$tmp/nk1.err" "$tmp/missing.err"; do
 done
 if grep -q '\.tmp' "$tmp/missing.err"; then exit 1; fi
 for args in "compare --lambda 0.3 --phi 4" "sweep --grid 2 --algorithms fixed --phi 0" \
-    "plan --lambda 0.3 --range 0.2..0.4"; do
+    "plan --lambda 0.3 --range 0.2..0.4" "compare --lambda 2" \
+    "sweep --grid 3 --lambda0 3e-309 --algorithms grover"; do
   exits 1 cli $args --cache "$tmp/value.json" > "$tmp/value.out" 2> "$tmp/value.err"
   test ! -s "$tmp/value.out"
   test "$(wc -l < "$tmp/value.err")" -eq 1
   grep -q "^error: " "$tmp/value.err"
+  test ! -e "$tmp/value.json"
 done
 mkfifo "$tmp/fifo"
 mkdir "$tmp/dir"

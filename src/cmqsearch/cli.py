@@ -5,7 +5,9 @@ range query, 3 below coverage, 4 solver-config failure, 5 verification failure.
 
 One flag table, ``_flag_table``, lists the commands: each with its help, only
 the flags that it reads (so ``--seed`` is verify's alone, and sweep and verify
-take no ``--format``) and the function that runs it.
+take no ``--format``) and the function that runs it.  A command checks every
+value that it reads before it reads, builds or writes the cache, or writes a
+byte, so a rejected command line has no side effects.
 
 ``verify``'s suites live in ``simulator``, beside the statevector they run, so
 the other commands neither import nor compile them.  No command imports numpy
@@ -39,8 +41,10 @@ SCHEMA_VERSION = 10
 ALGORITHMS = ("ours", "grover", "fixed", "yoder_bound", "long")
 
 
-class RunConfig(namedtuple("RunConfig", "p_cri lambda0 max_nk fmt cache seed",
-                           defaults=(0.90, 1e-2, MAX_NK, "json", "cmqsearch-plans.json", 0))):
+class RunConfig(namedtuple("RunConfig", "p_cri lambda0 max_nk cache",
+                           defaults=(0.90, 1e-2, MAX_NK, "cmqsearch-plans.json"))):
+    """What names and locates a plan table: the settings it is built for and its cache."""
+
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -51,8 +55,6 @@ class RunConfig(namedtuple("RunConfig", "p_cri lambda0 max_nk fmt cache seed",
             raise DomainError(f"p_cri must be in (0, 1), got {self.p_cri}")
         if not 0.0 < self.lambda0 < 1.0:
             raise DomainError(f"lambda0 must be in (0, 1), got {self.lambda0}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
         return self
 
 
@@ -193,12 +195,12 @@ def load_or_build_table(cfg: RunConfig) -> PlanTable:
 
 # ---------------------------------------------------------------------- commands
 
-def cmd_table(cfg: RunConfig, args: dict) -> int:
+def cmd_table(cfg: RunConfig, fmt: str) -> int:
     path = _cache_file(cfg.cache)
     table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.max_nk)
     text = serialize_table(table)
     write_table(text, path)
-    if cfg.fmt == "json":
+    if fmt == "json":
         sys.stdout.write(text)
     else:
         sys.stdout.write("k,band_lo,band_hi,n_k,phases,q_k_pi\n")
@@ -228,8 +230,7 @@ def _phase(phi: float) -> float:
     return phi
 
 
-def cmd_plan(cfg: RunConfig, args: dict) -> int:
-    lam, range_ = args["lam"], args["range_"]
+def cmd_plan(cfg: RunConfig, fmt: str, lam: float | None, range_: str | None) -> int:
     if range_ is not None:
         try:
             lo, hi = map(float, range_.split(".."))
@@ -244,53 +245,57 @@ def cmd_plan(cfg: RunConfig, args: dict) -> int:
     table = load_or_build_table(cfg)
     k, m = planner.classify(table, lo, hi)
     plan = table.plan(k)
-    _write_record(cfg.fmt, {"k": k, "m": m, "phi": plan.phases[m - 1], "guaranteed_p": plan.q_k_pi},
+    _write_record(fmt, {"k": k, "m": m, "phi": plan.phases[m - 1], "guaranteed_p": plan.q_k_pi},
                   segment=[repr(x) for x in plan.boundaries[m - 1:m + 1]])
     return 0
 
 
 def _log_grid(lambda0: float, n: int):
     # Yields n points log-spaced over [lambda0, 1): small-lambda bands are
-    # geometrically thin.  Lazy, so that a sweep holds only the block of rows it writes.
+    # geometrically thin.  Lazy, so that a sweep holds only the block of rows it
+    # writes; the ratio is checked at the call, before any row.
     r = math.nextafter(1.0, 0.0) / lambda0
+    if r == math.inf:
+        raise DomainError(f"lambda0={lambda0!r} is too small to sweep: 1/lambda0 overflows")
     return (lambda0 * r ** (i / n) for i in range(n))
 
 
-def cmd_sweep(cfg: RunConfig, args: dict) -> int:
-    if args["grid"] < 2:
-        raise DomainError(f"grid must be >= 2, got {args['grid']}")
-    algorithms = [a.strip() for a in args["algorithms"].split(",") if a.strip()]
-    if bad := set(algorithms) - set(ALGORITHMS):
+def cmd_sweep(cfg: RunConfig, grid: int, algorithms: str, phi: float) -> int:
+    if grid < 2:
+        raise DomainError(f"grid must be >= 2, got {grid}")
+    chosen = [a.strip() for a in algorithms.split(",") if a.strip()]
+    if bad := set(chosen) - set(ALGORITHMS):
         raise DomainError(f"unknown algorithms: {sorted(bad)} (choose from {sorted(ALGORITHMS)})")
-    if not algorithms or len(set(algorithms)) < len(algorithms):
+    if not chosen or len(set(chosen)) < len(chosen):
         raise DomainError(f"algorithms must name one or more distinct algorithms, "
-                          f"got {args['algorithms']!r}")
-    table = load_or_build_table(cfg) if "ours" in algorithms else None
-    phi_f = _phase(args["phi"])
+                          f"got {algorithms!r}")
+    _phase(phi)
+    points = _log_grid(cfg.lambda0, grid)
     # The grid ascends from lambda0, which the table covers, so one cursor walks
-    # the table's segments up from band k_max.  The header waits for grid point 0:
-    # the fixed-phase half-angle grows with lambda, so a row that can fail fails there.
-    segments = ((plan.k, phi, hi) for plan in reversed(table.plans)
-                for phi, hi in zip(plan.phases, plan.boundaries[1:])) if table else None
+    # the table's segments up from band k_max; only "ours" reads the table.  The
+    # header waits for grid point 0: the fixed-phase half-angle grows with lambda,
+    # so a row that can fail fails there.
+    segments = ((plan.k, *seg) for plan in reversed(load_or_build_table(cfg).plans)
+                for seg in zip(plan.phases, plan.boundaries[1:])) if "ours" in chosen else None
     seg_hi = 0.0
     rows = ["lambda,algorithm,k,p\n"]
-    for i, lam_val in enumerate(_log_grid(cfg.lambda0, args["grid"])):
+    for i, lam_val in enumerate(points):
         lam, lam_text = TargetFraction(lam_val), repr(lam_val)
-        for alg in algorithms:
+        for alg in chosen:
             if alg == "ours":
                 while lam_val >= seg_hi:
                     k_ours, phi_ours, seg_hi = next(segments)
-                k, phi = k_ours, phi_ours
+                k, phase = k_ours, phi_ours
             elif alg == "grover":
-                k, phi = analytic.grover_iterations(lam), math.pi
+                k, phase = analytic.grover_iterations(lam), math.pi
             elif alg == "fixed":
-                k, phi = planner.baseline_fixed_phase(phi_f, lam), phi_f
+                k, phase = planner.baseline_fixed_phase(phi, lam), phi
             elif alg == "long":
-                k, phi = planner.baseline_long(lam)
+                k, phase = planner.baseline_long(lam)
             else:  # yoder_bound: iteration lower bound only, no probability curve
                 rows.append(f"{lam_text},{alg},{planner.baseline_yoder_bound(cfg.p_cri, lam)},\n")
                 continue
-            rows.append(f"{lam_text},{alg},{k},{planner.success_after(k, phi, lam_val)!r}\n")
+            rows.append(f"{lam_text},{alg},{k},{planner.success_after(k, phase, lam_val)!r}\n")
         if i % 1024 == 0:   # point 0's rows, then each 1,024 points' rows, in one write
             sys.stdout.write("".join(rows))
             rows.clear()
@@ -298,15 +303,16 @@ def cmd_sweep(cfg: RunConfig, args: dict) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, args: dict) -> int:
+def cmd_verify(cfg: RunConfig, seed: int) -> int:
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     from cmqsearch import simulator
-    return simulator.verify(cfg, load_or_build_table)
+    return simulator.verify(cfg, seed, load_or_build_table)
 
 
-def cmd_compare(cfg: RunConfig, args: dict) -> int:
-    table = load_or_build_table(cfg)
-    _write_record(cfg.fmt, planner.compare(TargetFraction(args["lam"]), table, cfg.p_cri,
-                                           _phase(args["phi"])))
+def cmd_compare(cfg: RunConfig, fmt: str, lam: float, phi: float) -> int:
+    lam, phi = TargetFraction(lam), _phase(phi)
+    _write_record(fmt, planner.compare(lam, load_or_build_table(cfg), cfg.p_cri, phi))
     return 0
 
 
@@ -314,16 +320,18 @@ def cmd_compare(cfg: RunConfig, args: dict) -> int:
 
 def _flag_table() -> dict:
     """command -> (help, {long flag: add_argument keywords}, run), flags in --help order.
-    A command takes only the flags that it reads: those whose dest is a RunConfig field
-    build its cfg, and ``run(cfg, args)`` reads the rest.  The defaults are RunConfig's,
-    and the table is built per call, since the --cache default reads CMQSEARCH_CACHE."""
+    A command takes only the flags that it reads: the four shared flags build its
+    RunConfig, and ``run(cfg, **rest)`` takes the rest as keywords named by their
+    dest, so a flag that its command does not take fails every call of it.  The
+    shared defaults are RunConfig's, and the table is built per call, since the
+    --cache default reads CMQSEARCH_CACHE."""
     cfg = RunConfig._field_defaults
     shared = {"--pcri": dict(dest="p_cri", metavar="PCRI", type=float, default=cfg["p_cri"]),
               "--lambda0": dict(dest="lambda0", type=float, default=cfg["lambda0"]),
               "--cache": dict(dest="cache", default=os.environ.get("CMQSEARCH_CACHE",
                                                                     cfg["cache"])),
               "--max-nk": dict(dest="max_nk", type=int, default=cfg["max_nk"])}
-    formats = {**shared, "--format": dict(dest="fmt", choices=("json", "csv"), default=cfg["fmt"])}
+    formats = {**shared, "--format": dict(dest="fmt", choices=("json", "csv"), default="json")}
     lam, phi = dict(dest="lam", type=float), dict(dest="phi", type=float, default=0.1 * math.pi)
     algorithms = dict(dest="algorithms", default="ours,grover",
                       help="comma list: " + ",".join(ALGORITHMS))
@@ -336,7 +344,7 @@ def _flag_table() -> dict:
                        "--grid": dict(dest="grid", type=int, default=1000),
                        "--phi": dict(phi, help="phase for the fixed-phase baseline")}, cmd_sweep),
             "verify": ("run the verification suites",
-                       {**shared, "--seed": dict(dest="seed", type=int, default=cfg["seed"])},
+                       {**shared, "--seed": dict(dest="seed", type=int, default=0)},
                        cmd_verify),
             "compare": ("baseline comparison at one lambda",
                         {**formats, "--lambda": dict(lam, required=True), "--phi": phi},
@@ -393,8 +401,8 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
         args = _parse(argv) or vars(build_parser().parse_args(argv))
-        cfg = RunConfig(**{name: args[name] for name in RunConfig._fields if name in args})
-        return _flag_table()[args["command"]][2](cfg, args)
+        cmd = _flag_table()[args.pop("command")][2]
+        return cmd(RunConfig(*map(args.pop, RunConfig._fields)), **args)
     except CmqsearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

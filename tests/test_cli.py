@@ -271,10 +271,11 @@ def test_run_config_is_frozen():
         cli.RunConfig(p_cri=1.0)
     with pytest.raises(DomainError, match=r"^lambda0 must be in \(0, 1\), got 0.0$"):
         cli.RunConfig(0.9, 0.0)
-    with pytest.raises(DomainError, match="^seed must be >= 0, got -2$"):
+    # the seed is verify's own flag, checked by verify (test_negative_seed_is_a_domain_error)
+    with pytest.raises(TypeError):
         cli.RunConfig(seed=-2)
     cfg = cli.RunConfig()
-    assert (cfg.p_cri, cfg.lambda0, cfg.max_nk, cfg.seed) == (0.9, 1e-2, 64, 0)
+    assert cfg == (0.9, 1e-2, 64, "cmqsearch-plans.json")
     for name in ("p_cri", "max_nk", "extra"):
         with pytest.raises(AttributeError):
             setattr(cfg, name, 0.5)
@@ -314,18 +315,19 @@ def test_usage_error_exits_1(cache, capfd, argv):
     assert "straddles" in err
 
 
-# Each user value is checked where it enters, in one order.  compare reads (and
-# writes) the cache before it checks lambda, then phi; sweep checks phi after
-# the table read that only "ours" asks for; plan checks its query before any
-# cache read: the range's form, exactly one of --lambda and --range, lambda,
-# then the range.  The last two cases each hold two bad values.
+# Each command checks every value it reads before any cache read, in one order:
+# compare checks lambda, then phi; sweep checks the grid, the algorithms, phi,
+# then that 1/lambda0 is finite; plan checks the range's form, exactly one of
+# --lambda and --range, lambda, then the range.  RunConfig's checks come first.
+# The two cases after the range's form each hold two bad values.
 _PHI_MESSAGE = "phi must be in (0, pi], got {}"
 _COMPARE, _SWEEP = ["compare", "--lambda", "0.3"], ["sweep", "--grid", "2", "--algorithms", "fixed"]
+_SUBNORMAL_SWEEP = ["sweep", "--grid", "3", "--lambda0", "3e-309", "--algorithms", "grover"]
 
 
 @pytest.mark.parametrize("argv,code,error,cached", [
     *[([*command, "--phi", phi], 1, _PHI_MESSAGE.format(shown), cached)
-      for command, cached in ((_COMPARE, True), (_SWEEP, False))
+      for command, cached in ((_COMPARE, False), (_SWEEP, False))
       for phi, shown in (("0", "0.0"), ("-0.0", "-0.0"), ("nan", "nan"), ("inf", "inf"),
                          ("4", "4.0"), (repr(math.nextafter(math.pi, 4.0)),) * 2)],
     ([*_COMPARE, "--phi", repr(math.pi)], 0, None, True),
@@ -342,7 +344,11 @@ _COMPARE, _SWEEP = ["compare", "--lambda", "0.3"], ["sweep", "--grid", "2", "--a
     (["plan", "--range", "nan..0.3"], 1, "need 0 < lo < hi <= 1, got [nan, 0.3)", False),
     (["plan", "--range", "0.3-0.4"], 1, "range must look like LO..HI, got '0.3-0.4'", False),
     (["plan", "--pcri", "2", "--lambda", "2"], 1, "p_cri must be in (0, 1), got 2.0", False),
-    (["compare", "--lambda", "2", "--phi", "4"], 1, "lambda must be in (0, 1), got 2.0", True),
+    (["compare", "--lambda", "2", "--phi", "4"], 1, "lambda must be in (0, 1), got 2.0", False),
+    # below about 5.6e-309 the grid's ratio overflows: the sweep writes no row
+    (_SUBNORMAL_SWEEP, 1, "lambda0=3e-309 is too small to sweep: 1/lambda0 overflows", False),
+    (["sweep", "--grid", "3", "--lambda0", "3e-309"], 1,
+     "lambda0=3e-309 is too small to sweep: 1/lambda0 overflows", False),
 ])
 def test_user_values_are_checked_where_they_enter(cache, capfd, argv, code, error, cached):
     got, out, err = run([*argv, "--cache", cache], capfd)
@@ -352,6 +358,64 @@ def test_user_values_are_checked_where_they_enter(cache, capfd, argv, code, erro
     else:
         assert (out, err) == ("", f"error: {error}\n")
     assert Path(cache).exists() == cached
+
+
+# Exit-1 command lines, value errors and usage errors; but for "nosuch", each
+# names a command that reads or writes the cache when its values are sound.
+# ours is sweep's default algorithm, and sweep checks --phi without fixed too.
+_REJECTED = [
+    ["compare", "--lambda", "2"],
+    ["compare", "--lambda", "0.3", "--phi", "4"],
+    ["compare", "--lambda", "2", "--phi", "4"],
+    ["compare", "--lambda", "0.3", "--pcri", "0"],
+    ["sweep", "--algorithms", "ours,fixed", "--phi", "4"],
+    ["sweep", "--phi", "4"],
+    ["sweep", "--grid", "1"],
+    ["sweep", "--algorithms", "ours,nope"],
+    ["sweep", "--algorithms", "ours,ours"],
+    ["sweep", "--grid", "3", "--lambda0", "3e-309"],
+    _SUBNORMAL_SWEEP,
+    ["verify", "--seed", "-1"],
+    ["plan"],
+    ["plan", "--lambda", "0"],
+    ["plan", "--range", "0.4..0.2"],
+    ["plan", "--range", "0.3-0.4"],
+    ["plan", "--pcri", "2", "--lambda", "0.3"],
+    ["table", "--lambda0", "1"],
+    ["plan", "--lambda", "abc"],
+    ["table", "--level-tol", "1e-9"],
+    ["sweep", "--format", "csv"],
+    ["compare", "--lambda", "0.3", "--seed", "1"],
+    ["nosuch"],
+]
+
+
+@pytest.fixture(scope="module")
+def damaged_headline() -> str:
+    """The headline cache with a key in band 1 that ``table_to_doc`` does not
+    write, so that a command that reads it warns, and rebuilds and rewrites it."""
+    doc = cli.table_to_doc(build_table(0.90, 1e-2))
+    doc["plans"][0]["solver"] = "illinois"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_damaged_headline_is_a_miss(cache, capfd, damaged_headline):
+    # the control for the next test: an accepted command reads the damaged cache
+    Path(cache).write_text(damaged_headline)
+    code, _, err = run(["plan", "--lambda", "0.3", "--cache", cache], capfd)
+    assert code == 0 and err.startswith("warning: rebuilding unreadable plan cache ")
+    assert Path(cache).read_text() == serialize_table(build_table(0.90, 1e-2))
+
+
+@pytest.mark.parametrize("argv", _REJECTED, ids=" ".join)
+def test_rejected_command_line_leaves_the_cache_alone(cache, capfd, damaged_headline, argv):
+    # a command checks every value it reads before it reads, builds or writes the
+    # cache, so a rejected command line neither warns about it nor rewrites it
+    Path(cache).write_text(damaged_headline)
+    code, out, err = run([*argv, "--cache", cache], capfd)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert Path(cache).read_text() == damaged_headline
 
 
 def test_tiny_lambda0_names_lambda_and_cap(cache, capfd):
@@ -402,20 +466,19 @@ def _valid_argv(draw):
     return argv
 
 
-# the RunConfig fields that each command's own flags set; the rest keep their defaults
-_OWN_FIELDS = {"table": {"fmt"}, "plan": {"fmt"}, "sweep": set(), "verify": {"seed"},
-               "compare": {"fmt"}}
-
-
 @pytest.mark.parametrize("command", list(cli._flag_table()))
 def test_flag_defaults_are_run_config_defaults(command, monkeypatch):
+    # RunConfig holds what names and locates a table, and each command takes the
+    # dest of every other flag that it has as a keyword, so the flag table and the
+    # command's signature cannot disagree without failing every call
     monkeypatch.delenv("CMQSEARCH_CACHE", raising=False)
+    assert cli.RunConfig._fields == ("p_cri", "lambda0", "max_nk", "cache")
     required = ["--lambda", "0.5"] if command == "compare" else []  # compare's one required flag
     args = cli._parse([command, *required])
-    defaults = cli.RunConfig._field_defaults
-    fields = {name: args[name] for name in defaults if name in args}
-    assert set(fields) == {"p_cri", "lambda0", "max_nk", "cache"} | _OWN_FIELDS[command]
-    assert fields == {name: defaults[name] for name in fields}
+    assert {name: args[name] for name in cli.RunConfig._fields} == cli.RunConfig._field_defaults
+    first, *own = inspect.signature(cli._flag_table()[command][2]).parameters
+    assert first == "cfg"
+    assert sorted(own) == sorted(args.keys() - {"command", *cli.RunConfig._fields})
 
 
 def test_main_names_no_command():
@@ -627,7 +690,7 @@ def test_verify_fails_on_a_plan_below_pcri(capfd, table90):
     plans[k - 1] = plan._replace(phases=(phi,) + plan.phases[1:])
     assert plan.phases[0] - phi < 0.5
     with pytest.raises(VerificationError) as exc:
-        simulator.verify(cli.RunConfig(), lambda cfg: table90._replace(plans=tuple(plans)))
+        simulator.verify(cli.RunConfig(), 0, lambda cfg: table90._replace(plans=tuple(plans)))
     got = statevector_run(n, m, k, phi)
     reason = (f"P at n={n} M={m} k={k} phi={phi} is {got}: "
               f"P - p_cri {got - table90.p_cri:.1e} < -1e-10")
