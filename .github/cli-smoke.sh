@@ -2,7 +2,11 @@
 # CLI smoke test; run it from the repository root: bash .github/cli-smoke.sh
 #
 # The end-to-end path at the stress setting: build, query the cache (a cache
-# that table has just written loads with nothing on stderr), sweep every
+# that table has just written loads with nothing on stderr), query it under
+# other phase caps (the cap limits a run, not a table, so a cap of 5, the
+# table's largest n_k, or of 200 is served the cache and leaves it byte for
+# byte as it was, and a cap of 4 exits 4 with the one error line that a build
+# under it gives, before any write), sweep every
 # algorithm, verify; a malformed flag must exit 1, not the exit 2 of a
 # straddling range; verify piped into `head -n 1`, which must print the oracle
 # line alone, with no traceback.  That verify exits 0 when its output reached
@@ -16,7 +20,7 @@
 # with such a phase must print nothing on stdout.  Then --help for the program
 # and each command and two usage errors, which build the argparse parser that
 # a well-formed command line never loads.  Four damaged headline caches, their
-# floats JSON numbers as in schema 10, must each be a miss (exit 0, exactly one
+# floats JSON numbers as since schema 10, must each be a miss (exit 0, exactly one
 # warning line, no traceback): band 1 stored as the one phase pi, whose
 # certificate once divided by zero at lambda = 1; band 1's second boundary set
 # to NaN with the residual the certificate derives for it, which once loaded
@@ -53,8 +57,10 @@
 # A command checks every value it reads before it reads, builds or writes the
 # cache: a --phi outside (0, pi] on compare and on a fixed-phase sweep, plan
 # given both --lambda and --range, compare at lambda 2, and a sweep from a
-# lambda0 so small (3e-309) that 1/lambda0 overflows must each exit 1 with
-# exactly one error line, nothing on stdout and no cache file.
+# lambda0 so small (3e-309) that 1/lambda0 overflows, and a fixed phase whose
+# iteration count is not finite at the command's smallest lambda (compare's
+# lambda, a sweep's lambda0) must each exit 1 with exactly one error line,
+# nothing on stdout and no cache file.
 #
 # A cache path that exists and is not a regular file is an error before any
 # read or build: plan with a FIFO (whose open would block; timeout ends the
@@ -78,6 +84,14 @@ stress=(--pcri 0.99 --lambda0 1e-3 --cache "$tmp/plans.json")
 cli table "${stress[@]}" > /dev/null
 cli plan --lambda 0.002 "${stress[@]}" 2> "$tmp/fresh.err"
 test ! -s "$tmp/fresh.err"
+cp "$tmp/plans.json" "$tmp/plans.copy"
+for cap in 5 200; do
+  cli plan --lambda 0.002 --max-nk "$cap" "${stress[@]}" > /dev/null
+  cmp "$tmp/plans.json" "$tmp/plans.copy"
+done
+exits 4 cli plan --lambda 0.002 --max-nk 4 "${stress[@]}" 2> "$tmp/cap4.err"
+test "$(cat "$tmp/cap4.err")" = "error: p_cri=0.99 not reachable on band 1 within max_nk=4"
+cmp "$tmp/plans.json" "$tmp/plans.copy"
 cli compare --lambda 0.002 "${stress[@]}"
 cli plan --range 0.002..0.0020001 --format csv "${stress[@]}"
 exits 1 cli plan --lambda abc --cache "$tmp/plans.json"
@@ -160,7 +174,8 @@ done
 if grep -q '\.tmp' "$tmp/missing.err"; then exit 1; fi
 for args in "compare --lambda 0.3 --phi 4" "sweep --grid 2 --algorithms fixed --phi 0" \
     "plan --lambda 0.3 --range 0.2..0.4" "compare --lambda 2" \
-    "sweep --grid 3 --lambda0 3e-309 --algorithms grover"; do
+    "sweep --grid 3 --lambda0 3e-309 --algorithms grover" \
+    "compare --lambda 0.5 --phi 5e-324" "sweep --algorithms ours,fixed --phi 1e-310 --grid 3"; do
   exits 1 cli $args --cache "$tmp/value.json" > "$tmp/value.out" 2> "$tmp/value.err"
   test ! -s "$tmp/value.out"
   test "$(wc -l < "$tmp/value.err")" -eq 1

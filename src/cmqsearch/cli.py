@@ -7,7 +7,9 @@ One flag table, ``_flag_table``, lists the commands: each with its help, only
 the flags that it reads (so ``--seed`` is verify's alone, and sweep and verify
 take no ``--format``) and the function that runs it.  A command checks every
 value that it reads before it reads, builds or writes the cache, or writes a
-byte, so a rejected command line has no side effects.
+byte, so a rejected command line has no side effects.  The phase cap
+``--max-nk`` limits a run, not a table: the cache holds no cap, and it is served
+to any run whose cap is at least its largest n_k.
 
 ``verify``'s suites live in ``simulator``, beside the statevector they run, so
 the other commands neither import nor compile them.  No command imports numpy
@@ -35,7 +37,7 @@ from cmqsearch.kernels import p_success
 from cmqsearch.optimizer import MAX_NK, largest_min_success, make_plan
 from cmqsearch.planner import PlanTable
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 # sweep's algorithms, in --help order
 ALGORITHMS = ("ours", "grover", "fixed", "yoder_bound", "long")
@@ -43,7 +45,8 @@ ALGORITHMS = ("ours", "grover", "fixed", "yoder_bound", "long")
 
 class RunConfig(namedtuple("RunConfig", "p_cri lambda0 max_nk cache",
                            defaults=(0.90, 1e-2, MAX_NK, "cmqsearch-plans.json"))):
-    """What names and locates a plan table: the settings it is built for and its cache."""
+    """What names and locates a plan table, the settings it is built for and its
+    cache, and the run's phase cap, which limits a build but is not part of a table."""
 
     __slots__ = ()
 
@@ -71,7 +74,7 @@ def table_to_doc(table: PlanTable) -> dict:
     """Versioned plan-table document.  ``json`` writes each float as its repr, so
     the serialization is byte-stable and round-trips exactly."""
     return {"version": SCHEMA_VERSION, "p_cri": table.p_cri, "lambda0": table.lambda0,
-            "max_nk": table.max_nk, "plans": [_plan_record(p) for p in table.plans]}
+            "plans": [_plan_record(p) for p in table.plans]}
 
 
 def _float(x) -> float:
@@ -101,9 +104,10 @@ def _require_own(stored: dict, own: dict, where: str = "") -> None:
 def doc_to_table(doc: dict) -> PlanTable:
     """Inverse of ``table_to_doc``.
 
-    Raises DomainError unless max_nk is at least 1, there is one plan for each
-    band 1..k(lambda0), ``make_plan`` accepts each, and the document is
-    ``table_to_doc`` of the table so built: no extra key, each value of the JSON
+    Raises DomainError unless there is one plan for each band 1..k(lambda0),
+    ``make_plan`` accepts each, and the document is ``table_to_doc`` of the
+    table so built: no extra key (schema 10's phase cap ``max_nk`` included,
+    since a table does not depend on the cap), each value of the JSON
     type that it writes (no float stored as a string or an integer, no integer
     as a float or a boolean), and each n_k, band, q_k_pi and level_residual
     the one that its plan derives.  That equality is checked record by record,
@@ -111,10 +115,6 @@ def doc_to_table(doc: dict) -> PlanTable:
     """
     if doc.get("version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported plan-table version {doc.get('version')}")
-    # read through str, so that a non-finite max_nk is a ValueError
-    max_nk = int(str(doc["max_nk"]))
-    if max_nk < 1:
-        raise DomainError(f"max_nk must be >= 1, got {max_nk}")
     p_cri = _float(doc["p_cri"])
     lambda0 = _float(doc["lambda0"])
     k_max = analytic.iterations_for(TargetFraction(lambda0))
@@ -128,8 +128,8 @@ def doc_to_table(doc: dict) -> PlanTable:
         except VerificationError as exc:
             raise DomainError(f"band {k}: {exc}") from exc
         _require_own(rec, _plan_record(plans[-1]), f"band {k}: ")
-    _require_own({**doc, "plans": []}, table_to_doc(PlanTable(p_cri, lambda0, (), max_nk)))
-    return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=tuple(plans), max_nk=max_nk)
+    _require_own({**doc, "plans": []}, table_to_doc(PlanTable(p_cri, lambda0, ())))
+    return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=tuple(plans))
 
 
 def serialize_table(table: PlanTable) -> str:
@@ -169,13 +169,19 @@ def _cache_file(path: str) -> str:
 
 
 def load_or_build_table(cfg: RunConfig) -> PlanTable:
-    """Use the cached table when it matches the run config, else rebuild it.
+    """Use the cached table when it is the run's, else rebuild it under the run's cap.
 
-    A cache that cannot be read as a table (an OS error on read, text that is not
-    JSON or is nested too deep to parse, a document that ``doc_to_table`` rejects)
-    is a miss: one warning on stderr, then rebuild.
+    The cached table is the run's when its P_cri and lambda0 are the run's and
+    its largest n_k is at most the run's cap ``max_nk``: a build under that cap
+    gives the same plans.  Under a smaller cap the build raises the ConfigError
+    that names the first band past the cap, before it writes.  A lambda0 past
+    K_MAX is an error before the cache is read.  A cache that cannot be read as
+    a table (an OS error on read, text that is not JSON or is nested too deep
+    to parse, a document that ``doc_to_table`` rejects) is a miss: one warning
+    on stderr, then rebuild.
     """
     path = _cache_file(cfg.cache)
+    analytic.iterations_for(TargetFraction(cfg.lambda0))
     if os.path.exists(path):
         try:
             with open(path) as fh:
@@ -186,7 +192,7 @@ def load_or_build_table(cfg: RunConfig) -> PlanTable:
                   f"({type(exc).__name__}: {exc})", file=sys.stderr)
         else:
             if (table.p_cri == cfg.p_cri and table.lambda0 == cfg.lambda0
-                    and table.max_nk == cfg.max_nk):
+                    and max(plan.n_k for plan in table.plans) <= cfg.max_nk):
                 return table
     table = planner.build_table(cfg.p_cri, cfg.lambda0, cfg.max_nk)
     write_table(serialize_table(table), path)
@@ -271,10 +277,12 @@ def cmd_sweep(cfg: RunConfig, grid: int, algorithms: str, phi: float) -> int:
                           f"got {algorithms!r}")
     _phase(phi)
     points = _log_grid(cfg.lambda0, grid)
+    if "fixed" in chosen:
+        # the fixed-phase half-angle grows with lambda, so a count that can fail
+        # fails at grid point 0, lambda0
+        planner.baseline_fixed_phase(phi, TargetFraction(cfg.lambda0))
     # The grid ascends from lambda0, which the table covers, so one cursor walks
-    # the table's segments up from band k_max; only "ours" reads the table.  The
-    # header waits for grid point 0: the fixed-phase half-angle grows with lambda,
-    # so a row that can fail fails there.
+    # the table's segments up from band k_max; only "ours" reads the table.
     segments = ((plan.k, *seg) for plan in reversed(load_or_build_table(cfg).plans)
                 for seg in zip(plan.phases, plan.boundaries[1:])) if "ours" in chosen else None
     seg_hi = 0.0
@@ -312,6 +320,7 @@ def cmd_verify(cfg: RunConfig, seed: int) -> int:
 
 def cmd_compare(cfg: RunConfig, fmt: str, lam: float, phi: float) -> int:
     lam, phi = TargetFraction(lam), _phase(phi)
+    planner.baseline_fixed_phase(phi, lam)
     _write_record(fmt, planner.compare(lam, load_or_build_table(cfg), cfg.p_cri, phi))
     return 0
 

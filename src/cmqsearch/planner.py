@@ -12,8 +12,11 @@ from cmqsearch.kernels import delta_angle, p_success
 from cmqsearch.optimizer import MAX_NK, PhasePlan, build_plan
 
 
-class PlanTable(namedtuple("PlanTable", "p_cri lambda0 plans max_nk")):
-    """Plans for every band intersecting [lambda0, 1), indexed by k = 1..k_max."""
+class PlanTable(namedtuple("PlanTable", "p_cri lambda0 plans")):
+    """Plans for every band intersecting [lambda0, 1), indexed by k = 1..k_max.
+
+    The phase cap is not part of a table: a build under any cap at or above
+    its largest n_k gives the same plans, and under a smaller cap it fails."""
 
     __slots__ = ()
 
@@ -32,7 +35,7 @@ def build_table(p_cri: float, lambda0: float, max_nk: int = MAX_NK) -> PlanTable
         raise DomainError(f"lambda0 must be in (0, 1), got {lambda0}")
     k_max = iterations_for(TargetFraction(lambda0))
     plans = tuple(build_plan(k, p_cri, max_nk) for k in range(1, k_max + 1))
-    return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=plans, max_nk=max_nk)
+    return PlanTable(p_cri=p_cri, lambda0=lambda0, plans=plans)
 
 
 def _segment_of(table: PlanTable, lam: float) -> tuple[int, int]:

@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import os
+import random
 import re
 import stat
 import subprocess
@@ -57,23 +58,24 @@ def test_table_rebuild_is_byte_identical(cache, capfd, tmp_path):
 
 # sha256 and size of the serialized table, pinned so that a solver change that
 # moves any cached bit shows up here (and calls for a new SCHEMA_VERSION).  The
-# plans' own sha256 is pinned apart.  Both last moved with schema version 10,
-# whose format writes each float as a JSON number, not a repr string: the
-# format moved, not the plans, whose every float is the one schema 9 held.
+# plans' own sha256 is pinned apart: it last moved with schema version 10,
+# whose format writes each float as a JSON number, not a repr string.  The
+# document's moved again with schema 11, which drops the phase cap "max_nk":
+# the format moved, not the plans, whose every float is the one schema 9 held.
 @pytest.mark.parametrize("p_cri,lambda0,size,digest,plans_digest", [
-    pytest.param(0.90, 1e-2, 2906,
-                 "3ed0b5042693d54ee1165bed1d9d890ac45d39bf7282623a576f9b24cc597c63",
+    pytest.param(0.90, 1e-2, 2890,
+                 "3c214bcef20ddf52ee7204628ef01f07851fa2d1c7d6ca7ceae7134208c8eb35",
                  "1b3aec7aa8bcf1c2386b886ea61b70dbe41c2b3b2ffa118fd1ebbfc51a511f7f",
                  id="0.9-0.01"),
-    pytest.param(0.99, 1e-3, 9479,
-                 "4941a097160047dfda26784d2e57ffa982b2b4062861bc2f2e617ac2d1a8ed2c",
+    pytest.param(0.99, 1e-3, 9463,
+                 "fd5098a550c79c2e01d97252d707eea004b84b6df776f194b380f7ff567dfebf",
                  "971a6903b29b5ffc5687fe3ee2cf20c267f1afc4b626e4109d05da0a3db72cc6",
                  id="0.99-0.001"),
 ])
 def test_cache_bytes_pinned(p_cri, lambda0, size, digest, plans_digest):
     table = build_table(p_cri, lambda0)
     data = serialize_table(table).encode()
-    assert cli.SCHEMA_VERSION == 10
+    assert cli.SCHEMA_VERSION == 11
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
     plans = json.dumps(cli.table_to_doc(table)["plans"], indent=2, sort_keys=True).encode()
@@ -386,6 +388,13 @@ _REJECTED = [
     ["table", "--level-tol", "1e-9"],
     ["sweep", "--format", "csv"],
     ["compare", "--lambda", "0.3", "--seed", "1"],
+    # a lambda0 past K_MAX, and a fixed phase with no finite count at the
+    # command's smallest lambda, are found before the cache is read
+    ["plan", "--lambda", "0.3", "--lambda0", "1e-13"],
+    ["compare", "--lambda", "0.3", "--lambda0", "1e-13"],
+    ["sweep", "--lambda0", "1e-13"],
+    ["compare", "--lambda", "0.5", "--phi", "5e-324"],
+    ["sweep", "--algorithms", "ours,fixed", "--phi", "1e-310", "--grid", "3"],
     ["nosuch"],
 ]
 
@@ -422,6 +431,23 @@ def test_tiny_lambda0_names_lambda_and_cap(cache, capfd):
     code, out, err = run(["table", "--lambda0", "1e-300", "--cache", cache], capfd)
     assert (code, out) == (1, "")
     assert err == "error: lambda=1e-300 needs more than K_MAX=1000000 iterations\n"
+
+
+@pytest.mark.parametrize("argv", [["plan", "--lambda", "0.3"], ["compare", "--lambda", "0.3"],
+                                  ["sweep", "--algorithms", "ours"], ["verify"]], ids=" ".join)
+def test_lambda0_past_k_max_is_an_error_before_the_cache_is_read(cache, capfd,
+                                                                 damaged_headline, argv):
+    # the damaged cache would warn were it read; only a table read needs k(lambda0)
+    Path(cache).write_text(damaged_headline)
+    code, out, err = run([*argv, "--lambda0", "1e-13", "--cache", cache], capfd)
+    assert code == 1
+    assert err == "error: lambda=1e-13 needs more than K_MAX=1000000 iterations\n"
+    assert (out == "") == (argv != ["verify"])
+    assert Path(cache).read_text() == damaged_headline
+    # a sweep that reads no table takes that lambda0
+    code, out, err = run(["sweep", "--lambda0", "1e-13", "--algorithms", "grover",
+                          "--grid", "3", "--cache", cache], capfd)
+    assert (code, len(out.splitlines()), err) == (0, 4, "")
 
 
 # ------------------------------------------------------------------ flag parsing
@@ -701,6 +727,41 @@ def test_verify_fails_on_a_plan_below_pcri(capfd, table90):
         "equal_level: PASS", "monotonicity: PASS", "long_certainty: PASS"]
 
 
+def _suite_lines(out: str) -> list[str]:
+    return [line.split(" (")[0] for line in out.splitlines()]
+
+
+def test_verify_fails_on_a_level_that_does_not_rise(monkeypatch, cache, capfd):
+    # the monotonicity suite's negative control: a level search whose level does
+    # not rise with n fails it with exit 5; the table is cached first, so that no
+    # build runs the faulty search
+    assert main(["table", "--cache", cache]) == 0
+    capfd.readouterr()
+    monkeypatch.setattr(simulator.optimizer, "largest_min_success",
+                        lambda k, n_k, max_nk: (0.9, [], []))
+    code, out, err = run(["verify", "--cache", cache], capfd)
+    reason = "Q(1, n=2)=0.9 not above Q(1, n=1)=0.9"
+    assert (code, err) == (5, f"error: {reason}\n")
+    assert out.splitlines()[2] == f"monotonicity: FAIL ({reason})"
+    assert _suite_lines(out) == ["oracle_equivalence: PASS", "equal_level: PASS",
+                                 "monotonicity: FAIL", "long_certainty: PASS"]
+
+
+def test_verify_fails_on_an_inexact_long_search(monkeypatch, cache, capfd):
+    # the long_certainty suite's negative control: an exact-search run that gives
+    # P = 0.5 fails it with exit 5, at the first register that the seed draws
+    monkeypatch.setattr(simulator, "run_long_exact", lambda n, m: 0.5)
+    rng = random.Random(0)
+    n = rng.randrange(2, MAX_QUBITS + 1)
+    m = rng.randrange(1, 1 << n)
+    code, out, err = run(["verify", "--cache", cache], capfd)
+    reason = f"exact-search run at n={n} M={m} gave |P - 1| = 0.5"
+    assert (code, err) == (5, f"error: {reason}\n")
+    assert out.splitlines()[3] == f"long_certainty: FAIL ({reason})"
+    assert _suite_lines(out) == ["oracle_equivalence: PASS", "equal_level: PASS",
+                                 "monotonicity: PASS", "long_certainty: FAIL"]
+
+
 def _as_main(tmp_path, argv: list[str], report: str) -> str:
     """Run the CLI as ``python -m`` does, as ``__main__``, in a ``-S`` subprocess
     started from the package's parent directory; print the exit code and the
@@ -724,6 +785,54 @@ def test_verify_as_main_loads_no_second_cli_module(tmp_path):
     # cmqsearch.cli, the CLI's source would compile and run a second time
     report = "sorted(m for m in ('cmqsearch.cli', 'cmqsearch.simulator') if m in sys.modules)"
     assert _as_main(tmp_path, ["verify"], report) == "0 ['cmqsearch.simulator']\n"
+
+
+# -------------------------------------------------------------------- phase cap
+
+# At (0.99, 1e-3) the table's largest n_k is 5, on band 1.
+_STRESS = ["--pcri", "0.99", "--lambda0", "1e-3"]
+_CACHED_QUERIES = [["plan", "--lambda", "0.002"], ["compare", "--lambda", "0.002"],
+                   ["sweep", "--grid", "50", "--algorithms", "ours,grover,fixed,long,yoder_bound"],
+                   ["verify"]]
+
+
+@pytest.mark.parametrize("cap", ["5", "6", "64", "200"])
+def test_cache_is_served_to_every_cap_that_its_plans_fit(cache, capfd, monkeypatch, cap):
+    # the cap limits a run, not a table: a cache written at the default cap is
+    # served, with no write, to a run under any cap at or above its largest n_k,
+    # and each command prints what it prints at the default cap
+    assert main(["table", *_STRESS, "--cache", cache]) == 0
+    capfd.readouterr()
+    text = Path(cache).read_text()
+    want = [run([*argv, *_STRESS, "--cache", cache], capfd) for argv in _CACHED_QUERIES]
+    writes = []
+    monkeypatch.setattr(cli, "write_table", lambda text, path: writes.append(path))
+    for argv, (_, out, _) in zip(_CACHED_QUERIES, want):
+        assert run([*argv, *_STRESS, "--max-nk", cap, "--cache", cache], capfd) == (0, out, "")
+    assert writes == [] and Path(cache).read_text() == text
+
+
+def test_cap_below_the_cached_plans_fails_as_a_build(cache, capfd):
+    # under a cap below its largest n_k the cache is not served; the rebuild
+    # fails on band 1, as a build under that cap does, before it writes
+    assert main(["table", *_STRESS, "--cache", cache]) == 0
+    capfd.readouterr()
+    text = Path(cache).read_text()
+    for argv in _CACHED_QUERIES:
+        code, out, err = run([*argv, *_STRESS, "--max-nk", "4", "--cache", cache], capfd)
+        assert (code, err) == (4, "error: p_cri=0.99 not reachable on band 1 within max_nk=4\n")
+        assert (out == "") == (argv != ["verify"])
+    assert Path(cache).read_text() == text
+
+
+def test_table_is_the_same_under_every_cap_that_it_fits(tmp_path, capfd):
+    outs = set()
+    for cap in ("5", "6", "64", "200"):
+        path = tmp_path / f"{cap}.json"
+        code, out, _ = run(["table", *_STRESS, "--max-nk", cap, "--cache", str(path)], capfd)
+        assert code == 0 and out.encode() == path.read_bytes()
+        outs.add(out)
+    assert len(outs) == 1
 
 
 # ------------------------------------------------------------- unreadable cache
@@ -771,19 +880,24 @@ def _repr_floats(node):
     return repr(node) if isinstance(node, float) else node
 
 
-# Schemas up to 9 stored every float as its repr string.  Schemas up to 8 also
-# held the solver's settings as "tolerances", not a top-level max_nk: level_tol
-# and max_nk in schema 8, lambda_tol and phase_tol too in schemas 1 to 7, and
-# grid_points too in schema 1.  Otherwise schemas 2 to 9 have the layout of
-# schema 10, and only the solver that wrote the plans differs.
-@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+# Schemas up to 9 stored every float as its repr string.  Schemas 9 and 10
+# held the phase cap as a top-level max_nk, and schemas up to 8 held it among
+# the solver's settings as "tolerances": level_tol and max_nk in schema 8,
+# lambda_tol and phase_tol too in schemas 1 to 7, and grid_points too in
+# schema 1.  Otherwise schemas 2 to 10 have the layout of schema 11, and only
+# the solver that wrote the plans differs.
+@pytest.mark.parametrize("version", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_cache_other_version_is_rebuilt(cache, capfd, version):
     main(["table", "--cache", cache])
     capfd.readouterr()
-    doc = _repr_floats(json.loads(Path(cache).read_text()))
+    doc = json.loads(Path(cache).read_text())
+    if version <= 9:
+        doc = _repr_floats(doc)
     doc["version"] = version
     if version <= 8:
-        doc["tolerances"] = {"level_tol": "1e-09", "max_nk": doc.pop("max_nk")}
+        doc["tolerances"] = {"level_tol": "1e-09", "max_nk": 64}
+    else:
+        doc["max_nk"] = 64
     if 1 <= version <= 7:
         doc["tolerances"].update(lambda_tol="1e-12", phase_tol="1e-12")
     if version == 1:
@@ -793,9 +907,9 @@ def test_cache_other_version_is_rebuilt(cache, capfd, version):
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc))
     assert f"version {version}" in warning
     rewritten = json.loads(Path(cache).read_text())
-    assert rewritten["version"] == cli.SCHEMA_VERSION == 10
+    assert rewritten["version"] == cli.SCHEMA_VERSION == 11
     assert rewritten["p_cri"] == 0.90
-    assert rewritten["max_nk"] == 64 and "tolerances" not in rewritten
+    assert "max_nk" not in rewritten and "tolerances" not in rewritten
 
 
 def _damage_plans(doc, damage):
@@ -935,15 +1049,12 @@ def _unsound_cache(doc, case):
         doc["p_cri"] = 10**400
     elif case == "huge_phase":  # float(10**400): OverflowError
         plans[1]["phases"][0] = 10**400
-    elif case == "zero_max_nk":  # a cap no build accepts: rebuilt with no warning
-        doc["max_nk"] = 0
-    else:  # "infinite_max_nk": int(inf) raises OverflowError
-        doc["max_nk"] = math.inf
+    else:  # "max_nk_key": schema 10's cap, once served only to a run with that cap
+        doc["max_nk"] = 64
 
 
 @pytest.mark.parametrize("case", ["band1_pi", "tiny_phase", "nan_level", "nan_boundary",
-                                  "nan_pcri", "huge_pcri", "huge_phase", "infinite_max_nk",
-                                  "zero_max_nk"])
+                                  "nan_pcri", "huge_pcri", "huge_phase", "max_nk_key"])
 def test_cache_unsound_plan_is_a_miss(cache, capfd, case):
     main(["table", "--cache", cache])
     capfd.readouterr()
@@ -951,6 +1062,8 @@ def test_cache_unsound_plan_is_a_miss(cache, capfd, case):
     _unsound_cache(doc, case)
     warning = _plan_rebuilds_bad_cache(cache, capfd, json.dumps(doc), lam="0.3")
     assert "Error" in warning
+    if case == "max_nk_key":
+        assert f"stored max_nk 64 {NOT_ITS_OWN}" in warning
 
 
 # What load_or_build_table catches: anything else would end in a traceback.
@@ -1007,14 +1120,15 @@ def test_damaged_cache_is_a_miss_or_sound(table90, data):
 
 
 def test_solver_flags_round_trip_through_the_cache(cache, capfd, monkeypatch):
-    argv = ["--max-nk=32"]
-    assert main(["table", "--cache", cache, *argv]) == 0
+    # the cap limits a run and is not stored: a table built under one cap is the
+    # cache that a run under any cap at or above its largest n_k, 2, is served
+    assert main(["table", "--cache", cache, "--max-nk=32"]) == 0
     doc = json.loads(Path(cache).read_text())
-    assert doc["max_nk"] == 32 and "tolerances" not in doc
-    assert doc_to_table(doc).max_nk == 32
-    # the same flags find the cached table instead of building another
+    assert "max_nk" not in doc and "tolerances" not in doc
+    assert serialize_table(doc_to_table(doc)) == serialize_table(build_table(0.90, 1e-2))
     monkeypatch.setattr(cli.planner, "build_table", None)
-    assert main(["plan", "--lambda", "0.01", "--cache", cache, *argv]) == 0
+    for cap in ("2", "32", "64"):
+        assert main(["plan", "--lambda", "0.01", "--cache", cache, "--max-nk", cap]) == 0
     capfd.readouterr()
 
 
@@ -1161,15 +1275,18 @@ def test_csv_record_layout(cache, capfd, argv, header):
 
 
 @pytest.mark.parametrize("command", [["compare", "--lambda", "0.5"],
-                                     ["sweep", "--algorithms", "fixed", "--grid", "3"]])
+                                     ["sweep", "--algorithms", "fixed", "--grid", "3"],
+                                     ["sweep", "--algorithms", "ours,fixed", "--grid", "3"]])
 # At phi = 2.2e-308 the count k is finite, but 2k + 1 is past the largest float.
 @pytest.mark.parametrize("phi", ["5e-324", "1e-310", "2.2e-308"])
 def test_phi_with_no_finite_fixed_count_is_one_error_line(cache, capfd, command, phi):
-    # a failing sweep row fails at grid point 0, before the CSV header is written
+    # the count is checked at the command's smallest lambda (a sweep's grid point
+    # 0), where it fails first, before the cache is read, built or written
     code, out, err = run([*command, "--phi", phi, "--cache", cache], capfd)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "no finite fixed-phase count" in err
+    assert not Path(cache).exists()
 
 
 # ------------------------------------------------------------------ environment

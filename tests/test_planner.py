@@ -7,7 +7,7 @@ import re
 import pytest
 
 from cmqsearch.analytic import TargetFraction, iterations_for
-from cmqsearch.errors import AmbiguityError, DomainError, RangeError
+from cmqsearch.errors import AmbiguityError, ConfigError, DomainError, RangeError
 from cmqsearch.kernels import p_success
 from cmqsearch.planner import (
     baseline_fixed_phase,
@@ -39,6 +39,21 @@ def test_table_shape(table90):
 def test_build_table_rejects_bad_lambda0():
     with pytest.raises(DomainError):
         build_table(0.90, 0.0)
+
+
+@pytest.mark.parametrize("p_cri,lambda0,n_k", [(0.90, 1e-2, 2), (0.99, 1e-3, 5)])
+def test_table_does_not_depend_on_the_cap(p_cri, lambda0, n_k):
+    # the floor probe's greedy march covers a band under a cap exactly when its
+    # n_k fits, and the level search then runs under n_k: so every cap at or
+    # above the table's largest n_k builds the same plans, and a smaller one
+    # fails on the first band past it, band 1
+    table = build_table(p_cri, lambda0, n_k)
+    assert max(plan.n_k for plan in table.plans) == n_k
+    for cap in (n_k + 1, 200):
+        assert build_table(p_cri, lambda0, cap) == table
+    with pytest.raises(ConfigError, match=f"^p_cri={p_cri} not reachable on band 1 "
+                                          f"within max_nk={n_k - 1}$"):
+        build_table(p_cri, lambda0, n_k - 1)
 
 
 # --------------------------------------------------------------------- queries
