@@ -25,6 +25,8 @@ def p_success(k: int, phi: float, lam: float) -> float:
     r = sqrt(lam) * sin(phi/2), the identity the optimizer's guarantee
     certificate rests on.  The factor (1 - lam) carries the smallness of
     1 - P, so there is no cancellation as r^2 -> 1, and r = 0 gives P = lam.
+    The domain is 0 <= lam < 1: at lam = 1 and phi = pi, r^2 = 1 and the
+    division fails, so callers take P = 1 there without a call.
     """
     r = math.sqrt(lam) * math.sin(0.5 * phi)
     x = r * r

@@ -209,6 +209,9 @@ def test_iteration_band_examples():
     b8 = iteration_band(8)
     assert b8.lo == pytest.approx(0.008513, abs=5e-7)
     assert b8.hi == pytest.approx(0.010926, abs=5e-7)
+    for k in (0, -1):
+        with pytest.raises(DomainError, match=f"k must be >= 1, got {k}$"):
+            iteration_band(k)
 
 
 def test_bands_tile_exactly():

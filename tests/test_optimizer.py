@@ -3,8 +3,9 @@
 import math
 import random
 import sys
+from bisect import bisect_left
+from math import asin, cos, sqrt
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
@@ -341,6 +342,21 @@ def test_solver_work_is_pinned(p_cri, lambda0, kernel_calls, marches,
     assert calls == {"p_success": kernel_calls, "march_level": marches}
 
 
+def test_solver_calls_the_kernel_only_below_lambda_1(monkeypatch):
+    # the kernel's domain is 0 <= lam < 1 (at lam = 1 and phi = pi it divides by
+    # zero); the certificate takes P = 1 at band 1's upper edge without a call
+    kernel = optimizer.p_success
+
+    def checked(k, phi, lam):
+        assert lam < 1.0, (k, phi, lam)
+        return kernel(k, phi, lam)
+
+    monkeypatch.setattr(optimizer, "p_success", checked)
+    build_table(0.90, 1e-2)
+    for p_cri in (0.5, 0.9, 0.99, 0.9999):
+        build_plan(1, p_cri)
+
+
 def test_plan_probability_at(table90):
     plan = table90.plan(1)
     assert plan.probability_at(0.25) >= 0.90
@@ -478,15 +494,25 @@ def test_fall_condition_implies_falling(k, phi, t):
 
 
 def _dense_scan_min(plan, points=100_000):
-    """Minimum of the planned probability on a uniform grid over the band."""
+    """Minimum of the planned probability, clamped to [0, 1], on the uniform grid
+    lo + i*step over the band.  The grid ascends, so each segment takes one run
+    of it, from where the last segment stopped to its first point at or past the
+    segment's upper edge."""
     band = iteration_band(plan.k)
-    lam = np.linspace(band.lo, band.hi, points, endpoint=False)
-    idx = np.searchsorted(np.array(plan.boundaries), lam, side="right") - 1
-    c = np.cos(np.array(plan.phases)[idx])
-    u = lam * (1.0 - c)
-    delta = 2.0 * np.arcsin(np.sqrt(0.5 * u))
-    p = (lam - 1.0) / (2.0 - u) * np.cos((2 * plan.k + 1) * delta) + (1.0 + lam * c) / (2.0 - u)
-    return float(np.clip(p, 0.0, 1.0).min())
+    lo, step, n = band.lo, (band.hi - band.lo) / points, 2 * plan.k + 1
+    lowest, start = math.inf, 0
+    for phi, hi in zip(plan.phases, plan.boundaries[1:]):
+        stop = bisect_left(range(points), hi, lo=start, key=lambda i: lo + i * step)
+        c = cos(phi)
+        for i in range(start, stop):
+            lam = lo + i * step
+            u = lam * (1.0 - c)
+            delta = 2.0 * asin(sqrt(0.5 * u))
+            p = (lam - 1.0) / (2.0 - u) * cos(n * delta) + (1.0 + lam * c) / (2.0 - u)
+            if p < lowest:
+                lowest = p
+        start = stop
+    return min(max(lowest, 0.0), 1.0)
 
 
 def test_certificate_agrees_with_a_dense_scan(table90):

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,24 +18,31 @@ PI = math.pi
 
 # --------------------------------------------------------------------- g matrix
 
+def _max_deviation(g, want):
+    """Largest |g_ij - want_ij| over two 2x2 matrices given as rows."""
+    return max(abs(x - y) for row, want_row in zip(g, want) for x, y in zip(row, want_row))
+
+
 def test_g_matrix_grover_case():
-    g = np.array(g_matrix(PI, PI / 6))
-    want = np.array([[0.5, math.sqrt(3) / 2], [-math.sqrt(3) / 2, 0.5]])
-    assert np.allclose(g, want, atol=1e-14)
-    assert np.max(np.abs(g.imag)) < 1e-14
+    g = g_matrix(PI, PI / 6)
+    want = ((0.5, math.sqrt(3) / 2), (-math.sqrt(3) / 2, 0.5))
+    assert _max_deviation(g, want) <= 1e-14
+    assert max(abs(x.imag) for row in g for x in row) < 1e-14
 
 
 def test_g_matrix_small_phase_limit():
     g = g_matrix(1e-9, 0.7)
-    assert np.allclose(g, -np.eye(2), atol=1e-8)
+    assert _max_deviation(g, ((-1.0, 0.0), (0.0, -1.0))) <= 1e-8
 
 
 @settings(max_examples=100)
 @given(phi=st.floats(min_value=1e-6, max_value=PI),
        theta=st.floats(min_value=1e-3, max_value=PI / 2 - 1e-3))
 def test_g_matrix_unitary(phi, theta):
-    g = np.array(g_matrix(phi, theta))
-    assert np.max(np.abs(g.conj().T @ g - np.eye(2))) < 1e-12
+    g = g_matrix(phi, theta)
+    gh_g = tuple(tuple(sum(g[r][i].conjugate() * g[r][j] for r in range(2)) for j in range(2))
+                 for i in range(2))
+    assert _max_deviation(gh_g, ((1.0, 0.0), (0.0, 1.0))) < 1e-12
 
 
 def test_g_matrix_rejects_bad_theta():
@@ -93,14 +99,14 @@ def test_statevector_validation():
 
 def test_norm_preserved_over_many_iterations():
     amps = evolve(6, 3, 1000, 2.0)
-    assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-10)
+    assert math.fsum(abs(a) ** 2 for a in amps) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_subspace_uniformity():
     for k in range(1, 8):
-        amps = np.array(evolve(5, 3, k, 1.9))
-        assert np.max(np.abs(amps[:3] - amps[0])) < 1e-12
-        assert np.max(np.abs(amps[3:] - amps[3])) < 1e-12
+        amps = evolve(5, 3, k, 1.9)
+        assert max(abs(a - amps[0]) for a in amps[:3]) < 1e-12
+        assert max(abs(a - amps[3]) for a in amps[3:]) < 1e-12
 
 
 @pytest.mark.parametrize("n,m,phi", list(TRAJECTORY_SHA256))

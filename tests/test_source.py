@@ -70,3 +70,22 @@ def test_the_record_types_are_pinned():
     defined = {node.name for path in SRC.glob("*.py") if path.name != "errors.py"
                for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)}
     assert defined == RECORD_TYPES
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    mods = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            mods.add(node.module.split(".")[0])
+    return mods
+
+
+def test_the_tests_import_no_numpy():
+    # math, cmath and lists carry every check, so tier-1 runs with only pytest
+    # and hypothesis; a string that names numpy, as in a subprocess script, is
+    # not an import
+    importers = [path.name for path in sorted(Path(__file__).resolve().parent.glob("*.py"))
+                 if "numpy" in _imported_modules(ast.parse(path.read_text()))]
+    assert importers == []
